@@ -436,6 +436,20 @@ def _check_unique(items, list_name: str, id_field: str, out: list[Violation]) ->
         seen.add(item_id)
 
 
+def _check_labels(labels, list_name: str, out: list[Violation]) -> None:
+    # Labels are the keys that queries and gold look units up by, so an
+    # empty or repeated label would make a unit unreachable.
+    seen: set[str] = set()
+    for i, label in enumerate(labels):
+        if not label.strip():
+            out.append(Violation("error", f"{list_name}[{i}].label", "label is empty"))
+        elif label in seen:
+            out.append(
+                Violation("error", f"{list_name}[{i}].label", f"duplicate label {label!r}")
+            )
+        seen.add(label)
+
+
 def validate_corpus(corpus: AnnotationCorpus) -> ValidationReport:
     """Check every corpus invariant; violations are data, never exceptions.
 
@@ -490,9 +504,8 @@ def validate_corpus(corpus: AnnotationCorpus) -> ValidationReport:
             )
         )
 
-    for i, macro in enumerate(corpus.macro_events):
-        if not macro.label.strip():
-            out.append(Violation("error", f"macro_events[{i}].label", "label is empty"))
+    _check_labels((m.label for m in corpus.macro_events), "macro_events", out)
+    _check_labels((e.label for e in corpus.events), "events", out)
 
     for i, panel in enumerate(corpus.panels):
         characters = set(panel.characters)

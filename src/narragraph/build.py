@@ -9,10 +9,11 @@ Node ids are namespaced so the tier unions can never collide:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .annotations import AnnotationCorpus, PanelAnnotation, normalize_token
-from .errors import CycleError
+from .errors import CycleError, DuplicateNodeError
 from .graph import NarrativeGraph, NodeKind, RelationKind, Tier
 
 
@@ -81,16 +82,13 @@ class UnifiedGraph:
         return cls(graph=graph, index=index)
 
 
-def build_panel_graph(panel: PanelAnnotation) -> NarrativeGraph:
-    """Multimodal graph of a single panel.
+def _write_panel(g: NarrativeGraph, panel: PanelAnnotation) -> None:
+    """Write the multimodal subgraph of one panel into ``g``.
 
-    The panel node fans out to one visual and one textual hub. Character
-    mentions, actions (with ``agent_of`` links back to their mention) and
-    scene objects hang off the visual hub; dialogue and caption nodes
-    attach to the textual hub via ``part_of``, each with a content node
-    carrying the raw text via ``content_of``.
+    Nodes go in through ``upsert_node``, so a panel written into a graph
+    that already holds some of its nodes merges into them, as the tiers do
+    in :func:`integrate`.
     """
-    g = NarrativeGraph(Tier.PANEL)
     pnode = panel_node_id(panel.panel_id)
     attrs = {
         "reading_order": str(panel.reading_order),
@@ -101,21 +99,25 @@ def build_panel_graph(panel: PanelAnnotation) -> NarrativeGraph:
         attrs["image_path"] = panel.image_path
     if panel.event_description is not None:
         attrs["event_description"] = panel.event_description
-    g.add_node(pnode, NodeKind.PANEL, attrs)
+    g.upsert_node(pnode, NodeKind.PANEL, attrs)
 
     vnode = f"{pnode}/visual"
     visual_attrs = {"background": panel.background} if panel.background is not None else {}
-    g.add_node(vnode, NodeKind.PANEL_VISUAL, visual_attrs)
+    g.upsert_node(vnode, NodeKind.PANEL_VISUAL, visual_attrs)
     tnode = f"{pnode}/textual"
-    g.add_node(tnode, NodeKind.PANEL_TEXTUAL, {})
+    g.upsert_node(tnode, NodeKind.PANEL_TEXTUAL, {})
     g.add_edge(pnode, RelationKind.HAS_VISUAL, vnode)
     g.add_edge(pnode, RelationKind.HAS_TEXTUAL, tnode)
 
+    # Mention and object ids this panel has written. One node per
+    # normalized label; the first surface form within the panel is kept.
+    written: set[str] = set()
+
     def mention(label: str) -> str:
-        # One mention per normalized label; the first surface form is kept.
         mid = f"{pnode}/char:{normalize_token(label)}"
-        if not g.has_node(mid):
-            g.add_node(mid, NodeKind.CHARACTER_MENTION, {"label": label})
+        if mid not in written:
+            written.add(mid)
+            g.upsert_node(mid, NodeKind.CHARACTER_MENTION, {"label": label})
             g.add_edge(vnode, RelationKind.HAS_CHARACTER, mid)
         return mid
 
@@ -127,14 +129,15 @@ def build_panel_graph(panel: PanelAnnotation) -> NarrativeGraph:
         action_attrs = {"verb": action.verb}
         if action.object is not None:
             action_attrs["object"] = action.object
-        g.add_node(aid, NodeKind.ACTION, action_attrs)
+        g.upsert_node(aid, NodeKind.ACTION, action_attrs)
         g.add_edge(vnode, RelationKind.HAS_ACTION, aid)
         g.add_edge(aid, RelationKind.AGENT_OF, mention(action.agent))
 
     for label in panel.objects:
         oid = f"{pnode}/obj:{normalize_token(label)}"
-        if not g.has_node(oid):
-            g.add_node(oid, NodeKind.SCENE_OBJECT, {"label": label})
+        if oid not in written:
+            written.add(oid)
+            g.upsert_node(oid, NodeKind.SCENE_OBJECT, {"label": label})
             g.add_edge(vnode, RelationKind.HAS_OBJECT, oid)
 
     for prefix, kind, utterances in (
@@ -146,26 +149,52 @@ def build_panel_graph(panel: PanelAnnotation) -> NarrativeGraph:
             utterance_attrs = {"utterance_id": utterance.id}
             if utterance.speaker is not None:
                 utterance_attrs["speaker"] = utterance.speaker
-            g.add_node(uid, kind, utterance_attrs)
+            g.upsert_node(uid, kind, utterance_attrs)
             g.add_edge(uid, RelationKind.PART_OF, tnode)
             cid = f"{uid}/text"
-            g.add_node(cid, NodeKind.DIALOGUE_CONTENT, {"text": utterance.text})
+            g.upsert_node(cid, NodeKind.DIALOGUE_CONTENT, {"text": utterance.text})
             g.add_edge(cid, RelationKind.CONTENT_OF, uid)
 
+
+def build_panel_graph(panel: PanelAnnotation) -> NarrativeGraph:
+    """Multimodal graph of a single panel.
+
+    The panel node fans out to one visual and one textual hub. Character
+    mentions, actions (with ``agent_of`` links back to their mention) and
+    scene objects hang off the visual hub; dialogue and caption nodes
+    attach to the textual hub via ``part_of``, each with a content node
+    carrying the raw text via ``content_of``.
+    """
+    g = NarrativeGraph(Tier.PANEL)
+    _write_panel(g, panel)
     return g
 
 
-def build_temporal_graph(corpus: AnnotationCorpus) -> NarrativeGraph:
-    """Reading-order DAG over panels and event segments.
+def _tier_upsert(g: NarrativeGraph):
+    """``upsert_node`` into ``g`` that raises ``DuplicateNodeError`` when
+    the same tier writes a node id twice (a duplicate annotation id), while
+    nodes written by other tiers are merged."""
+    written: set[str] = set()
 
-    Panels are chained by ``precedes`` in ascending reading order, one edge
-    per adjacent pair; segments are chained in order of their first panel's
-    reading order. Segments with no panels become isolated nodes.
+    def upsert(node_id: str, kind: NodeKind, attrs: dict[str, str]) -> None:
+        if node_id in written:
+            raise DuplicateNodeError(f"node {node_id!r} already exists")
+        written.add(node_id)
+        g.upsert_node(node_id, kind, attrs)
+
+    return upsert
+
+
+def _write_temporal(g: NarrativeGraph, corpus: AnnotationCorpus) -> None:
+    """Write the reading-order chains into ``g``.
+
+    Both chains run over distinct nodes (a repeated panel or segment id
+    raises), so they are simple paths and add no ``precedes`` cycle.
     """
-    g = NarrativeGraph(Tier.TEMPORAL)
+    upsert = _tier_upsert(g)
     ordered = sorted(corpus.panels, key=lambda p: p.reading_order)
     for panel in ordered:
-        g.add_node(
+        upsert(
             panel_node_id(panel.panel_id),
             NodeKind.PANEL,
             {"reading_order": str(panel.reading_order)},
@@ -184,7 +213,7 @@ def build_temporal_graph(corpus: AnnotationCorpus) -> NarrativeGraph:
         attrs = {}
         if segment.id in first_order:
             attrs["first_reading_order"] = str(first_order[segment.id])
-        g.add_node(segment_node_id(segment.id), NodeKind.EVENT_SEGMENT, attrs)
+        upsert(segment_node_id(segment.id), NodeKind.EVENT_SEGMENT, attrs)
     chained = list(first_order)  # insertion order == first-appearance order
     for prev_id, next_id in zip(chained, chained[1:]):
         g.add_edge(
@@ -193,8 +222,16 @@ def build_temporal_graph(corpus: AnnotationCorpus) -> NarrativeGraph:
             segment_node_id(next_id),
         )
 
-    if not g.is_acyclic({RelationKind.PRECEDES}):
-        raise CycleError("temporal precedes chain contains a cycle")
+
+def build_temporal_graph(corpus: AnnotationCorpus) -> NarrativeGraph:
+    """Reading-order DAG over panels and event segments.
+
+    Panels are chained by ``precedes`` in ascending reading order, one edge
+    per adjacent pair; segments are chained in order of their first panel's
+    reading order. Segments with no panels become isolated nodes.
+    """
+    g = NarrativeGraph(Tier.TEMPORAL)
+    _write_temporal(g, corpus)
     return g
 
 
@@ -211,24 +248,36 @@ def _event_spans(corpus: AnnotationCorpus) -> dict[str, tuple[int, int]]:
     return spans
 
 
-def build_event_graph(corpus: AnnotationCorpus) -> NarrativeGraph:
-    """Semantic graph over macro-events, events and segments.
+def _overlapping_pairs(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Every ``(i, j)`` with ``i < j`` whose closed intervals overlap, sorted.
 
-    ``subevent_of`` points child to parent. Sibling events (and sibling
-    macro-events) with panels are chained by ``precedes`` in narrative
-    order: ascending first-panel reading order, ties broken by annotation
-    list order. Two events ``co_occur`` when their reading-order intervals
-    overlap.
+    Sweeps the intervals by start, keeping those not yet ended in a heap by
+    end, so the cost is O(n log n) plus the number of pairs.
     """
-    g = NarrativeGraph(Tier.EVENT)
+    pairs = []
+    active: list[tuple[int, int]] = []  # (end, index)
+    for j in sorted(range(len(intervals)), key=lambda i: intervals[i][0]):
+        lo, hi = intervals[j]
+        while active and active[0][0] < lo:
+            heapq.heappop(active)
+        pairs.extend((min(i, j), max(i, j)) for _, i in active)
+        heapq.heappush(active, (hi, j))
+    pairs.sort()
+    return pairs
+
+
+def _write_event(g: NarrativeGraph, corpus: AnnotationCorpus) -> None:
+    """Write the event hierarchy, its ``precedes`` chains and the
+    ``co_occurs`` pairs into ``g``."""
+    upsert = _tier_upsert(g)
     for macro in corpus.macro_events:
-        g.add_node(
+        upsert(
             macro_node_id(macro.id),
             NodeKind.MACRO_EVENT,
             {"label": macro.label, "description": macro.description},
         )
     for event in corpus.events:
-        g.add_node(
+        upsert(
             event_node_id(event.id),
             NodeKind.EVENT,
             {"label": event.label, "description": event.description},
@@ -237,7 +286,7 @@ def build_event_graph(corpus: AnnotationCorpus) -> NarrativeGraph:
         attrs = {"description": segment.description}
         if segment.narrative_role is not None:
             attrs["narrative_role"] = segment.narrative_role.value
-        g.add_node(segment_node_id(segment.id), NodeKind.EVENT_SEGMENT, attrs)
+        upsert(segment_node_id(segment.id), NodeKind.EVENT_SEGMENT, attrs)
 
     for segment in corpus.segments:
         g.add_edge(
@@ -253,55 +302,63 @@ def build_event_graph(corpus: AnnotationCorpus) -> NarrativeGraph:
         )
 
     spans = _event_spans(corpus)
+    spanned = [e for e in corpus.events if e.id in spans]
 
+    children: dict[str, list] = {}
+    for event in spanned:
+        children.setdefault(event.macro_event_id, []).append(event)
     for macro in corpus.macro_events:
-        siblings = [e for e in corpus.events if e.macro_event_id == macro.id and e.id in spans]
-        siblings.sort(key=lambda e: spans[e.id][0])  # stable: ties keep list order
+        # stable: ties keep list order
+        siblings = sorted(children.get(macro.id, ()), key=lambda e: spans[e.id][0])
         for prev, nxt in zip(siblings, siblings[1:]):
             g.add_edge(event_node_id(prev.id), RelationKind.PRECEDES, event_node_id(nxt.id))
 
     macro_first: dict[str, int] = {}
-    for event in corpus.events:
-        if event.id in spans:
-            start = spans[event.id][0]
-            current = macro_first.get(event.macro_event_id)
-            macro_first[event.macro_event_id] = start if current is None else min(current, start)
+    for event in spanned:
+        start = spans[event.id][0]
+        current = macro_first.get(event.macro_event_id)
+        macro_first[event.macro_event_id] = start if current is None else min(current, start)
     macros = [m for m in corpus.macro_events if m.id in macro_first]
     macros.sort(key=lambda m: macro_first[m.id])
     for prev, nxt in zip(macros, macros[1:]):
         g.add_edge(macro_node_id(prev.id), RelationKind.PRECEDES, macro_node_id(nxt.id))
 
-    spanned = [e for e in corpus.events if e.id in spans]
-    for i, a in enumerate(spanned):
-        for b in spanned[i + 1 :]:
-            a_lo, a_hi = spans[a.id]
-            b_lo, b_hi = spans[b.id]
-            if a_lo <= b_hi and b_lo <= a_hi:
-                g.add_edge(event_node_id(a.id), RelationKind.CO_OCCURS, event_node_id(b.id))
-                g.add_edge(event_node_id(b.id), RelationKind.CO_OCCURS, event_node_id(a.id))
+    for i, j in _overlapping_pairs([spans[e.id] for e in spanned]):
+        a, b = event_node_id(spanned[i].id), event_node_id(spanned[j].id)
+        g.add_edge(a, RelationKind.CO_OCCURS, b)
+        g.add_edge(b, RelationKind.CO_OCCURS, a)
 
+
+def build_event_graph(corpus: AnnotationCorpus) -> NarrativeGraph:
+    """Semantic graph over macro-events, events and segments.
+
+    ``subevent_of`` points child to parent. Sibling events (and sibling
+    macro-events) with panels are chained by ``precedes`` in narrative
+    order: ascending first-panel reading order, ties broken by annotation
+    list order. Two events ``co_occur`` when their reading-order intervals
+    overlap.
+    """
+    g = NarrativeGraph(Tier.EVENT)
+    _write_event(g, corpus)
     return g
-
-
-def _merge_into(target: NarrativeGraph, source: NarrativeGraph) -> None:
-    for node_id, kind, attrs in source.nodes():
-        target.upsert_node(node_id, kind, attrs)
-    for src, rel, dst in source.edges():
-        target.add_edge(src, rel, dst)
 
 
 def integrate(corpus: AnnotationCorpus) -> UnifiedGraph:
     """Union of all tier graphs plus the cross-tier links.
 
-    Adds one ``instantiates`` edge per panel (panel to its segment), one
-    global character node per normalized label, and one ``refers_to`` edge
-    per character mention. The result is frozen and indexed.
+    The tiers are written in one pass straight into the unified graph, in
+    the order panels, temporal, event; a node that two tiers write (panels,
+    segments) keeps its first position and gains the later tier's
+    attributes. Adds one ``instantiates`` edge per panel (panel to its
+    segment), one global character node per normalized label, and one
+    ``refers_to`` edge per character mention. The result is frozen and
+    indexed.
     """
     unified = NarrativeGraph(Tier.UNIFIED)
     for panel in corpus.panels:
-        _merge_into(unified, build_panel_graph(panel))
-    _merge_into(unified, build_temporal_graph(corpus))
-    _merge_into(unified, build_event_graph(corpus))
+        _write_panel(unified, panel)
+    _write_temporal(unified, corpus)
+    _write_event(unified, corpus)
 
     for panel in corpus.panels:
         unified.add_edge(

@@ -15,7 +15,7 @@ from .annotations import AnnotationCorpus, parse_corpus, serialize_corpus, valid
 from .build import UnifiedGraph, integrate
 from .errors import DanglingReferenceError, SchemaError, UnknownUnitError
 from .evaluation import evaluate_all, load_synonym_map
-from .export import to_dot, to_node_link
+from .export import to_dot
 from .fixtures import GenParams, bundled_story_text, generate
 from .graph import NarrativeGraph, NodeKind, deserialize_graph, serialize_graph
 from .reasoning import (
@@ -156,7 +156,7 @@ def cmd_export(args: argparse.Namespace) -> int:
             from .export import induced_subgraph
 
             graph = induced_subgraph(graph, kinds)
-        sys.stdout.write(to_node_link(graph))
+        sys.stdout.write(serialize_graph(graph))
     return 0
 
 

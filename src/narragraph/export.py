@@ -1,4 +1,4 @@
-"""DOT and node-link JSON views of narrative graphs.
+"""DOT and induced-subgraph views of narrative graphs.
 
 DOT output reproduces graph content, not any particular layout; rendering
 is left to downstream Graphviz tooling. ``follows`` edges are omitted from
@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .build import panel_id_of, segment_id_of
-from .graph import NarrativeGraph, NodeKind, RelationKind, serialize_graph
+from .graph import NarrativeGraph, NodeKind, RelationKind
 
 #: shape and fill per node kind; listed in the legend header.
 _NODE_STYLE: dict[NodeKind, tuple[str, str]] = {
@@ -98,8 +98,3 @@ def to_dot(graph: NarrativeGraph, kinds: Optional[Iterable[NodeKind]] = None) ->
         lines.append(f"  {_quote(src)} -> {_quote(dst)} [label={_quote(rel.value)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def to_node_link(graph: NarrativeGraph) -> str:
-    """Node-link JSON text; identical to :func:`graph.serialize_graph`."""
-    return serialize_graph(graph)

@@ -13,6 +13,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring
 from typing import Iterable, Iterator, Optional
 
 from .errors import DuplicateNodeError, MissingNodeError, SchemaError
@@ -204,18 +205,20 @@ class NarrativeGraph:
     def is_acyclic(self, rels: Iterable[RelationKind]) -> bool:
         """True iff the subgraph restricted to ``rels`` has no directed cycle."""
         keep = set(rels)
-        indegree = {node_id: 0 for node_id in self._nodes}
-        outgoing: dict[str, list[str]] = {node_id: [] for node_id in self._nodes}
+        # Only nodes on a kept edge can lie on a cycle.
+        indegree: dict[str, int] = {}
+        outgoing: dict[str, list[str]] = {}
         for src, rel, dst in self._edges:
             if rel in keep:
-                outgoing[src].append(dst)
-                indegree[dst] += 1
+                outgoing.setdefault(src, []).append(dst)
+                indegree.setdefault(src, 0)
+                indegree[dst] = indegree.get(dst, 0) + 1
         queue = deque(node_id for node_id, deg in indegree.items() if deg == 0)
         visited = 0
         while queue:
             node_id = queue.popleft()
             visited += 1
-            for dst in outgoing[node_id]:
+            for dst in outgoing.get(node_id, ()):
                 indegree[dst] -= 1
                 if indegree[dst] == 0:
                     queue.append(dst)
@@ -240,20 +243,44 @@ class NarrativeGraph:
 
 # --- serialization -----------------------------------------------------
 
+def _json_list(records: list[str]) -> str:
+    return "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
+
+
 def serialize_graph(graph: NarrativeGraph) -> str:
-    """Node-link JSON form, nodes and edges in insertion order."""
-    obj = {
-        "tier": graph.tier.value,
-        "nodes": [
-            {"id": node_id, "kind": kind.value, "attrs": dict(attrs)}
-            for node_id, kind, attrs in graph.nodes()
-        ],
-        "edges": [
-            {"src": src, "rel": rel.value, "dst": dst}
-            for src, rel, dst in graph.edges()
-        ],
-    }
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """Node-link JSON form, nodes and edges in insertion order.
+
+    The text is exactly ``json.dumps(obj, indent=2, ensure_ascii=False) +
+    "\\n"`` of ``{"tier", "nodes": [{"id", "kind", "attrs"}], "edges":
+    [{"src", "rel", "dst"}]}``. It is written here directly because
+    ``json.dumps`` with ``indent`` runs the pure-Python encoder; every string
+    goes through the same C string encoder that ``json.dumps`` uses.
+    """
+    quote = encode_basestring
+    kinds = {kind: quote(kind.value) for kind in NodeKind}
+    rels = {rel: quote(rel.value) for rel in RelationKind}
+    nodes = []
+    for node_id, kind, attrs in graph.nodes():
+        if attrs:
+            attrs_text = (
+                "{\n"
+                + ",\n".join(f"        {quote(k)}: {quote(v)}" for k, v in attrs.items())
+                + "\n      }"
+            )
+        else:
+            attrs_text = "{}"
+        nodes.append(
+            f'    {{\n      "id": {quote(node_id)},\n      "kind": {kinds[kind]},\n'
+            f'      "attrs": {attrs_text}\n    }}'
+        )
+    edges = [
+        f'    {{\n      "src": {quote(src)},\n      "rel": {rels[rel]},\n      "dst": {quote(dst)}\n    }}'
+        for src, rel, dst in graph.edges()
+    ]
+    return (
+        f'{{\n  "tier": {quote(graph.tier.value)},\n  "nodes": {_json_list(nodes)},\n'
+        f'  "edges": {_json_list(edges)}\n}}\n'
+    )
 
 
 def deserialize_graph(text: str) -> NarrativeGraph:

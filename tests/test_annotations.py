@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -156,6 +157,46 @@ def test_validate_duplicate_ids():
     corpus = util.corpus([util.panel("a", "s0", 0), util.panel("a", "s1", 1)])
     report = validate_corpus(corpus)
     assert any("duplicate id" in v.message for v in report.violations)
+
+
+def _relabel(corpus, list_name, index, label):
+    items = list(getattr(corpus, list_name))
+    items[index] = dataclasses.replace(items[index], label=label)
+    return dataclasses.replace(corpus, **{list_name: tuple(items)})
+
+
+def test_validate_duplicate_event_label(story):
+    # eval looks units up by label: the second event would never be scored.
+    corpus = _relabel(story, "events", 1, story.events[0].label)
+    report = validate_corpus(corpus)
+    assert [(v.path, v.message) for v in report.violations] == [
+        ("events[1].label", f"duplicate label {story.events[0].label!r}")
+    ]
+
+
+def test_validate_duplicate_macro_event_label():
+    corpus = util.corpus([util.panel("a", "s0", 0)])
+    second = dataclasses.replace(corpus.macro_events[0], id="m1")
+    corpus = dataclasses.replace(corpus, macro_events=corpus.macro_events + (second,))
+    report = validate_corpus(corpus)
+    assert [(v.path, v.message) for v in report.violations] == [
+        ("macro_events[1].label", "duplicate label 'arc_0'")
+    ]
+
+
+def test_validate_empty_event_label(story):
+    corpus = _relabel(story, "events", 1, "  ")
+    report = validate_corpus(corpus)
+    assert [(v.path, v.message) for v in report.violations] == [
+        ("events[1].label", "label is empty")
+    ]
+
+
+def test_validate_empty_macro_event_label(story):
+    report = validate_corpus(_relabel(story, "macro_events", 0, ""))
+    assert [(v.path, v.message) for v in report.violations] == [
+        ("macro_events[0].label", "label is empty")
+    ]
 
 
 def test_validate_speaker_must_be_present():

@@ -1,4 +1,8 @@
+import dataclasses
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import narragraph as ng
 from narragraph import (
@@ -265,3 +269,153 @@ def test_integrate_is_deterministic():
         text_a = serialize_graph(integrate(corpus).graph)
         text_b = serialize_graph(integrate(corpus).graph)
         assert text_a == text_b
+
+
+def _pairwise_co_occurs(corpus):
+    """The pairwise loop the sweep in build_event_graph replaced, kept as
+    its reference: every pair of spanned events in list order."""
+    segment_event = {s.id: s.event_id for s in corpus.segments}
+    spans = {}
+    for panel in corpus.panels:
+        event_id = segment_event.get(panel.segment_id)
+        if event_id is not None:
+            lo, hi = spans.get(event_id, (panel.reading_order, panel.reading_order))
+            spans[event_id] = (min(lo, panel.reading_order), max(hi, panel.reading_order))
+    spanned = [e for e in corpus.events if e.id in spans]
+    edges = []
+    for i, a in enumerate(spanned):
+        for b in spanned[i + 1 :]:
+            a_lo, a_hi = spans[a.id]
+            b_lo, b_hi = spans[b.id]
+            if a_lo <= b_hi and b_lo <= a_hi:
+                edges.append((event_node_id(a.id), RelationKind.CO_OCCURS, event_node_id(b.id)))
+                edges.append((event_node_id(b.id), RelationKind.CO_OCCURS, event_node_id(a.id)))
+    return list(dict.fromkeys(edges))
+
+
+def _co_occurs_edges(corpus):
+    return [e for e in build_event_graph(corpus).edges() if e[1] is RelationKind.CO_OCCURS]
+
+
+def test_co_occurs_matches_pairwise_loop_on_seeded_corpora():
+    for seed in range(30):
+        corpus = ng.generate(
+            ng.GenParams(
+                seed=seed,
+                n_macro=1 + seed % 4,
+                events_per_macro=(1, 4),
+                segments_per_event=(1, 3),
+                panels_per_segment=(1, 3),
+            )
+        )
+        assert _co_occurs_edges(corpus) == _pairwise_co_occurs(corpus)
+
+
+def test_co_occurs_matches_pairwise_loop_on_nested_and_interleaved_spans():
+    # (event, reading order) per panel, listed out of reading order so the
+    # event list order differs from span-start order. Spans: e0 [0, 9]
+    # holds e1 [1, 3], e2 [2, 5] and e4 [6, 6]; e2 interleaves e1; e3
+    # [9, 12] touches e0 at 9; e5 [10, 10] sits inside e3; e6 [13, 13]
+    # overlaps none. Six overlapping pairs.
+    layout = [
+        ("e2", 5), ("e0", 9), ("e3", 12), ("e1", 1), ("e0", 0), ("e4", 6),
+        ("e2", 2), ("e1", 3), ("e5", 10), ("e3", 9), ("e6", 13),
+    ]
+    panels = [util.panel(f"p{i}", f"s_{event}", ro) for i, (event, ro) in enumerate(layout)]
+    corpus = util.corpus(panels, seg_event={f"s_{e}": e for e, _ in layout})
+    edges = _co_occurs_edges(corpus)
+    assert edges == _pairwise_co_occurs(corpus)
+    assert len(edges) == 2 * 6
+
+
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 15)), max_size=24))
+def test_co_occurs_matches_pairwise_loop_on_random_spans(layout):
+    panels = [util.panel(f"p{i}", f"s{seg}", ro) for i, (seg, ro) in enumerate(layout)]
+    corpus = util.corpus(panels, seg_event={f"s{seg}": f"ev{seg % 5}" for seg, _ in layout})
+    assert _co_occurs_edges(corpus) == _pairwise_co_occurs(corpus)
+
+
+def _merge_into(target, source):
+    for node_id, kind, attrs in source.nodes():
+        target.upsert_node(node_id, kind, attrs)
+    for src, rel, dst in source.edges():
+        target.add_edge(src, rel, dst)
+
+
+def _reference_integrate(corpus):
+    """integrate as a merge of separately built tier graphs, the path the
+    one-pass integrate replaced; returns the serialized graph."""
+    unified = ng.NarrativeGraph(Tier.UNIFIED)
+    for panel in corpus.panels:
+        _merge_into(unified, build_panel_graph(panel))
+    _merge_into(unified, build_temporal_graph(corpus))
+    _merge_into(unified, build_event_graph(corpus))
+    for panel in corpus.panels:
+        unified.add_edge(
+            panel_node_id(panel.panel_id), RelationKind.INSTANTIATES, segment_node_id(panel.segment_id)
+        )
+    for panel in sorted(corpus.panels, key=lambda p: p.reading_order):
+        vnode = f"{panel_node_id(panel.panel_id)}/visual"
+        for mention in unified.neighbors(vnode, RelationKind.HAS_CHARACTER, "out"):
+            label = unified.node_attrs(mention)["label"]
+            cnode = f"char:{normalize_token(label)}"
+            if not unified.has_node(cnode):
+                unified.add_node(cnode, NodeKind.CHARACTER, {"label": label})
+            unified.add_edge(mention, RelationKind.REFERS_TO, cnode)
+    if not unified.is_acyclic({RelationKind.PRECEDES}):
+        raise ng.CycleError("unified precedes subgraph contains a cycle")
+    return serialize_graph(unified)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ng.NarragraphError as exc:
+        return type(exc), str(exc)
+
+
+def test_integrate_matches_tier_merge_on_seeded_corpora(story):
+    corpora = [story] + [_generated(seed) for seed in range(20)]
+    corpora.append(ng.generate(ng.GenParams(seed=3)))
+    for corpus in corpora:
+        assert serialize_graph(integrate(corpus).graph) == _reference_integrate(corpus)
+
+
+def test_integrate_matches_tier_merge_on_unvalidated_corpora():
+    rich = util.panel(
+        "p0", "s0", 0,
+        characters=("A", " a", "B"),
+        objects=("Pot", "pot"),
+        actions=[("C", "wave"), ("A", "hold", "B")],
+        dialogues=[("d0", "hi", "Z")],
+        captions=[("c0", "")],
+        background="street",
+    )
+    # Agent and speaker not in the panel, repeated surface forms, repeated
+    # reading orders, repeated labels: integrate builds these.
+    built = [
+        util.corpus([rich, util.panel("p1", "s1", 0, characters=("a",)), util.panel("p2", "s0", 7)]),
+        util.corpus([util.panel("p0", "s0", 0), util.panel("p1", "s1", 1)], seg_event={"s0": "x", "s1": "x"}),
+    ]
+    two = util.corpus([util.panel("p0", "s0", 0), util.panel("p1", "s1", 1)])
+    # Each of these raises, with the same error in both paths.
+    failing = {
+        "node 'panel:p0' already exists": util.corpus(
+            [util.panel("p0", "s0", 0, characters=("A",)), util.panel("p0", "s1", 1, characters=("a",))]
+        ),
+        "node 'panel:a/visual' already exists with kind 'panel_visual', not 'panel'": util.corpus(
+            [util.panel("a", "s0", 0), util.panel("a/visual", "s0", 1)]
+        ),
+        "node 'panel:a/char:x' already exists with kind 'panel', not 'character_mention'": util.corpus(
+            [util.panel("a/char:x", "s0", 0), util.panel("a", "s0", 1, characters=("X",))]
+        ),
+        "node 'seg:s0' already exists": dataclasses.replace(two, segments=two.segments + two.segments[:1]),
+        "node 'macro:m0' already exists": dataclasses.replace(two, macro_events=two.macro_events * 2),
+        "node 'seg:s1' is not in the graph": dataclasses.replace(two, segments=two.segments[:1]),
+    }
+    for corpus in built:
+        assert serialize_graph(integrate(corpus).graph) == _reference_integrate(corpus)
+    for message, corpus in failing.items():
+        outcome = _outcome(lambda: serialize_graph(integrate(corpus).graph))
+        assert outcome == _outcome(lambda: _reference_integrate(corpus))
+        assert outcome[1] == message

@@ -12,9 +12,7 @@ from narragraph import (
     Tier,
     build_panel_graph,
     induced_subgraph,
-    serialize_graph,
     to_dot,
-    to_node_link,
 )
 
 import util
@@ -77,10 +75,6 @@ def test_dot_escapes_problem_text():
     g.add_node("n0", NodeKind.DIALOGUE_CONTENT, {"text": 'she said "wait\\now"\nplease'})
     dot = to_dot(g)
     parse_dot(dot)
-
-
-def test_node_link_equals_serialize(unified):
-    assert to_node_link(unified.graph) == serialize_graph(unified.graph)
 
 
 def test_unfiltered_dot_parses_for_all_tiers(story, unified):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -268,3 +270,67 @@ def test_queries_leave_serialized_graph_unchanged(unified, story):
     ng.character_appearances(unified)
     ng.panel_timeline(unified, "Think of family")
     assert serialize_graph(unified.graph) == before
+
+
+def _reference_serialize(graph):
+    """The encoder serialize_graph replaced, kept as its reference:
+    ``json.dumps`` of the node-link object."""
+    obj = {
+        "tier": graph.tier.value,
+        "nodes": [
+            {"id": node_id, "kind": kind.value, "attrs": dict(attrs)}
+            for node_id, kind, attrs in graph.nodes()
+        ],
+        "edges": [{"src": src, "rel": rel.value, "dst": dst} for src, rel, dst in graph.edges()],
+    }
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+# Quotes, backslashes, control characters, non-ASCII, astral characters and
+# lone surrogates, mixed with any other code point.
+ESCAPE_PRONE = '"\\/\b\f\n\r\t\x00\x1f\x7f\x80\u2028é日\U0001f600\U0010ffff\ud800\udfff'
+tricky_text = st.text(
+    alphabet=st.one_of(st.sampled_from(ESCAPE_PRONE), st.characters(categories=None)),
+    max_size=8,
+)
+
+
+@given(
+    st.sampled_from(list(Tier)),
+    st.lists(
+        st.tuples(
+            tricky_text,
+            st.sampled_from(list(NodeKind)),
+            st.dictionaries(tricky_text, tricky_text, max_size=3),
+        ),
+        max_size=8,
+        unique_by=lambda spec: spec[0],
+    ),
+    st.data(),
+)
+def test_serialize_matches_json_dumps(tier, node_specs, data):
+    g = NarrativeGraph(tier)
+    for node_id, kind, attrs in node_specs:
+        g.add_node(node_id, kind, attrs)
+    if node_specs:
+        ids = [spec[0] for spec in node_specs]
+        for src, rel, dst in data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(ids), st.sampled_from(list(RelationKind)), st.sampled_from(ids)),
+                max_size=12,
+            )
+        ):
+            g.add_edge(src, rel, dst)
+    assert serialize_graph(g) == _reference_serialize(g)
+
+
+def test_serialize_matches_json_dumps_on_empty_and_built_graphs(unified):
+    for tier in Tier:
+        g = NarrativeGraph(tier)
+        assert serialize_graph(g) == _reference_serialize(g)
+        g.add_node("only", NodeKind.PANEL)
+        assert serialize_graph(g) == _reference_serialize(g)
+    assert serialize_graph(unified.graph) == _reference_serialize(unified.graph)
+    for seed in range(5):
+        graph = ng.integrate(ng.generate(ng.GenParams(seed=seed))).graph
+        assert serialize_graph(graph) == _reference_serialize(graph)

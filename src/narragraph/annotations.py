@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional
 
-from .errors import DanglingReferenceError, SchemaError
+from .errors import SchemaError
 
 
 class ShotType(str, Enum):
@@ -128,12 +128,11 @@ class AnnotationCorpus:
 
 @dataclass(frozen=True)
 class Violation:
-    severity: str
     path: str
     message: str
 
     def __str__(self) -> str:
-        return f"{self.severity} at {self.path}: {self.message}"
+        return f"error at {self.path}: {self.message}"
 
 
 @dataclass(frozen=True)
@@ -300,32 +299,20 @@ def _parse_panel(value: Any, path: str) -> PanelAnnotation:
     )
 
 
-def _check_references(corpus: AnnotationCorpus) -> None:
-    macro_ids = {m.id for m in corpus.macro_events}
-    event_ids = {e.id for e in corpus.events}
-    segment_ids = {s.id for s in corpus.segments}
-    for i, event in enumerate(corpus.events):
-        if event.macro_event_id not in macro_ids:
-            raise DanglingReferenceError(f"events[{i}].macro_event_id", event.macro_event_id)
-    for i, segment in enumerate(corpus.segments):
-        if segment.event_id not in event_ids:
-            raise DanglingReferenceError(f"segments[{i}].event_id", segment.event_id)
-    for i, panel in enumerate(corpus.panels):
-        if panel.segment_id not in segment_ids:
-            raise DanglingReferenceError(f"panels[{i}].segment_id", panel.segment_id)
-
-
 def parse_corpus(text: str) -> AnnotationCorpus:
-    """Parse one story document into a typed corpus.
+    """Parse one story document into a typed corpus, checking its shape only.
 
-    Raises ``json.JSONDecodeError`` on malformed JSON, ``SchemaError`` on
-    missing fields / wrong types / unknown enum values (with a path to the
-    offending element), and ``DanglingReferenceError`` when an id field does
-    not resolve. List order from the file is preserved throughout.
+    Raises ``SchemaError`` on malformed JSON (path ``$``) and on missing
+    fields, wrong types or unknown enum values, with a path to the offending
+    element. Ids and references are not checked here: that is
+    :func:`validate_corpus`'s job. List order from the file is preserved.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError("$", f"not valid JSON: {exc}") from None
     root = _as_object(doc, "$")
-    corpus = AnnotationCorpus(
+    return AnnotationCorpus(
         story_id=_get_str(root, "story_id", ""),
         macro_events=tuple(
             _parse_macro(m, f"macro_events[{i}]")
@@ -344,8 +331,6 @@ def parse_corpus(text: str) -> AnnotationCorpus:
             for i, p in enumerate(_get_list(root, "panels", ""))
         ),
     )
-    _check_references(corpus)
-    return corpus
 
 
 # --- serialization -----------------------------------------------------
@@ -428,12 +413,17 @@ def _check_unique(items, list_name: str, id_field: str, out: list[Violation]) ->
         if item_id in seen:
             out.append(
                 Violation(
-                    "error",
                     f"{list_name}[{i}].{id_field}",
                     f"duplicate id {item_id!r}",
                 )
             )
         seen.add(item_id)
+
+
+def _check_refs(refs, known: set[str], list_name: str, field: str, noun: str, out: list[Violation]) -> None:
+    for i, ref in enumerate(refs):
+        if ref not in known:
+            out.append(Violation(f"{list_name}[{i}].{field}", f"unknown {noun} id {ref!r}"))
 
 
 def _check_labels(labels, list_name: str, out: list[Violation]) -> None:
@@ -442,10 +432,10 @@ def _check_labels(labels, list_name: str, out: list[Violation]) -> None:
     seen: set[str] = set()
     for i, label in enumerate(labels):
         if not label.strip():
-            out.append(Violation("error", f"{list_name}[{i}].label", "label is empty"))
+            out.append(Violation(f"{list_name}[{i}].label", "label is empty"))
         elif label in seen:
             out.append(
-                Violation("error", f"{list_name}[{i}].label", f"duplicate label {label!r}")
+                Violation(f"{list_name}[{i}].label", f"duplicate label {label!r}")
             )
         seen.add(label)
 
@@ -466,39 +456,14 @@ def validate_corpus(corpus: AnnotationCorpus) -> ValidationReport:
     macro_ids = {m.id for m in corpus.macro_events}
     event_ids = {e.id for e in corpus.events}
     segment_ids = {s.id for s in corpus.segments}
-    for i, event in enumerate(corpus.events):
-        if event.macro_event_id not in macro_ids:
-            out.append(
-                Violation(
-                    "error",
-                    f"events[{i}].macro_event_id",
-                    f"unknown macro-event id {event.macro_event_id!r}",
-                )
-            )
-    for i, segment in enumerate(corpus.segments):
-        if segment.event_id not in event_ids:
-            out.append(
-                Violation(
-                    "error",
-                    f"segments[{i}].event_id",
-                    f"unknown event id {segment.event_id!r}",
-                )
-            )
-    for i, panel in enumerate(corpus.panels):
-        if panel.segment_id not in segment_ids:
-            out.append(
-                Violation(
-                    "error",
-                    f"panels[{i}].segment_id",
-                    f"unknown segment id {panel.segment_id!r}",
-                )
-            )
+    _check_refs((e.macro_event_id for e in corpus.events), macro_ids, "events", "macro_event_id", "macro-event", out)
+    _check_refs((s.event_id for s in corpus.segments), event_ids, "segments", "event_id", "event", out)
+    _check_refs((p.segment_id for p in corpus.panels), segment_ids, "panels", "segment_id", "segment", out)
 
     orders = sorted(p.reading_order for p in corpus.panels)
     if orders != list(range(len(corpus.panels))):
         out.append(
             Violation(
-                "error",
                 "panels",
                 "reading_order not a permutation of 0..N-1",
             )
@@ -513,7 +478,6 @@ def validate_corpus(corpus: AnnotationCorpus) -> ValidationReport:
             if action.agent not in characters:
                 out.append(
                     Violation(
-                        "error",
                         f"panels[{i}].actions[{j}].agent",
                         f"agent {action.agent!r} is not in the characters of panel {panel.panel_id!r}",
                     )
@@ -521,7 +485,6 @@ def validate_corpus(corpus: AnnotationCorpus) -> ValidationReport:
             if not normalize_token(action.verb):
                 out.append(
                     Violation(
-                        "error",
                         f"panels[{i}].actions[{j}].verb",
                         "verb is empty",
                     )
@@ -531,7 +494,6 @@ def validate_corpus(corpus: AnnotationCorpus) -> ValidationReport:
                 if not utterance.text.strip():
                     out.append(
                         Violation(
-                            "error",
                             f"panels[{i}].{kind_name}[{j}].text",
                             "utterance text is empty",
                         )
@@ -539,15 +501,9 @@ def validate_corpus(corpus: AnnotationCorpus) -> ValidationReport:
                 if utterance.speaker is not None and utterance.speaker not in characters:
                     out.append(
                         Violation(
-                            "error",
                             f"panels[{i}].{kind_name}[{j}].speaker",
                             f"speaker {utterance.speaker!r} is not in the characters of panel {panel.panel_id!r}",
                         )
                     )
 
     return ValidationReport(violations=tuple(out))
-
-
-def extract_verbs(panel: PanelAnnotation) -> list[str]:
-    """Normalized verb of each action, in annotation order, duplicates kept."""
-    return [normalize_token(action.verb) for action in panel.actions]

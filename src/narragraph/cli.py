@@ -7,15 +7,14 @@ unit), 2 usage or parse failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
 from .annotations import AnnotationCorpus, parse_corpus, serialize_corpus, validate_corpus
 from .build import UnifiedGraph, integrate
-from .errors import DanglingReferenceError, SchemaError, UnknownUnitError
+from .errors import SchemaError, UnknownUnitError
 from .evaluation import evaluate_all, load_synonym_map
-from .export import to_dot
+from .export import induced_subgraph, to_dot
 from .fixtures import GenParams, bundled_story_text, generate
 from .graph import NarrativeGraph, NodeKind, deserialize_graph, serialize_graph
 from .reasoning import (
@@ -46,12 +45,17 @@ def _load_corpus(path: str) -> AnnotationCorpus:
     text = _read_text(path)
     try:
         return parse_corpus(text)
-    except json.JSONDecodeError as exc:
-        raise _CliError(2, f"{path}: not valid JSON: {exc}") from None
     except SchemaError as exc:
         raise _CliError(2, f"{path}: schema error: {exc}") from None
-    except DanglingReferenceError as exc:
-        raise _CliError(1, f"error at {exc.path}: dangling reference {exc.ref!r}") from None
+
+
+def _load_valid_corpus(path: str) -> AnnotationCorpus:
+    """Parsed corpus that passed validation; else every violation, exit 1."""
+    corpus = _load_corpus(path)
+    report = validate_corpus(corpus)
+    if not report.ok:
+        raise _CliError(1, "\n".join(str(violation) for violation in report.violations))
+    return corpus
 
 
 def _load_graph(path: str) -> NarrativeGraph:
@@ -70,12 +74,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args.corpus)
-    report = validate_corpus(corpus)
-    if not report.ok:
-        for violation in report.violations:
-            print(violation, file=sys.stderr)
-        return 1
+    corpus = _load_valid_corpus(args.corpus)
     unified = integrate(corpus)
     text = serialize_graph(unified.graph)
     try:
@@ -111,12 +110,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args.corpus)
-    report = validate_corpus(corpus)
-    if not report.ok:
-        for violation in report.violations:
-            print(violation, file=sys.stderr)
-        return 1
+    corpus = _load_valid_corpus(args.corpus)
     if args.graph is not None:
         unified = UnifiedGraph.from_graph(_load_graph(args.graph))
     else:
@@ -153,8 +147,6 @@ def cmd_export(args: argparse.Namespace) -> int:
         sys.stdout.write(to_dot(graph, kinds))
     else:
         if kinds is not None:
-            from .export import induced_subgraph
-
             graph = induced_subgraph(graph, kinds)
         sys.stdout.write(serialize_graph(graph))
     return 0

@@ -17,15 +17,6 @@ class SchemaError(NarragraphError):
         self.reason = reason
 
 
-class DanglingReferenceError(NarragraphError):
-    """An id field points at an entity that does not exist."""
-
-    def __init__(self, path: str, ref: str):
-        super().__init__(f"{path}: dangling reference {ref!r}")
-        self.path = path
-        self.ref = ref
-
-
 class DuplicateNodeError(NarragraphError):
     """A node id was added to the same graph twice."""
 

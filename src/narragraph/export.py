@@ -55,7 +55,8 @@ def _node_label(node_id: str, kind: NodeKind, attrs: dict[str, str]) -> str:
     return kind.value
 
 
-def _induced(graph: NarrativeGraph, kinds: Iterable[NodeKind]) -> NarrativeGraph:
+def induced_subgraph(graph: NarrativeGraph, kinds: Iterable[NodeKind]) -> NarrativeGraph:
+    """Subgraph on the nodes of the given kinds and the edges between them."""
     keep = set(kinds)
     sub = NarrativeGraph(graph.tier)
     for node_id, kind, attrs in graph.nodes():
@@ -67,16 +68,11 @@ def _induced(graph: NarrativeGraph, kinds: Iterable[NodeKind]) -> NarrativeGraph
     return sub
 
 
-def induced_subgraph(graph: NarrativeGraph, kinds: Iterable[NodeKind]) -> NarrativeGraph:
-    """Subgraph on the nodes of the given kinds and the edges between them."""
-    return _induced(graph, kinds)
-
-
 def to_dot(graph: NarrativeGraph, kinds: Optional[Iterable[NodeKind]] = None) -> str:
     """Graphviz DOT rendering of the graph, optionally restricted to the
     induced subgraph on ``kinds``. Statement order follows insertion order,
     so output is deterministic for a fixed input."""
-    g = _induced(graph, kinds) if kinds is not None else graph
+    g = induced_subgraph(graph, kinds) if kinds is not None else graph
     lines = [
         f"// narrative graph export, tier={g.tier.value}",
         "// follows edges are implied inverses of precedes and are not drawn",

@@ -6,7 +6,6 @@ oracle the reasoning queries are checked against.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -32,20 +31,6 @@ class GoldSet:
     task: str
     unit: Optional[str]
     items: Union[frozenset, tuple]
-
-    def to_obj(self) -> dict:
-        """Same JSON shapes as QueryResult, for diffing. Set-valued items
-        are emitted sorted; character pairs fold into a per-character map."""
-        if self.task == "characters":
-            by_char: dict[str, list[str]] = {}
-            for character, panel_id in sorted(self.items):
-                by_char.setdefault(character, []).append(panel_id)
-            return {"task": self.task, "map": by_char}
-        items = list(self.items) if isinstance(self.items, tuple) else sorted(self.items)
-        return {"task": self.task, "source_unit": self.unit, "items": items}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), indent=2, ensure_ascii=False) + "\n"
 
 
 def _find_macro(corpus: AnnotationCorpus, label: str) -> MacroEvent:
@@ -109,19 +94,3 @@ def gold_timeline(corpus: AnnotationCorpus, macro_label: str) -> GoldSet:
     macro = _find_macro(corpus, macro_label)
     panels = sorted(_panels_of_macro(corpus, macro), key=lambda p: p.reading_order)
     return GoldSet(task="timeline", unit=macro_label, items=tuple(p.panel_id for p in panels))
-
-
-def characters_by_event(corpus: AnnotationCorpus) -> dict[str, frozenset[str]]:
-    """Per-event character sets, for reporting parity with the pairwise
-    gold form. Keyed by event label; the first event wins a duplicate label."""
-    out: dict[str, frozenset[str]] = {}
-    for event in corpus.events:
-        if event.label in out:
-            continue
-        chars = frozenset(
-            normalize_token(label)
-            for panel in _panels_of_events(corpus, {event.id})
-            for label in panel.characters
-        )
-        out[event.label] = chars
-    return out

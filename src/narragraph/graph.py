@@ -285,7 +285,8 @@ def serialize_graph(graph: NarrativeGraph) -> str:
 
 def deserialize_graph(text: str) -> NarrativeGraph:
     """Inverse of :func:`serialize_graph`; raises ``SchemaError`` on any
-    malformed document, including edges that reference unknown nodes."""
+    malformed document, including edges that reference unknown nodes and
+    ``precedes`` edges that form a cycle."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -348,4 +349,6 @@ def deserialize_graph(text: str) -> NarrativeGraph:
                 raise SchemaError(f"{path}.{key}", f"edge references unknown node {endpoint!r}")
         graph.add_edge(src, rel, dst)
 
+    if not graph.is_acyclic({RelationKind.PRECEDES}):
+        raise SchemaError("edges", "precedes edges form a cycle")
     return graph

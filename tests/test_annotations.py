@@ -7,10 +7,8 @@ import narragraph as ng
 from narragraph import (
     ActionTriple,
     AnnotationCorpus,
-    DanglingReferenceError,
     SchemaError,
     ShotType,
-    extract_verbs,
     normalize_token,
     normalize_utterance,
     parse_corpus,
@@ -84,18 +82,11 @@ def test_parse_negative_reading_order_rejected():
         parse_corpus(json.dumps(doc))
 
 
-def test_parse_dangling_reference_names_the_reference():
-    doc = json.loads(ng.bundled_story_text())
-    doc["panels"][4]["segment_id"] = "nowhere"
-    with pytest.raises(DanglingReferenceError) as err:
-        parse_corpus(json.dumps(doc))
-    assert err.value.ref == "nowhere"
-    assert err.value.path == "panels[4].segment_id"
-
-
 def test_parse_malformed_json():
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(SchemaError) as err:
         parse_corpus("{not json")
+    assert err.value.path == "$"
+    assert err.value.reason.startswith("not valid JSON: ")
 
 
 def test_roundtrip_bundled_story(story):
@@ -128,6 +119,20 @@ def test_validate_bundled_story_clean(story):
 
 def test_validate_is_pure(story):
     assert validate_corpus(story) == validate_corpus(story)
+
+
+def test_validate_reports_every_dangling_reference():
+    doc = json.loads(ng.bundled_story_text())
+    doc["events"][1]["macro_event_id"] = "no_macro"
+    doc["segments"][0]["event_id"] = "no_event"
+    doc["panels"][4]["segment_id"] = "nowhere"
+    report = validate_corpus(parse_corpus(json.dumps(doc)))
+    assert [(v.path, v.message) for v in report.violations] == [
+        ("events[1].macro_event_id", "unknown macro-event id 'no_macro'"),
+        ("segments[0].event_id", "unknown event id 'no_event'"),
+        ("panels[4].segment_id", "unknown segment id 'nowhere'"),
+    ]
+    assert str(report.violations[2]) == "error at panels[4].segment_id: unknown segment id 'nowhere'"
 
 
 def test_validate_duplicate_reading_order():
@@ -228,23 +233,3 @@ def test_normalize_token():
 
 def test_normalize_utterance_keeps_punctuation():
     assert normalize_utterance("  Wait for me! ") == "wait for me!"
-
-
-def test_extract_verbs_single():
-    p = util.panel("a", "s0", 0, characters=("A",), actions=[("A", "hold_hand", "B")])
-    assert extract_verbs(p) == ["hold_hand"]
-
-
-def test_extract_verbs_empty():
-    assert extract_verbs(util.panel("a", "s0", 0)) == []
-
-
-def test_extract_verbs_normalizes_and_keeps_duplicates():
-    p = util.panel(
-        "a",
-        "s0",
-        0,
-        characters=("A",),
-        actions=[("A", "Cook_Rice", "pot"), ("A", "cook_rice", "pot")],
-    )
-    assert extract_verbs(p) == ["cook_rice", "cook_rice"]

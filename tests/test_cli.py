@@ -49,6 +49,25 @@ def test_validate_violations_listed(tmp_path, capsys):
     assert "not a permutation" in out
 
 
+def test_validate_lists_dangling_reference_with_other_violations(tmp_path, capsys):
+    doc = json.loads(ng.bundled_story_text())
+    doc["panels"][0]["segment_id"] = "ghost"
+    doc["panels"][1]["reading_order"] = doc["panels"][2]["reading_order"]
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(doc), encoding="utf-8")
+    expected = (
+        "error at panels[0].segment_id: unknown segment id 'ghost'\n"
+        "error at panels: reading_order not a permutation of 0..N-1\n"
+    )
+    code, out, err = run_cli(["validate", str(src)], capsys)
+    assert (code, out, err) == (1, expected, "")
+
+    dest = tmp_path / "should_not_exist.json"
+    code, out, err = run_cli(["build", str(src), str(dest)], capsys)
+    assert (code, out, err) == (1, "", expected)
+    assert not dest.exists()
+
+
 def test_validate_non_json_file(tmp_path, capsys):
     path = tmp_path / "junk.txt"
     path.write_text("definitely: not json", encoding="utf-8")
@@ -103,6 +122,17 @@ def test_query_timeline_unknown_unit(graph_file, capsys):
     code, _, err = run_cli(["query", graph_file, "timeline", "--unit", "nope"], capsys)
     assert code == 1
     assert "unknown" in err.lower()
+
+
+def test_query_graph_with_precedes_cycle(graph_file, capsys):
+    doc = json.loads(open(graph_file, encoding="utf-8").read())
+    doc["edges"].append({"src": "panel:0_0_0", "rel": "precedes", "dst": "panel:0_0_0"})
+    with open(graph_file, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    code, out, err = run_cli(["query", graph_file, "timeline", "--unit", "Think of family"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"{graph_file}: schema error: edges: precedes edges form a cycle\n"
 
 
 def test_query_characters_full_map(graph_file, capsys):

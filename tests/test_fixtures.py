@@ -61,7 +61,7 @@ def test_duplicate_verbs_appear_across_seeds():
     hit = 0
     for seed in range(100):
         corpus = generate(GenParams(seed=seed))
-        verbs = Counter(v for p in corpus.panels for v in ng.extract_verbs(p))
+        verbs = Counter(ng.normalize_token(a.verb) for p in corpus.panels for a in p.actions)
         if any(count >= 2 for count in verbs.values()):
             hit += 1
     assert hit >= 1

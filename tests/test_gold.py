@@ -5,7 +5,6 @@ import pytest
 import narragraph as ng
 from narragraph import (
     UnknownUnitError,
-    characters_by_event,
     gold_actions,
     gold_characters,
     gold_dialogue,
@@ -128,28 +127,6 @@ def test_gold_actions_union_over_child_events():
                     for a in p.actions
                 }
             assert gold_actions(corpus, macro.label).items == union
-
-
-def test_characters_by_event_parity(story):
-    by_event = characters_by_event(story)
-    assert by_event["Intro_1"] == frozenset({"a", "b"})
-    assert by_event["Intro_2"] == frozenset({"a", "b"})
-
-
-def test_gold_set_serializes_like_query_results(story):
-    import json
-
-    obj = json.loads(gold_timeline(story, "Think of family").to_json())
-    assert obj == {
-        "task": "timeline",
-        "source_unit": "Think of family",
-        "items": list(gold_timeline(story, "Think of family").items),
-    }
-    actions = json.loads(gold_actions(story, "Think of family").to_json())
-    assert actions["items"] == sorted(["hold_hand", "look_at_letter", "cook_rice", "walk_away"])
-    characters = json.loads(gold_characters(story).to_json())
-    assert set(characters) == {"task", "map"}
-    assert characters["map"]["a"][0] == "0_0_0"
 
 
 def test_gold_module_is_graph_free():

@@ -165,6 +165,25 @@ def test_deserialize_rejects_bad_json():
         deserialize_graph("{oops")
 
 
+def _with_precedes(graph_text, src, dst):
+    doc = json.loads(graph_text)
+    doc["edges"].append({"src": src, "rel": "precedes", "dst": dst})
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "src, dst",
+    [("panel:0_0_0", "panel:0_0_0"), ("panel:0_2_2", "panel:0_0_0")],
+    ids=["self_loop", "back_edge"],
+)
+def test_deserialize_rejects_precedes_cycle(unified, src, dst):
+    text = _with_precedes(serialize_graph(unified.graph), src, dst)
+    with pytest.raises(SchemaError) as err:
+        deserialize_graph(text)
+    assert err.value.path == "edges"
+    assert err.value.reason == "precedes edges form a cycle"
+
+
 # --- properties ---------------------------------------------------------
 
 
@@ -260,7 +279,13 @@ def test_serialize_roundtrip_property(node_specs, data):
         )
         for src, rel, dst in script:
             g.add_edge(src, rel, dst)
-    assert deserialize_graph(serialize_graph(g)) == g
+    text = serialize_graph(g)
+    if g.is_acyclic({RelationKind.PRECEDES}):
+        assert deserialize_graph(text) == g
+    else:
+        with pytest.raises(SchemaError) as err:
+            deserialize_graph(text)
+        assert err.value.path == "edges"
 
 
 def test_queries_leave_serialized_graph_unchanged(unified, story):

@@ -9,7 +9,6 @@ from narragraph import (
     actions_by_macro_event,
     character_appearances,
     dialogue_by_event,
-    extract_verbs,
     integrate,
     normalize_token,
     normalize_utterance,
@@ -222,7 +221,7 @@ def test_macro_actions_equal_ordered_union_of_event_actions():
                 )
                 if panels:
                     stream.append(
-                        (panels[0].reading_order, [v for p in panels for v in extract_verbs(p)])
+                        (panels[0].reading_order, [normalize_token(a.verb) for p in panels for a in p.actions])
                     )
             stream.sort(key=lambda pair: pair[0])
             expected = list(dict.fromkeys(v for _, verbs in stream for v in verbs))

@@ -75,6 +75,18 @@ def ordering_prf(predicted: Sequence, gold: Sequence) -> Metrics:
     return set_prf(_adjacent_pairs(predicted), _adjacent_pairs(gold))
 
 
+def _metric_fields(metrics: Metrics) -> dict:
+    """The six report fields of ``metrics``, in report order."""
+    return {
+        "precision": metrics.precision,
+        "recall": metrics.recall,
+        "f1": metrics.f1,
+        "tp": metrics.tp,
+        "fp": metrics.fp,
+        "fn": metrics.fn,
+    }
+
+
 @dataclass(frozen=True)
 class UnitScore:
     unit: str
@@ -103,28 +115,10 @@ class EvaluationReport:
     def to_obj(self, per_unit: bool = False) -> dict:
         out = []
         for report in self.tasks:
-            entry = {
-                "task": report.task,
-                "focus": report.focus,
-                "precision": report.metrics.precision,
-                "recall": report.metrics.recall,
-                "f1": report.metrics.f1,
-                "tp": report.metrics.tp,
-                "fp": report.metrics.fp,
-                "fn": report.metrics.fn,
-            }
+            entry = {"task": report.task, "focus": report.focus, **_metric_fields(report.metrics)}
             if per_unit:
                 entry["units"] = [
-                    {
-                        "unit": score.unit,
-                        "precision": score.metrics.precision,
-                        "recall": score.metrics.recall,
-                        "f1": score.metrics.f1,
-                        "tp": score.metrics.tp,
-                        "fp": score.metrics.fp,
-                        "fn": score.metrics.fn,
-                    }
-                    for score in report.units
+                    {"unit": score.unit, **_metric_fields(score.metrics)} for score in report.units
                 ]
             out.append(entry)
         return {"tasks": out}

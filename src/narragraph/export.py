@@ -1,8 +1,8 @@
 """DOT and induced-subgraph views of narrative graphs.
 
 DOT output reproduces graph content, not any particular layout; rendering
-is left to downstream Graphviz tooling. ``follows`` edges are omitted from
-DOT because they are exact inverses of ``precedes`` and only add clutter.
+is left to downstream Graphviz tooling. The graph stores no ``follows``
+edges (they are the inverse view of ``precedes``), so DOT draws none.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .build import panel_id_of, segment_id_of
-from .graph import NarrativeGraph, NodeKind, RelationKind
+from .graph import NarrativeGraph, NodeKind
 
 #: shape and fill per node kind; listed in the legend header.
 _NODE_STYLE: dict[NodeKind, tuple[str, str]] = {
@@ -89,8 +89,6 @@ def to_dot(graph: NarrativeGraph, kinds: Optional[Iterable[NodeKind]] = None) ->
             f"shape={shape}, fillcolor={_quote(color)}];"
         )
     for src, rel, dst in g.edges():
-        if rel is RelationKind.FOLLOWS:
-            continue
         lines.append(f"  {_quote(src)} -> {_quote(dst)} [label={_quote(rel.value)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -3,8 +3,8 @@
 Nodes carry a kind and a flat string-to-string attribute map; edges are
 ``(src, relation, dst)`` triples with set semantics, remembered in
 insertion order so that traversals and serialized output are
-deterministic. ``precedes`` and ``follows`` are kept mutually inverse:
-adding either relation inserts the other automatically.
+deterministic. ``follows`` is a view, not stored: ``(a, follows, b)`` is
+stored, found and traversed as ``(b, precedes, a)``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import DuplicateNodeError, MissingNodeError, SchemaError
 
@@ -50,13 +50,6 @@ class RelationKind(str, Enum):
     FOLLOWS = "follows"
     CO_OCCURS = "co_occurs"
     REFERS_TO = "refers_to"
-
-
-#: Inverse pairs closed automatically by ``add_edge``.
-_INVERSE = {
-    RelationKind.PRECEDES: RelationKind.FOLLOWS,
-    RelationKind.FOLLOWS: RelationKind.PRECEDES,
-}
 
 
 class Tier(str, Enum):
@@ -117,18 +110,14 @@ class NarrativeGraph:
             node.attrs.update(attrs)
 
     def add_edge(self, src: str, rel: RelationKind, dst: str) -> None:
-        """Insert ``(src, rel, dst)``; re-adding is a no-op. Inserting a
-        ``precedes`` (or ``follows``) edge also inserts its inverse."""
+        """Insert ``(src, rel, dst)``; re-adding is a no-op. A ``follows``
+        edge is stored as its ``precedes`` inverse."""
         self._check_mutable()
         for endpoint in (src, dst):
             if endpoint not in self._nodes:
                 raise MissingNodeError(f"node {endpoint!r} is not in the graph")
-        self._insert(src, rel, dst)
-        inverse = _INVERSE.get(rel)
-        if inverse is not None:
-            self._insert(dst, inverse, src)
-
-    def _insert(self, src: str, rel: RelationKind, dst: str) -> None:
+        if rel is RelationKind.FOLLOWS:
+            src, rel, dst = dst, RelationKind.PRECEDES, src
         key = (src, rel, dst)
         if key in self._edges:
             return
@@ -184,27 +173,29 @@ class NarrativeGraph:
         return iter(self._edges)
 
     def has_edge(self, src: str, rel: RelationKind, dst: str) -> bool:
+        if rel is RelationKind.FOLLOWS:
+            src, rel, dst = dst, RelationKind.PRECEDES, src
         return (src, rel, dst) in self._edges
 
     def neighbors(self, node_id: str, rel: RelationKind, direction: str = "out") -> list[str]:
         """Adjacent node ids over ``rel``, in edge insertion order.
 
         ``direction="out"`` follows edges from the node, ``"in"`` follows
-        edges into it.
+        edges into it. ``follows`` answers from ``precedes`` the other way.
         """
         if node_id not in self._nodes:
             raise MissingNodeError(f"node {node_id!r} is not in the graph")
-        if direction == "out":
-            adjacency = self._out[node_id]
-        elif direction == "in":
-            adjacency = self._in[node_id]
-        else:
+        if direction not in ("out", "in"):
             raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
+        if rel is RelationKind.FOLLOWS:
+            rel, direction = RelationKind.PRECEDES, "in" if direction == "out" else "out"
+        adjacency = self._out[node_id] if direction == "out" else self._in[node_id]
         return [other for edge_rel, other in adjacency if edge_rel is rel]
 
     def is_acyclic(self, rels: Iterable[RelationKind]) -> bool:
-        """True iff the subgraph restricted to ``rels`` has no directed cycle."""
-        keep = set(rels)
+        """True iff the subgraph restricted to ``rels`` has no directed cycle.
+        ``follows`` counts as ``precedes``: its cycles are theirs reversed."""
+        keep = {RelationKind.PRECEDES if rel is RelationKind.FOLLOWS else rel for rel in rels}
         # Only nodes on a kept edge can lie on a cycle.
         indegree: dict[str, int] = {}
         outgoing: dict[str, list[str]] = {}
@@ -283,10 +274,28 @@ def serialize_graph(graph: NarrativeGraph) -> str:
     )
 
 
+def _is_reading_order(value: str) -> bool:
+    # int() also refuses more digits than sys.get_int_max_str_digits().
+    try:
+        return value.isdecimal() and int(value) >= 0
+    except ValueError:
+        return False
+
+
+#: Attributes the queries read, per node kind, with a format test where one applies.
+_REQUIRED_ATTRS: dict[NodeKind, dict[str, Optional[tuple[Callable[[str], bool], str]]]] = {
+    NodeKind.PANEL: {"reading_order": (_is_reading_order, "a non-negative decimal integer")},
+    NodeKind.ACTION: {"verb": None},
+    NodeKind.DIALOGUE_CONTENT: {"text": None},
+    NodeKind.CHARACTER: {"label": None},
+}
+
+
 def deserialize_graph(text: str) -> NarrativeGraph:
     """Inverse of :func:`serialize_graph`; raises ``SchemaError`` on any
-    malformed document, including edges that reference unknown nodes and
-    ``precedes`` edges that form a cycle."""
+    malformed document, including nodes without their ``_REQUIRED_ATTRS``,
+    edges that reference unknown nodes and ``precedes`` edges that form a
+    cycle. A ``follows`` record (older files) loads as its ``precedes`` edge."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -324,6 +333,11 @@ def deserialize_graph(text: str) -> NarrativeGraph:
             isinstance(k, str) and isinstance(v, str) for k, v in attrs.items()
         ):
             raise SchemaError(f"{path}.attrs", "attrs must map strings to strings")
+        for key, form in _REQUIRED_ATTRS.get(kind, {}).items():
+            if key not in attrs:
+                raise SchemaError(f"{path}.attrs", f"{kind.value} node lacks attribute {key!r}")
+            if form is not None and not form[0](attrs[key]):
+                raise SchemaError(f"{path}.attrs", f"{key} must be {form[1]}, got {attrs[key]!r}")
         try:
             graph.add_node(node_id, kind, attrs)
         except DuplicateNodeError:

@@ -76,13 +76,9 @@ def _panels_below(unified: UnifiedGraph, unit_node: str, is_macro: bool) -> list
     return panels
 
 
-def _visual_hub(unified: UnifiedGraph, panel_node: str) -> Optional[str]:
-    hubs = unified.graph.neighbors(panel_node, RelationKind.HAS_VISUAL, "out")
-    return hubs[0] if hubs else None
-
-
-def _textual_hub(unified: UnifiedGraph, panel_node: str) -> Optional[str]:
-    hubs = unified.graph.neighbors(panel_node, RelationKind.HAS_TEXTUAL, "out")
+def _hub(unified: UnifiedGraph, panel_node: str, rel: RelationKind) -> Optional[str]:
+    """The panel's visual (``has_visual``) or textual (``has_textual``) hub."""
+    hubs = unified.graph.neighbors(panel_node, rel, "out")
     return hubs[0] if hubs else None
 
 
@@ -98,7 +94,7 @@ def actions_by_macro_event(unified: UnifiedGraph, macro_label: str) -> QueryResu
     seen: set[str] = set()
     items: list[str] = []
     for panel in _panels_below(unified, macro, is_macro=True):
-        visual = _visual_hub(unified, panel)
+        visual = _hub(unified, panel, RelationKind.HAS_VISUAL)
         if visual is None:
             continue
         for action in g.neighbors(visual, RelationKind.HAS_ACTION, "out"):
@@ -121,7 +117,7 @@ def dialogue_by_event(unified: UnifiedGraph, event_label: str) -> QueryResult:
     seen: set[str] = set()
     items: list[str] = []
     for panel in _panels_below(unified, event, is_macro=False):
-        textual = _textual_hub(unified, panel)
+        textual = _hub(unified, panel, RelationKind.HAS_TEXTUAL)
         if textual is None:
             continue
         for utterance in g.neighbors(textual, RelationKind.PART_OF, "in"):
@@ -147,7 +143,7 @@ def character_appearances(unified: UnifiedGraph) -> QueryResult:
     appearances: dict[str, list[str]] = {}
     for panel in panels:
         pid = panel_id_of(panel)
-        visual = _visual_hub(unified, panel)
+        visual = _hub(unified, panel, RelationKind.HAS_VISUAL)
         if visual is None:
             continue
         for mention in g.neighbors(visual, RelationKind.HAS_CHARACTER, "out"):

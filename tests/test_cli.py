@@ -135,6 +135,59 @@ def test_query_graph_with_precedes_cycle(graph_file, capsys):
     assert err == f"{graph_file}: schema error: edges: precedes edges form a cycle\n"
 
 
+def _set_attr(graph_file, node_id, key, value):
+    """Rewrite one node attribute of a graph file (``None`` deletes it);
+    returns the node's index in the file."""
+    with open(graph_file, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    index = next(i for i, node in enumerate(doc["nodes"]) if node["id"] == node_id)
+    attrs = doc["nodes"][index]["attrs"]
+    if value is None:
+        del attrs[key]
+    else:
+        attrs[key] = value
+    with open(graph_file, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    return index
+
+
+@pytest.mark.parametrize(
+    "node_id, key, value, reason",
+    [
+        ("panel:0_0_1", "reading_order", None, "panel node lacks attribute 'reading_order'"),
+        (
+            "panel:0_0_1",
+            "reading_order",
+            "x",
+            "reading_order must be a non-negative decimal integer, got 'x'",
+        ),
+        (
+            "panel:0_0_1",
+            "reading_order",
+            "9" * 5000,
+            f"reading_order must be a non-negative decimal integer, got '{'9' * 5000}'",
+        ),
+        ("panel:0_0_1/action:0", "verb", None, "action node lacks attribute 'verb'"),
+    ],
+    ids=[
+        "panel_without_reading_order",
+        "non_integer_reading_order",
+        "too_many_digits_for_int",
+        "action_without_verb",
+    ],
+)
+def test_graph_with_missing_or_bad_attr_exits_2(graph_file, story_file, capsys, node_id, key, value, reason):
+    index = _set_attr(graph_file, node_id, key, value)
+    expected = f"{graph_file}: schema error: nodes[{index}].attrs: {reason}\n"
+    for argv in (
+        ["query", graph_file, "timeline", "--unit", "Think of family"],
+        ["query", graph_file, "actions", "--unit", "Think of family"],
+        ["eval", story_file, "--graph", graph_file],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (2, "", expected), argv
+
+
 def test_query_characters_full_map(graph_file, capsys):
     code, out, _ = run_cli(["query", graph_file, "characters"], capsys)
     assert code == 0

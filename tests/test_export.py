@@ -62,8 +62,12 @@ def test_filtered_dot_has_no_foreign_nodes(unified):
 
 
 def test_follows_edges_are_suppressed_in_dot(unified):
-    assert any(rel is RelationKind.FOLLOWS for _, rel, _ in unified.graph.edges())
-    assert "follows" not in _edge_labels(to_dot(unified.graph))
+    """``follows`` is derived from ``precedes``: the graph stores none and
+    DOT draws none, while the ``precedes`` edges it answers from are drawn."""
+    assert not any(rel is RelationKind.FOLLOWS for _, rel, _ in unified.graph.edges())
+    labels = _edge_labels(to_dot(unified.graph))
+    assert "follows" not in labels
+    assert "precedes" in labels
 
 
 def test_dot_is_deterministic(unified):

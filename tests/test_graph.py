@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -58,6 +59,19 @@ def test_precedes_adds_follows_inverse():
     g.add_edge("seg:a", RelationKind.PRECEDES, "seg:b")
     assert g.has_edge("seg:a", RelationKind.PRECEDES, "seg:b")
     assert g.has_edge("seg:b", RelationKind.FOLLOWS, "seg:a")
+    assert list(g.edges()) == [("seg:a", RelationKind.PRECEDES, "seg:b")]
+
+
+def test_follows_is_stored_as_precedes():
+    g = graph_with_nodes(ids=["a", "b"])
+    g.add_edge("b", RelationKind.FOLLOWS, "a")
+    assert list(g.edges()) == [("a", RelationKind.PRECEDES, "b")]
+    g.add_edge("a", RelationKind.PRECEDES, "b")
+    assert g.edge_count == 1
+    assert g.neighbors("b", RelationKind.FOLLOWS, "out") == ["a"]
+    assert g.neighbors("a", RelationKind.FOLLOWS, "in") == ["b"]
+    with pytest.raises(ValueError):
+        g.neighbors("a", RelationKind.FOLLOWS, "sideways")
 
 
 def test_add_edge_missing_node():
@@ -145,7 +159,7 @@ def test_serialize_unified_story_roundtrip(unified):
 
 def test_deserialize_edge_to_unknown_node():
     doc = (
-        '{"tier": "unified", "nodes": [{"id": "a", "kind": "panel", "attrs": {}}],'
+        '{"tier": "unified", "nodes": [{"id": "a", "kind": "panel", "attrs": {"reading_order": "0"}}],'
         ' "edges": [{"src": "a", "rel": "precedes", "dst": "ghost"}]}'
     )
     with pytest.raises(SchemaError) as err:
@@ -165,23 +179,60 @@ def test_deserialize_rejects_bad_json():
         deserialize_graph("{oops")
 
 
-def _with_precedes(graph_text, src, dst):
+def _with_edge(graph_text, src, rel, dst):
     doc = json.loads(graph_text)
-    doc["edges"].append({"src": src, "rel": "precedes", "dst": dst})
+    doc["edges"].append({"src": src, "rel": rel, "dst": dst})
     return json.dumps(doc)
 
 
 @pytest.mark.parametrize(
-    "src, dst",
-    [("panel:0_0_0", "panel:0_0_0"), ("panel:0_2_2", "panel:0_0_0")],
-    ids=["self_loop", "back_edge"],
+    "src, rel, dst",
+    [
+        ("panel:0_0_0", "precedes", "panel:0_0_0"),
+        ("panel:0_2_2", "precedes", "panel:0_0_0"),
+        ("panel:0_0_0", "follows", "panel:0_0_0"),
+        ("panel:0_0_0", "follows", "panel:0_2_2"),
+    ],
+    ids=["self_loop", "back_edge", "follows_self_loop", "follows_back_edge"],
 )
-def test_deserialize_rejects_precedes_cycle(unified, src, dst):
-    text = _with_precedes(serialize_graph(unified.graph), src, dst)
+def test_deserialize_rejects_precedes_cycle(unified, src, rel, dst):
+    text = _with_edge(serialize_graph(unified.graph), src, rel, dst)
     with pytest.raises(SchemaError) as err:
         deserialize_graph(text)
     assert err.value.path == "edges"
     assert err.value.reason == "precedes edges form a cycle"
+
+
+def _with_follows_records(graph_text):
+    """The graph file as written while ``follows`` was stored: each
+    ``precedes`` record followed by its ``follows`` inverse."""
+    doc = json.loads(graph_text)
+    edges = []
+    for edge in doc["edges"]:
+        edges.append(edge)
+        if edge["rel"] == "precedes":
+            edges.append({"src": edge["dst"], "rel": "follows", "dst": edge["src"]})
+    doc["edges"] = edges
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_graph_file_with_follows_records_loads_to_the_fresh_build(unified):
+    graphs = [unified.graph] + [ng.integrate(ng.generate(ng.GenParams(seed=s))).graph for s in range(3)]
+    for graph in graphs:
+        text = serialize_graph(graph)
+        legacy = _with_follows_records(text)
+        assert '"rel": "follows"' in legacy and '"rel": "follows"' not in text
+        back = deserialize_graph(legacy)
+        assert back == graph
+        assert serialize_graph(back) == text
+
+
+def test_lone_follows_record_loads_as_its_precedes_edge(unified):
+    doc = json.loads(serialize_graph(unified.graph))
+    for edge in doc["edges"]:
+        if edge["rel"] == "precedes":
+            edge["src"], edge["rel"], edge["dst"] = edge["dst"], "follows", edge["src"]
+    assert deserialize_graph(json.dumps(doc)) == unified.graph
 
 
 # --- properties ---------------------------------------------------------
@@ -189,15 +240,23 @@ def test_deserialize_rejects_precedes_cycle(unified, src, dst):
 
 @given(edge_scripts)
 def test_precedes_follows_closure_property(script):
+    """``follows`` mirrors ``precedes`` in every query and is never stored."""
     g = graph_with_nodes()
     for src, rel, dst in script:
         g.add_edge(src, rel, dst)
-    edges = set(g.edges())
-    for src, rel, dst in edges:
-        if rel is RelationKind.PRECEDES:
-            assert (dst, RelationKind.FOLLOWS, src) in edges
-        if rel is RelationKind.FOLLOWS:
-            assert (dst, RelationKind.PRECEDES, src) in edges
+    assert not any(rel is RelationKind.FOLLOWS for _, rel, _ in g.edges())
+    ordered = {
+        (src, dst) if rel is RelationKind.PRECEDES else (dst, src)
+        for src, rel, dst in script
+        if rel in (RelationKind.PRECEDES, RelationKind.FOLLOWS)
+    }
+    assert {(src, dst) for src, rel, dst in g.edges() if rel is RelationKind.PRECEDES} == ordered
+    for a in NODE_IDS:
+        for b in NODE_IDS:
+            assert g.has_edge(b, RelationKind.FOLLOWS, a) == ((a, b) in ordered)
+        assert g.neighbors(a, RelationKind.FOLLOWS, "out") == g.neighbors(a, RelationKind.PRECEDES, "in")
+        assert g.neighbors(a, RelationKind.FOLLOWS, "in") == g.neighbors(a, RelationKind.PRECEDES, "out")
+    assert g.is_acyclic({RelationKind.FOLLOWS}) == g.is_acyclic({RelationKind.PRECEDES})
 
 
 @given(edge_scripts)
@@ -254,15 +313,42 @@ attr_maps = st.dictionaries(
     st.text(min_size=1, max_size=6), st.text(max_size=12), max_size=3
 )
 
+#: The attribute each node kind must carry in a graph file.
+REQUIRED_ATTR = {
+    NodeKind.PANEL: "reading_order",
+    NodeKind.ACTION: "verb",
+    NodeKind.DIALOGUE_CONTENT: "text",
+    NodeKind.CHARACTER: "label",
+}
+
+
+def _lacks_required_attr(kind, attrs):
+    key = REQUIRED_ATTR.get(kind)
+    if key is None:
+        return False
+    if key not in attrs:
+        return True
+    return key == "reading_order" and re.fullmatch(r"\d+", attrs[key]) is None
+
 
 @given(
-    st.lists(st.tuples(st.sampled_from(list(NodeKind)), attr_maps), max_size=8),
+    st.lists(
+        st.tuples(
+            st.sampled_from(list(NodeKind)),
+            attr_maps,
+            # None leaves the required attribute out (unless attr_maps drew it).
+            st.one_of(st.none(), st.integers(0, 10**6).map(str), st.text(max_size=4)),
+        ),
+        max_size=8,
+    ),
     st.data(),
 )
 def test_serialize_roundtrip_property(node_specs, data):
     g = NarrativeGraph(Tier.UNIFIED)
     ids = []
-    for i, (kind, attrs) in enumerate(node_specs):
+    for i, (kind, attrs, required_value) in enumerate(node_specs):
+        if required_value is not None and kind in REQUIRED_ATTR:
+            attrs = {**attrs, REQUIRED_ATTR[kind]: required_value}
         node_id = f"m{i}"
         g.add_node(node_id, kind, attrs)
         ids.append(node_id)
@@ -280,7 +366,12 @@ def test_serialize_roundtrip_property(node_specs, data):
         for src, rel, dst in script:
             g.add_edge(src, rel, dst)
     text = serialize_graph(g)
-    if g.is_acyclic({RelationKind.PRECEDES}):
+    bad = [i for i, (_, kind, attrs) in enumerate(g.nodes()) if _lacks_required_attr(kind, attrs)]
+    if bad:
+        with pytest.raises(SchemaError) as err:
+            deserialize_graph(text)
+        assert err.value.path == f"nodes[{bad[0]}].attrs"
+    elif g.is_acyclic({RelationKind.PRECEDES}):
         assert deserialize_graph(text) == g
     else:
         with pytest.raises(SchemaError) as err:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional
 
-from .errors import SchemaError
+from .errors import SchemaError, parse_json
 
 
 class ShotType(str, Enum):
@@ -307,11 +307,7 @@ def parse_corpus(text: str) -> AnnotationCorpus:
     element. Ids and references are not checked here: that is
     :func:`validate_corpus`'s job. List order from the file is preserved.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"not valid JSON: {exc}") from None
-    root = _as_object(doc, "$")
+    root = _as_object(parse_json(text), "$")
     return AnnotationCorpus(
         story_id=_get_str(root, "story_id", ""),
         macro_events=tuple(
@@ -473,6 +469,10 @@ def validate_corpus(corpus: AnnotationCorpus) -> ValidationReport:
     _check_labels((e.label for e in corpus.events), "events", out)
 
     for i, panel in enumerate(corpus.panels):
+        # Node ids of a panel's parts are "panel:<id>/<part>", so a "/" in
+        # the id could name another panel's part.
+        if "/" in panel.panel_id:
+            out.append(Violation(f"panels[{i}].panel_id", f"panel id {panel.panel_id!r} contains '/'"))
         characters = set(panel.characters)
         for j, action in enumerate(panel.actions):
             if action.agent not in characters:

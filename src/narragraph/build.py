@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass
 
 from .annotations import AnnotationCorpus, PanelAnnotation, normalize_token
-from .errors import CycleError, DuplicateNodeError
+from .errors import DuplicateNodeError
 from .graph import NarrativeGraph, NodeKind, RelationKind, Tier
 
 
@@ -47,7 +47,7 @@ def character_node_id(label: str) -> str:
 
 @dataclass
 class UnifiedGraph:
-    """Integrated graph plus a label index for query entry points."""
+    """Integrated graph plus the unit-label index the queries start from."""
 
     graph: NarrativeGraph
     index: dict[tuple[NodeKind, str], str]
@@ -56,29 +56,14 @@ class UnifiedGraph:
     def from_graph(cls, graph: NarrativeGraph) -> "UnifiedGraph":
         """Rebuild the index from a (typically deserialized) graph.
 
-        Panels and segments are keyed by their annotation id, events and
-        macro-events by their ``label`` attribute, characters by their
-        normalized label. The first node wins on duplicate keys.
+        Events and macro-events, the units the queries resolve, are keyed
+        by their ``label`` attribute. The first node wins on a duplicate
+        label.
         """
         index: dict[tuple[NodeKind, str], str] = {}
         for node_id, kind, attrs in graph.nodes():
-            if kind is NodeKind.PANEL:
-                key = (kind, panel_id_of(node_id))
-            elif kind is NodeKind.EVENT_SEGMENT:
-                key = (kind, segment_id_of(node_id))
-            elif kind in (NodeKind.EVENT, NodeKind.MACRO_EVENT):
-                label = attrs.get("label")
-                if label is None:
-                    continue
-                key = (kind, label)
-            elif kind is NodeKind.CHARACTER:
-                label = attrs.get("label")
-                if label is None:
-                    continue
-                key = (kind, normalize_token(label))
-            else:
-                continue
-            index.setdefault(key, node_id)
+            if kind is NodeKind.EVENT or kind is NodeKind.MACRO_EVENT:
+                index.setdefault((kind, attrs["label"]), node_id)
         return cls(graph=graph, index=index)
 
 
@@ -353,6 +338,10 @@ def integrate(corpus: AnnotationCorpus) -> UnifiedGraph:
     segment), one global character node per normalized label, and one
     ``refers_to`` edge per character mention. The result is frozen and
     indexed.
+
+    Needs no cycle check: each ``precedes`` chain is a simple path (a
+    repeated id raises) within one id namespace — panels, segments, the
+    events of one macro-event, macro-events — so their union is acyclic.
     """
     unified = NarrativeGraph(Tier.UNIFIED)
     for panel in corpus.panels:
@@ -376,9 +365,6 @@ def integrate(corpus: AnnotationCorpus) -> UnifiedGraph:
             if not unified.has_node(cnode):
                 unified.add_node(cnode, NodeKind.CHARACTER, {"label": label})
             unified.add_edge(mention, RelationKind.REFERS_TO, cnode)
-
-    if not unified.is_acyclic({RelationKind.PRECEDES}):
-        raise CycleError("unified precedes subgraph contains a cycle")
 
     unified.freeze()
     return UnifiedGraph.from_graph(unified)

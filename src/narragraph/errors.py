@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON reader that
+raises them."""
+
+import json
+from typing import Any
 
 
 class NarragraphError(Exception):
@@ -25,9 +29,15 @@ class MissingNodeError(NarragraphError):
     """An edge or traversal referenced a node id absent from the graph."""
 
 
-class CycleError(NarragraphError):
-    """A temporal ordering would contain a directed cycle."""
-
-
 class UnknownUnitError(NarragraphError):
     """A macro-event or event label resolved to nothing."""
+
+
+def parse_json(text: str) -> Any:
+    """``json.loads``, raising ``SchemaError("$", "not valid JSON: …")`` for
+    any text it cannot decode: malformed JSON, an integer literal longer
+    than ``sys.get_int_max_str_digits()`` or nesting too deep to parse."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError("$", f"not valid JSON: {exc}") from None

@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence
 
 from .annotations import AnnotationCorpus, normalize_token, normalize_utterance
 from .build import UnifiedGraph
-from .errors import SchemaError
+from .errors import SchemaError, parse_json
 from .gold import gold_actions, gold_characters, gold_dialogue, gold_timeline
 from .reasoning import (
     actions_by_macro_event,
@@ -145,10 +145,7 @@ class EvaluationReport:
 
 def load_synonym_map(text: str) -> dict[str, str]:
     """Parse a JSON object mapping variant verbs to their canonical form."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"not valid JSON: {exc}") from None
+    doc = parse_json(text)
     if not isinstance(doc, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in doc.items()
     ):
@@ -222,9 +219,9 @@ def evaluate_all(
 
     timeline_units = []
     for label in macro_labels:
-        predicted = _adjacent_pairs(panel_timeline(unified, label).items)
-        gold = _adjacent_pairs(gold_timeline(corpus, label).items)
-        timeline_units.append(UnitScore(unit=label, metrics=set_prf(predicted, gold)))
+        predicted = panel_timeline(unified, label).items
+        gold = gold_timeline(corpus, label).items
+        timeline_units.append(UnitScore(unit=label, metrics=ordering_prf(predicted, gold)))
 
     return EvaluationReport(
         tasks=(

@@ -47,6 +47,12 @@ _CAPTION_PHRASES = (
 
 _OBJECT_POOL = ("letter", "pot", "door", "lantern")
 
+_VERBS = ("hold_hand", "look_at_letter", "cook_rice", "walk_away", "open_door", "wave")
+
+_N_CHARACTERS = 4
+_ACTION_PROB = 0.7
+_DIALOGUE_PROB = 0.6
+
 
 class SplitMix64:
     """splitmix64 sequence for a 64-bit seed."""
@@ -90,22 +96,10 @@ class GenParams:
     events_per_macro: tuple[int, int] = (1, 3)
     segments_per_event: tuple[int, int] = (1, 2)
     panels_per_segment: tuple[int, int] = (1, 3)
-    n_characters: int = 4
-    verbs_vocab: tuple[str, ...] = (
-        "hold_hand",
-        "look_at_letter",
-        "cook_rice",
-        "walk_away",
-        "open_door",
-        "wave",
-    )
-    dialogue_prob: float = 0.6
-    action_prob: float = 0.7
 
 
 def _random_panel(
     rng: SplitMix64,
-    params: GenParams,
     segment_id: str,
     reading_order: int,
     character_pool: list[str],
@@ -116,19 +110,19 @@ def _random_panel(
     objects = tuple(rng.shuffled(_OBJECT_POOL)[: rng.randint(0, 2)])
 
     actions = []
-    if characters and rng.random() < params.action_prob:
+    if characters and rng.random() < _ACTION_PROB:
         for _ in range(rng.randint(1, 2)):
             obj = rng.choice(objects + (None,)) if objects else None
             actions.append(
                 ActionTriple(
                     agent=rng.choice(characters),
-                    verb=rng.choice(params.verbs_vocab),
+                    verb=rng.choice(_VERBS),
                     object=obj,
                 )
             )
 
     dialogues = []
-    if rng.random() < params.dialogue_prob:
+    if rng.random() < _DIALOGUE_PROB:
         for i in range(rng.randint(1, 2)):
             speaker = rng.choice(characters + (None,)) if characters else None
             dialogues.append(
@@ -141,7 +135,7 @@ def _random_panel(
             )
 
     captions = []
-    if rng.random() < params.dialogue_prob / 2:
+    if rng.random() < _DIALOGUE_PROB / 2:
         captions.append(
             Utterance(
                 id=f"{panel_id}_c0",
@@ -167,7 +161,7 @@ def _random_panel(
 def generate(params: GenParams) -> AnnotationCorpus:
     """Build a valid synthetic corpus; the same params give identical output."""
     rng = SplitMix64(params.seed)
-    character_pool = [f"char_{i}" for i in range(params.n_characters)]
+    character_pool = [f"char_{i}" for i in range(_N_CHARACTERS)]
     roles = (None,) + tuple(NarrativeRole)
 
     macros: list[MacroEvent] = []
@@ -201,7 +195,7 @@ def generate(params: GenParams) -> AnnotationCorpus:
                 )
                 for _ in range(rng.randint(*params.panels_per_segment)):
                     panels.append(
-                        _random_panel(rng, params, f"s{si}", reading_order, character_pool)
+                        _random_panel(rng, f"s{si}", reading_order, character_pool)
                     )
                     reading_order += 1
 

@@ -9,14 +9,13 @@ stored, found and traversed as ``(b, precedes, a)``.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring
 from typing import Callable, Iterable, Iterator, Optional
 
-from .errors import DuplicateNodeError, MissingNodeError, SchemaError
+from .errors import DuplicateNodeError, MissingNodeError, SchemaError, parse_json
 
 
 class NodeKind(str, Enum):
@@ -288,18 +287,52 @@ _REQUIRED_ATTRS: dict[NodeKind, dict[str, Optional[tuple[Callable[[str], bool], 
     NodeKind.ACTION: {"verb": None},
     NodeKind.DIALOGUE_CONTENT: {"text": None},
     NodeKind.CHARACTER: {"label": None},
+    NodeKind.EVENT: {"label": None},
+    NodeKind.MACRO_EVENT: {"label": None},
+}
+
+# Reading order and narrative order chain nodes of one kind.
+_ORDERED = {
+    (kind, kind)
+    for kind in (NodeKind.PANEL, NodeKind.EVENT_SEGMENT, NodeKind.EVENT, NodeKind.MACRO_EVENT)
+}
+
+#: (source kind, target kind) pairs each relation may join; ``follows``,
+#: the view of ``precedes``, joins the same pairs.
+_ENDPOINTS: dict[RelationKind, set[tuple[NodeKind, NodeKind]]] = {
+    RelationKind.HAS_VISUAL: {(NodeKind.PANEL, NodeKind.PANEL_VISUAL)},
+    RelationKind.HAS_TEXTUAL: {(NodeKind.PANEL, NodeKind.PANEL_TEXTUAL)},
+    RelationKind.HAS_CHARACTER: {(NodeKind.PANEL_VISUAL, NodeKind.CHARACTER_MENTION)},
+    RelationKind.HAS_ACTION: {(NodeKind.PANEL_VISUAL, NodeKind.ACTION)},
+    RelationKind.HAS_OBJECT: {(NodeKind.PANEL_VISUAL, NodeKind.SCENE_OBJECT)},
+    RelationKind.AGENT_OF: {(NodeKind.ACTION, NodeKind.CHARACTER_MENTION)},
+    RelationKind.PART_OF: {
+        (NodeKind.DIALOGUE, NodeKind.PANEL_TEXTUAL),
+        (NodeKind.CAPTION, NodeKind.PANEL_TEXTUAL),
+    },
+    RelationKind.CONTENT_OF: {
+        (NodeKind.DIALOGUE_CONTENT, NodeKind.DIALOGUE),
+        (NodeKind.DIALOGUE_CONTENT, NodeKind.CAPTION),
+    },
+    RelationKind.INSTANTIATES: {(NodeKind.PANEL, NodeKind.EVENT_SEGMENT)},
+    RelationKind.SUBEVENT_OF: {
+        (NodeKind.EVENT_SEGMENT, NodeKind.EVENT),
+        (NodeKind.EVENT, NodeKind.MACRO_EVENT),
+    },
+    RelationKind.PRECEDES: _ORDERED,
+    RelationKind.FOLLOWS: _ORDERED,
+    RelationKind.CO_OCCURS: {(NodeKind.EVENT, NodeKind.EVENT)},
+    RelationKind.REFERS_TO: {(NodeKind.CHARACTER_MENTION, NodeKind.CHARACTER)},
 }
 
 
 def deserialize_graph(text: str) -> NarrativeGraph:
     """Inverse of :func:`serialize_graph`; raises ``SchemaError`` on any
     malformed document, including nodes without their ``_REQUIRED_ATTRS``,
-    edges that reference unknown nodes and ``precedes`` edges that form a
-    cycle. A ``follows`` record (older files) loads as its ``precedes`` edge."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"not valid JSON: {exc}") from None
+    edges that reference unknown nodes or join kinds outside their
+    relation's ``_ENDPOINTS``, and ``precedes`` edges that form a cycle. A
+    ``follows`` record (older files) loads as its ``precedes`` edge."""
+    doc = parse_json(text)
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected an object")
 
@@ -312,6 +345,7 @@ def deserialize_graph(text: str) -> NarrativeGraph:
         raise SchemaError("tier", f"unknown tier {tier_raw!r}") from None
 
     graph = NarrativeGraph(tier)
+    kinds: dict[str, NodeKind] = {}
 
     nodes = doc.get("nodes")
     if not isinstance(nodes, list):
@@ -342,6 +376,7 @@ def deserialize_graph(text: str) -> NarrativeGraph:
             graph.add_node(node_id, kind, attrs)
         except DuplicateNodeError:
             raise SchemaError(f"{path}.id", f"duplicate node id {node_id!r}") from None
+        kinds[node_id] = kind
 
     edges = doc.get("edges")
     if not isinstance(edges, list):
@@ -359,8 +394,12 @@ def deserialize_graph(text: str) -> NarrativeGraph:
         for key, endpoint in (("src", src), ("dst", dst)):
             if not isinstance(endpoint, str):
                 raise SchemaError(f"{path}.{key}", "missing or non-string node id")
-            if not graph.has_node(endpoint):
+            if endpoint not in kinds:
                 raise SchemaError(f"{path}.{key}", f"edge references unknown node {endpoint!r}")
+        if (kinds[src], kinds[dst]) not in _ENDPOINTS[rel]:
+            raise SchemaError(
+                path, f"{rel.value} cannot join {kinds[src].value} to {kinds[dst].value}"
+            )
         graph.add_edge(src, rel, dst)
 
     if not graph.is_acyclic({RelationKind.PRECEDES}):

@@ -89,6 +89,22 @@ def test_parse_malformed_json():
     assert err.value.reason.startswith("not valid JSON: ")
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"story_id": ' + "1" * 4301 + "}", "Exceeds the limit (4300 digits)"),
+        ("[" * 200_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["too_many_digits", "too_deep"],
+)
+def test_parse_json_that_json_loads_cannot_decode(text, reason):
+    with pytest.raises(SchemaError) as err:
+        parse_corpus(text)
+    assert err.value.path == "$"
+    assert err.value.reason.startswith("not valid JSON: ")
+    assert reason in err.value.reason
+
+
 def test_roundtrip_bundled_story(story):
     text = ng.bundled_story_text()
     assert parse_corpus(serialize_corpus(story)) == story
@@ -156,6 +172,16 @@ def test_validate_agent_not_in_characters():
     violation = report.violations[0]
     assert "'C'" in violation.message and "'a'" in violation.message
     assert violation.path == "panels[0].actions[0].agent"
+
+
+def test_validate_panel_id_with_slash():
+    # "panel:a/visual" would be both this panel's node and the visual hub
+    # of panel "a".
+    corpus = util.corpus([util.panel("a", "s0", 0), util.panel("a/visual", "s0", 1)])
+    report = validate_corpus(corpus)
+    assert [(v.path, v.message) for v in report.violations] == [
+        ("panels[1].panel_id", "panel id 'a/visual' contains '/'"),
+    ]
 
 
 def test_validate_duplicate_ids():

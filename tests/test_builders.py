@@ -16,7 +16,14 @@ from narragraph import (
     normalize_token,
     serialize_graph,
 )
-from narragraph.build import panel_node_id, segment_node_id, event_node_id, macro_node_id
+from narragraph.build import (
+    character_node_id,
+    event_node_id,
+    macro_node_id,
+    panel_node_id,
+    segment_node_id,
+)
+from narragraph.graph import _ENDPOINTS
 
 import util
 
@@ -184,8 +191,9 @@ def test_integrate_character_identity_counts():
     u = integrate(corpus)
     g = u.graph
     characters = g.nodes_of_kind(NodeKind.CHARACTER)
-    a_node = u.index[(NodeKind.CHARACTER, "a")]
+    a_node = character_node_id("A")
     assert len(characters) == 2
+    assert a_node in characters
     mentions = [
         m
         for m in g.nodes_of_kind(NodeKind.CHARACTER_MENTION)
@@ -209,13 +217,27 @@ def test_integrate_freezes_graph(unified):
         unified.graph.add_node("late", NodeKind.PANEL)
 
 
-def test_unified_index_lookups(unified):
+def test_unified_index_lookups(unified, story):
     index = unified.index
     assert index[(NodeKind.MACRO_EVENT, "Think of family")] == macro_node_id("m1")
     assert index[(NodeKind.EVENT, "Intro_2")] == event_node_id("ev2")
-    assert index[(NodeKind.PANEL, "0_1_2")] == panel_node_id("0_1_2")
-    assert index[(NodeKind.EVENT_SEGMENT, "sg3")] == segment_node_id("sg3")
-    assert index[(NodeKind.CHARACTER, "a")] == "char:a"
+    # Only the unit labels the queries resolve are indexed.
+    assert index == {
+        **{(NodeKind.MACRO_EVENT, m.label): macro_node_id(m.id) for m in story.macro_events},
+        **{(NodeKind.EVENT, e.label): event_node_id(e.id) for e in story.events},
+    }
+
+
+def test_index_keeps_first_node_of_a_duplicate_label():
+    g = ng.NarrativeGraph(Tier.UNIFIED)
+    for node_id, label in (("event:b", "x"), ("event:a", "x"), ("event:c", "y")):
+        g.add_node(node_id, NodeKind.EVENT, {"label": label})
+    g.add_node("macro:m", NodeKind.MACRO_EVENT, {"label": "x"})
+    assert ng.UnifiedGraph.from_graph(g).index == {
+        (NodeKind.EVENT, "x"): "event:b",
+        (NodeKind.EVENT, "y"): "event:c",
+        (NodeKind.MACRO_EVENT, "x"): "macro:m",
+    }
 
 
 def _generated(seed):
@@ -244,6 +266,30 @@ def test_structural_invariants_on_generated_corpora():
         for mention in g.nodes_of_kind(NodeKind.CHARACTER_MENTION):
             assert len(g.neighbors(mention, RelationKind.REFERS_TO, "out")) == 1
         assert g.is_acyclic({RelationKind.PRECEDES})
+
+
+def test_integrate_writes_only_edges_a_graph_file_may_hold(story):
+    # Every edge integrate writes joins kinds its relation allows, and each
+    # allowed pair is written somewhere, so the table holds nothing more.
+    # Generated events never overlap in reading order; these two do.
+    interleaved = util.corpus(
+        [util.panel("p0", "s0", 0), util.panel("p1", "s1", 1), util.panel("p2", "s0", 2)]
+    )
+    written = set()
+    for corpus in [story, interleaved] + [_generated(seed) for seed in range(20)]:
+        g = integrate(corpus).graph
+        for src, rel, dst in g.edges():
+            pair = (g.node_kind(src), g.node_kind(dst))
+            assert pair in _ENDPOINTS[rel], (src, rel, dst)
+            written.add((rel, pair))
+    allowed = {
+        (rel, pair)
+        for rel, pairs in _ENDPOINTS.items()
+        if rel is not RelationKind.FOLLOWS
+        for pair in pairs
+    }
+    assert written == allowed
+    assert _ENDPOINTS[RelationKind.FOLLOWS] == _ENDPOINTS[RelationKind.PRECEDES]
 
 
 def test_tier_union_node_count_on_generated_corpora():
@@ -362,8 +408,7 @@ def _reference_integrate(corpus):
             if not unified.has_node(cnode):
                 unified.add_node(cnode, NodeKind.CHARACTER, {"label": label})
             unified.add_edge(mention, RelationKind.REFERS_TO, cnode)
-    if not unified.is_acyclic({RelationKind.PRECEDES}):
-        raise ng.CycleError("unified precedes subgraph contains a cycle")
+    assert unified.is_acyclic({RelationKind.PRECEDES})
     return serialize_graph(unified)
 
 

@@ -76,6 +76,50 @@ def test_validate_non_json_file(tmp_path, capsys):
     assert "JSON" in err
 
 
+def test_panel_id_with_slash_is_a_violation(tmp_path, capsys):
+    # The panel's node "panel:0_0_1/visual" is also panel 0_0_1's visual hub.
+    doc = json.loads(ng.bundled_story_text())
+    doc["panels"].append({**doc["panels"][1], "panel_id": "0_0_1/visual", "reading_order": 9})
+    src = tmp_path / "slash.json"
+    src.write_text(json.dumps(doc), encoding="utf-8")
+    expected = "error at panels[9].panel_id: panel id '0_0_1/visual' contains '/'\n"
+    assert run_cli(["validate", str(src)], capsys) == (1, expected, "")
+    dest = tmp_path / "graph.json"
+    assert run_cli(["build", str(src), str(dest)], capsys) == (1, "", expected)
+    assert not dest.exists()
+    assert run_cli(["eval", str(src)], capsys) == (1, "", expected)
+
+
+_UNDECODABLE = {
+    "too_many_digits": ("[" + "1" * 4301 + "]").encode(),
+    "too_deep": b"[" * 200_000,
+    "not_utf8": b"\xff{}",
+}
+
+
+@pytest.mark.parametrize("name", list(_UNDECODABLE))
+def test_undecodable_input_exits_2(tmp_path, story_file, graph_file, capsys, name):
+    bad = str(tmp_path / f"{name}.json")
+    with open(bad, "wb") as handle:
+        handle.write(_UNDECODABLE[name])
+    not_json = f"{bad}: schema error: $: not valid JSON: "
+    cases = [
+        (["validate", bad], not_json),
+        (["build", bad, str(tmp_path / "g.json")], not_json),
+        (["eval", bad], not_json),
+        (["query", bad, "timeline", "--unit", "Think of family"], not_json),
+        (["export", bad, "--format", "dot"], not_json),
+        (["eval", story_file, "--graph", bad], not_json),
+        (["eval", story_file, "--graph", graph_file, "--synonyms", bad], f"{bad}: $: not valid JSON: "),
+    ]
+    for argv, prefix in cases:
+        if name == "not_utf8":
+            prefix = f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff in position 0"
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(prefix) and err.count("\n") == 1, (argv, err[:200])
+
+
 def test_build_writes_graph_with_nine_panels(graph_file):
     graph = ng.deserialize_graph(open(graph_file, encoding="utf-8").read())
     assert len(graph.nodes_of_kind(ng.NodeKind.PANEL)) == 9
@@ -168,12 +212,14 @@ def _set_attr(graph_file, node_id, key, value):
             f"reading_order must be a non-negative decimal integer, got '{'9' * 5000}'",
         ),
         ("panel:0_0_1/action:0", "verb", None, "action node lacks attribute 'verb'"),
+        ("macro:m1", "label", None, "macro_event node lacks attribute 'label'"),
     ],
     ids=[
         "panel_without_reading_order",
         "non_integer_reading_order",
         "too_many_digits_for_int",
         "action_without_verb",
+        "macro_event_without_label",
     ],
 )
 def test_graph_with_missing_or_bad_attr_exits_2(graph_file, story_file, capsys, node_id, key, value, reason):
@@ -186,6 +232,25 @@ def test_graph_with_missing_or_bad_attr_exits_2(graph_file, story_file, capsys, 
     ):
         code, out, err = run_cli(argv, capsys)
         assert (code, out, err) == (2, "", expected), argv
+
+
+def test_graph_with_action_edge_to_scene_object_exits_2(graph_file, story_file, capsys):
+    with open(graph_file, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["edges"].append(
+        {"src": "panel:0_0_0/visual", "rel": "has_action", "dst": "panel:0_0_1/obj:letter"}
+    )
+    with open(graph_file, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    expected = (
+        f"{graph_file}: schema error: edges[{len(doc['edges']) - 1}]: "
+        "has_action cannot join panel_visual to scene_object\n"
+    )
+    for argv in (
+        ["query", graph_file, "actions", "--unit", "Think of family"],
+        ["eval", story_file, "--graph", graph_file],
+    ):
+        assert run_cli(argv, capsys) == (2, "", expected), argv
 
 
 def test_query_characters_full_map(graph_file, capsys):

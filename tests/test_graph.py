@@ -203,6 +203,33 @@ def test_deserialize_rejects_precedes_cycle(unified, src, rel, dst):
     assert err.value.reason == "precedes edges form a cycle"
 
 
+@pytest.mark.parametrize(
+    "src, rel, dst, reason",
+    [
+        (
+            "panel:0_0_1/visual",
+            "has_action",
+            "panel:0_0_1/obj:letter",
+            "has_action cannot join panel_visual to scene_object",
+        ),
+        (
+            "seg:sg1",
+            "instantiates",
+            "seg:sg2",
+            "instantiates cannot join event_segment to event_segment",
+        ),
+        ("event:ev1", "follows", "macro:m1", "follows cannot join event to macro_event"),
+    ],
+    ids=["action_to_scene_object", "instantiates_from_segment", "follows_across_kinds"],
+)
+def test_deserialize_rejects_edge_between_wrong_kinds(unified, src, rel, dst, reason):
+    text = _with_edge(serialize_graph(unified.graph), src, rel, dst)
+    with pytest.raises(SchemaError) as err:
+        deserialize_graph(text)
+    assert err.value.path == f"edges[{unified.graph.edge_count}]"
+    assert err.value.reason == reason
+
+
 def _with_follows_records(graph_text):
     """The graph file as written while ``follows`` was stored: each
     ``precedes`` record followed by its ``follows`` inverse."""
@@ -319,6 +346,29 @@ REQUIRED_ATTR = {
     NodeKind.ACTION: "verb",
     NodeKind.DIALOGUE_CONTENT: "text",
     NodeKind.CHARACTER: "label",
+    NodeKind.EVENT: "label",
+    NodeKind.MACRO_EVENT: "label",
+}
+
+K = NodeKind
+ORDERED = {(kind, kind) for kind in (K.PANEL, K.EVENT_SEGMENT, K.EVENT, K.MACRO_EVENT)}
+
+#: The (source kind, target kind) pairs each relation may join in a graph file.
+ENDPOINTS = {
+    RelationKind.HAS_VISUAL: {(K.PANEL, K.PANEL_VISUAL)},
+    RelationKind.HAS_TEXTUAL: {(K.PANEL, K.PANEL_TEXTUAL)},
+    RelationKind.HAS_CHARACTER: {(K.PANEL_VISUAL, K.CHARACTER_MENTION)},
+    RelationKind.HAS_ACTION: {(K.PANEL_VISUAL, K.ACTION)},
+    RelationKind.HAS_OBJECT: {(K.PANEL_VISUAL, K.SCENE_OBJECT)},
+    RelationKind.AGENT_OF: {(K.ACTION, K.CHARACTER_MENTION)},
+    RelationKind.PART_OF: {(K.DIALOGUE, K.PANEL_TEXTUAL), (K.CAPTION, K.PANEL_TEXTUAL)},
+    RelationKind.CONTENT_OF: {(K.DIALOGUE_CONTENT, K.DIALOGUE), (K.DIALOGUE_CONTENT, K.CAPTION)},
+    RelationKind.INSTANTIATES: {(K.PANEL, K.EVENT_SEGMENT)},
+    RelationKind.SUBEVENT_OF: {(K.EVENT_SEGMENT, K.EVENT), (K.EVENT, K.MACRO_EVENT)},
+    RelationKind.PRECEDES: ORDERED,
+    RelationKind.FOLLOWS: ORDERED,
+    RelationKind.CO_OCCURS: {(K.EVENT, K.EVENT)},
+    RelationKind.REFERS_TO: {(K.CHARACTER_MENTION, K.CHARACTER)},
 }
 
 
@@ -353,24 +403,36 @@ def test_serialize_roundtrip_property(node_specs, data):
         g.add_node(node_id, kind, attrs)
         ids.append(node_id)
     if ids:
-        script = data.draw(
-            st.lists(
-                st.tuples(
-                    st.sampled_from(ids),
-                    st.sampled_from(list(RelationKind)),
-                    st.sampled_from(ids),
-                ),
-                max_size=16,
-            )
+        kinds = dict(zip(ids, (kind for kind, _, _ in node_specs)))
+        any_edge = st.tuples(
+            st.sampled_from(ids), st.sampled_from(list(RelationKind)), st.sampled_from(ids)
         )
-        for src, rel, dst in script:
+        # Edges that fit ENDPOINTS, so that some drawn graphs load.
+        fitting = [
+            (src, rel, dst)
+            for rel, pairs in ENDPOINTS.items()
+            for src in ids
+            for dst in ids
+            if (kinds[src], kinds[dst]) in pairs
+        ]
+        edge = st.one_of(st.sampled_from(fitting), any_edge) if fitting else any_edge
+        for src, rel, dst in data.draw(st.lists(edge, max_size=16)):
             g.add_edge(src, rel, dst)
     text = serialize_graph(g)
     bad = [i for i, (_, kind, attrs) in enumerate(g.nodes()) if _lacks_required_attr(kind, attrs)]
+    misjoined = [
+        i
+        for i, (src, rel, dst) in enumerate(g.edges())
+        if (g.node_kind(src), g.node_kind(dst)) not in ENDPOINTS[rel]
+    ]
     if bad:
         with pytest.raises(SchemaError) as err:
             deserialize_graph(text)
         assert err.value.path == f"nodes[{bad[0]}].attrs"
+    elif misjoined:
+        with pytest.raises(SchemaError) as err:
+            deserialize_graph(text)
+        assert err.value.path == f"edges[{misjoined[0]}]"
     elif g.is_acyclic({RelationKind.PRECEDES}):
         assert deserialize_graph(text) == g
     else:

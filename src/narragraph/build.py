@@ -12,9 +12,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .annotations import AnnotationCorpus, PanelAnnotation, normalize_token
-from .errors import DuplicateNodeError
-from .graph import NarrativeGraph, NodeKind, RelationKind, Tier
+from .annotations import AnnotationCorpus, EventSegment, PanelAnnotation, normalize_token
+from .graph import UNIT_KINDS, NarrativeGraph, NodeKind, RelationKind, Tier
 
 
 def panel_node_id(panel_id: str) -> str:
@@ -56,24 +55,20 @@ class UnifiedGraph:
     def from_graph(cls, graph: NarrativeGraph) -> "UnifiedGraph":
         """Rebuild the index from a (typically deserialized) graph.
 
-        Events and macro-events, the units the queries resolve, are keyed
-        by their ``label`` attribute. The first node wins on a duplicate
-        label.
+        Events and macro-events (``UNIT_KINDS``), the units the queries
+        resolve, are keyed by their ``label`` attribute. A loaded graph
+        repeats no label; in a graph built by hand the first node wins.
         """
         index: dict[tuple[NodeKind, str], str] = {}
         for node_id, kind, attrs in graph.nodes():
-            if kind is NodeKind.EVENT or kind is NodeKind.MACRO_EVENT:
+            if kind in UNIT_KINDS:
                 index.setdefault((kind, attrs["label"]), node_id)
         return cls(graph=graph, index=index)
 
 
 def _write_panel(g: NarrativeGraph, panel: PanelAnnotation) -> None:
-    """Write the multimodal subgraph of one panel into ``g``.
-
-    Nodes go in through ``upsert_node``, so a panel written into a graph
-    that already holds some of its nodes merges into them, as the tiers do
-    in :func:`integrate`.
-    """
+    """Write the multimodal subgraph of one panel into ``g``; a node id
+    that ``g`` already holds raises ``DuplicateNodeError``."""
     pnode = panel_node_id(panel.panel_id)
     attrs = {
         "reading_order": str(panel.reading_order),
@@ -84,13 +79,13 @@ def _write_panel(g: NarrativeGraph, panel: PanelAnnotation) -> None:
         attrs["image_path"] = panel.image_path
     if panel.event_description is not None:
         attrs["event_description"] = panel.event_description
-    g.upsert_node(pnode, NodeKind.PANEL, attrs)
+    g.add_node(pnode, NodeKind.PANEL, attrs)
 
     vnode = f"{pnode}/visual"
     visual_attrs = {"background": panel.background} if panel.background is not None else {}
-    g.upsert_node(vnode, NodeKind.PANEL_VISUAL, visual_attrs)
+    g.add_node(vnode, NodeKind.PANEL_VISUAL, visual_attrs)
     tnode = f"{pnode}/textual"
-    g.upsert_node(tnode, NodeKind.PANEL_TEXTUAL, {})
+    g.add_node(tnode, NodeKind.PANEL_TEXTUAL, {})
     g.add_edge(pnode, RelationKind.HAS_VISUAL, vnode)
     g.add_edge(pnode, RelationKind.HAS_TEXTUAL, tnode)
 
@@ -102,7 +97,7 @@ def _write_panel(g: NarrativeGraph, panel: PanelAnnotation) -> None:
         mid = f"{pnode}/char:{normalize_token(label)}"
         if mid not in written:
             written.add(mid)
-            g.upsert_node(mid, NodeKind.CHARACTER_MENTION, {"label": label})
+            g.add_node(mid, NodeKind.CHARACTER_MENTION, {"label": label})
             g.add_edge(vnode, RelationKind.HAS_CHARACTER, mid)
         return mid
 
@@ -114,7 +109,7 @@ def _write_panel(g: NarrativeGraph, panel: PanelAnnotation) -> None:
         action_attrs = {"verb": action.verb}
         if action.object is not None:
             action_attrs["object"] = action.object
-        g.upsert_node(aid, NodeKind.ACTION, action_attrs)
+        g.add_node(aid, NodeKind.ACTION, action_attrs)
         g.add_edge(vnode, RelationKind.HAS_ACTION, aid)
         g.add_edge(aid, RelationKind.AGENT_OF, mention(action.agent))
 
@@ -122,7 +117,7 @@ def _write_panel(g: NarrativeGraph, panel: PanelAnnotation) -> None:
         oid = f"{pnode}/obj:{normalize_token(label)}"
         if oid not in written:
             written.add(oid)
-            g.upsert_node(oid, NodeKind.SCENE_OBJECT, {"label": label})
+            g.add_node(oid, NodeKind.SCENE_OBJECT, {"label": label})
             g.add_edge(vnode, RelationKind.HAS_OBJECT, oid)
 
     for prefix, kind, utterances in (
@@ -134,10 +129,10 @@ def _write_panel(g: NarrativeGraph, panel: PanelAnnotation) -> None:
             utterance_attrs = {"utterance_id": utterance.id}
             if utterance.speaker is not None:
                 utterance_attrs["speaker"] = utterance.speaker
-            g.upsert_node(uid, kind, utterance_attrs)
+            g.add_node(uid, kind, utterance_attrs)
             g.add_edge(uid, RelationKind.PART_OF, tnode)
             cid = f"{uid}/text"
-            g.upsert_node(cid, NodeKind.DIALOGUE_CONTENT, {"text": utterance.text})
+            g.add_node(cid, NodeKind.DIALOGUE_CONTENT, {"text": utterance.text})
             g.add_edge(cid, RelationKind.CONTENT_OF, uid)
 
 
@@ -155,57 +150,32 @@ def build_panel_graph(panel: PanelAnnotation) -> NarrativeGraph:
     return g
 
 
-def _tier_upsert(g: NarrativeGraph):
-    """``upsert_node`` into ``g`` that raises ``DuplicateNodeError`` when
-    the same tier writes a node id twice (a duplicate annotation id), while
-    nodes written by other tiers are merged."""
-    written: set[str] = set()
-
-    def upsert(node_id: str, kind: NodeKind, attrs: dict[str, str]) -> None:
-        if node_id in written:
-            raise DuplicateNodeError(f"node {node_id!r} already exists")
-        written.add(node_id)
-        g.upsert_node(node_id, kind, attrs)
-
-    return upsert
-
-
-def _write_temporal(g: NarrativeGraph, corpus: AnnotationCorpus) -> None:
-    """Write the reading-order chains into ``g``.
-
-    Both chains run over distinct nodes (a repeated panel or segment id
-    raises), so they are simple paths and add no ``precedes`` cycle.
-    """
-    upsert = _tier_upsert(g)
-    ordered = sorted(corpus.panels, key=lambda p: p.reading_order)
+def _first_reading_orders(ordered: list[PanelAnnotation]) -> dict[str, int]:
+    """Reading order of each segment's first panel, keyed in order of first
+    appearance; ``ordered`` holds the panels in reading order."""
+    first: dict[str, int] = {}
     for panel in ordered:
-        upsert(
-            panel_node_id(panel.panel_id),
-            NodeKind.PANEL,
-            {"reading_order": str(panel.reading_order)},
-        )
+        first.setdefault(panel.segment_id, panel.reading_order)
+    return first
+
+
+def _segment_temporal_attrs(segment: EventSegment, first_order: dict[str, int]) -> dict[str, str]:
+    """The temporal tier's part of a segment's attributes."""
+    if segment.id not in first_order:
+        return {}
+    return {"first_reading_order": str(first_order[segment.id])}
+
+
+def _write_reading_chains(
+    g: NarrativeGraph, ordered: list[PanelAnnotation], first_order: dict[str, int]
+) -> None:
+    """Chain the panels by ``precedes`` in reading order, and the segments
+    that have panels in order of their first panel."""
     for prev, nxt in zip(ordered, ordered[1:]):
-        g.add_edge(
-            panel_node_id(prev.panel_id),
-            RelationKind.PRECEDES,
-            panel_node_id(nxt.panel_id),
-        )
-
-    first_order: dict[str, int] = {}
-    for panel in ordered:
-        first_order.setdefault(panel.segment_id, panel.reading_order)
-    for segment in corpus.segments:
-        attrs = {}
-        if segment.id in first_order:
-            attrs["first_reading_order"] = str(first_order[segment.id])
-        upsert(segment_node_id(segment.id), NodeKind.EVENT_SEGMENT, attrs)
-    chained = list(first_order)  # insertion order == first-appearance order
+        g.add_edge(panel_node_id(prev.panel_id), RelationKind.PRECEDES, panel_node_id(nxt.panel_id))
+    chained = list(first_order)
     for prev_id, next_id in zip(chained, chained[1:]):
-        g.add_edge(
-            segment_node_id(prev_id),
-            RelationKind.PRECEDES,
-            segment_node_id(next_id),
-        )
+        g.add_edge(segment_node_id(prev_id), RelationKind.PRECEDES, segment_node_id(next_id))
 
 
 def build_temporal_graph(corpus: AnnotationCorpus) -> NarrativeGraph:
@@ -216,7 +186,21 @@ def build_temporal_graph(corpus: AnnotationCorpus) -> NarrativeGraph:
     reading order. Segments with no panels become isolated nodes.
     """
     g = NarrativeGraph(Tier.TEMPORAL)
-    _write_temporal(g, corpus)
+    ordered = sorted(corpus.panels, key=lambda p: p.reading_order)
+    first_order = _first_reading_orders(ordered)
+    for panel in ordered:
+        g.add_node(
+            panel_node_id(panel.panel_id),
+            NodeKind.PANEL,
+            {"reading_order": str(panel.reading_order)},
+        )
+    for segment in corpus.segments:
+        g.add_node(
+            segment_node_id(segment.id),
+            NodeKind.EVENT_SEGMENT,
+            _segment_temporal_attrs(segment, first_order),
+        )
+    _write_reading_chains(g, ordered, first_order)
     return g
 
 
@@ -251,28 +235,33 @@ def _overlapping_pairs(intervals: list[tuple[int, int]]) -> list[tuple[int, int]
     return pairs
 
 
-def _write_event(g: NarrativeGraph, corpus: AnnotationCorpus) -> None:
-    """Write the event hierarchy, its ``precedes`` chains and the
-    ``co_occurs`` pairs into ``g``."""
-    upsert = _tier_upsert(g)
+def _segment_event_attrs(segment: EventSegment) -> dict[str, str]:
+    """The event tier's part of a segment's attributes."""
+    attrs = {"description": segment.description}
+    if segment.narrative_role is not None:
+        attrs["narrative_role"] = segment.narrative_role.value
+    return attrs
+
+
+def _write_units(g: NarrativeGraph, corpus: AnnotationCorpus) -> None:
+    """Write the macro-event and event nodes."""
     for macro in corpus.macro_events:
-        upsert(
+        g.add_node(
             macro_node_id(macro.id),
             NodeKind.MACRO_EVENT,
             {"label": macro.label, "description": macro.description},
         )
     for event in corpus.events:
-        upsert(
+        g.add_node(
             event_node_id(event.id),
             NodeKind.EVENT,
             {"label": event.label, "description": event.description},
         )
-    for segment in corpus.segments:
-        attrs = {"description": segment.description}
-        if segment.narrative_role is not None:
-            attrs["narrative_role"] = segment.narrative_role.value
-        upsert(segment_node_id(segment.id), NodeKind.EVENT_SEGMENT, attrs)
 
+
+def _write_hierarchy(g: NarrativeGraph, corpus: AnnotationCorpus) -> None:
+    """Write the ``subevent_of`` edges, the ``precedes`` chains of sibling
+    events and of macro-events, and the ``co_occurs`` pairs."""
     for segment in corpus.segments:
         g.add_edge(
             segment_node_id(segment.id),
@@ -324,18 +313,23 @@ def build_event_graph(corpus: AnnotationCorpus) -> NarrativeGraph:
     overlap.
     """
     g = NarrativeGraph(Tier.EVENT)
-    _write_event(g, corpus)
+    _write_units(g, corpus)
+    for segment in corpus.segments:
+        g.add_node(
+            segment_node_id(segment.id), NodeKind.EVENT_SEGMENT, _segment_event_attrs(segment)
+        )
+    _write_hierarchy(g, corpus)
     return g
 
 
 def integrate(corpus: AnnotationCorpus) -> UnifiedGraph:
     """Union of all tier graphs plus the cross-tier links.
 
-    The tiers are written in one pass straight into the unified graph, in
-    the order panels, temporal, event; a node that two tiers write (panels,
-    segments) keeps its first position and gains the later tier's
-    attributes. Adds one ``instantiates`` edge per panel (panel to its
-    segment), one global character node per normalized label, and one
+    The tiers are written in one pass straight into the unified graph, each
+    node once: the panel subgraphs, the segments (temporal then event
+    attributes), the reading-order chains, the macro-events and events, and
+    the event hierarchy. Adds one ``instantiates`` edge per panel (panel to
+    its segment), one global character node per normalized label, and one
     ``refers_to`` edge per character mention. The result is frozen and
     indexed.
 
@@ -344,10 +338,19 @@ def integrate(corpus: AnnotationCorpus) -> UnifiedGraph:
     events of one macro-event, macro-events — so their union is acyclic.
     """
     unified = NarrativeGraph(Tier.UNIFIED)
+    ordered = sorted(corpus.panels, key=lambda p: p.reading_order)
+    first_order = _first_reading_orders(ordered)
     for panel in corpus.panels:
         _write_panel(unified, panel)
-    _write_temporal(unified, corpus)
-    _write_event(unified, corpus)
+    for segment in corpus.segments:
+        unified.add_node(
+            segment_node_id(segment.id),
+            NodeKind.EVENT_SEGMENT,
+            {**_segment_temporal_attrs(segment, first_order), **_segment_event_attrs(segment)},
+        )
+    _write_reading_chains(unified, ordered, first_order)
+    _write_units(unified, corpus)
+    _write_hierarchy(unified, corpus)
 
     for panel in corpus.panels:
         unified.add_edge(
@@ -357,7 +360,7 @@ def integrate(corpus: AnnotationCorpus) -> UnifiedGraph:
         )
 
     # Character identity nodes, in first-appearance (reading) order.
-    for panel in sorted(corpus.panels, key=lambda p: p.reading_order):
+    for panel in ordered:
         vnode = f"{panel_node_id(panel.panel_id)}/visual"
         for mention in unified.neighbors(vnode, RelationKind.HAS_CHARACTER, "out"):
             label = unified.node_attrs(mention)["label"]

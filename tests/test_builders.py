@@ -381,21 +381,33 @@ def test_co_occurs_matches_pairwise_loop_on_random_spans(layout):
     assert _co_occurs_edges(corpus) == _pairwise_co_occurs(corpus)
 
 
-def _merge_into(target, source):
-    for node_id, kind, attrs in source.nodes():
-        target.upsert_node(node_id, kind, attrs)
-    for src, rel, dst in source.edges():
-        target.add_edge(src, rel, dst)
-
-
 def _reference_integrate(corpus):
     """integrate as a merge of separately built tier graphs, the path the
-    one-pass integrate replaced; returns the serialized graph."""
-    unified = ng.NarrativeGraph(Tier.UNIFIED)
+    one-pass integrate replaced; returns the serialized graph. Each tier is
+    merged before the next is built, so errors come in the old order."""
+    nodes, edges = {}, {}
+
+    def merge(tier_graph):
+        # A node both hold keeps its first position and gains the later
+        # tier's attributes; a node id held with another kind raises.
+        for node_id, kind, attrs in tier_graph.nodes():
+            held, merged = nodes.setdefault(node_id, (kind, {}))
+            if held is not kind:
+                raise ng.DuplicateNodeError(
+                    f"node {node_id!r} already exists with kind {held.value!r}, not {kind.value!r}"
+                )
+            merged.update(attrs)
+        edges.update(dict.fromkeys(tier_graph.edges()))
+
     for panel in corpus.panels:
-        _merge_into(unified, build_panel_graph(panel))
-    _merge_into(unified, build_temporal_graph(corpus))
-    _merge_into(unified, build_event_graph(corpus))
+        merge(build_panel_graph(panel))
+    merge(build_temporal_graph(corpus))
+    merge(build_event_graph(corpus))
+    unified = ng.NarrativeGraph(Tier.UNIFIED)
+    for node_id, (kind, attrs) in nodes.items():
+        unified.add_node(node_id, kind, attrs)
+    for edge in edges:
+        unified.add_edge(*edge)
     for panel in corpus.panels:
         unified.add_edge(
             panel_node_id(panel.panel_id), RelationKind.INSTANTIATES, segment_node_id(panel.segment_id)

@@ -253,6 +253,74 @@ def test_graph_with_action_edge_to_scene_object_exits_2(graph_file, story_file, 
         assert run_cli(argv, capsys) == (2, "", expected), argv
 
 
+def _append_records(graph_file, nodes=(), edges=()):
+    """Append node and edge records to a graph file; returns the index of
+    the first appended edge."""
+    with open(graph_file, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    first_edge = len(doc["edges"])
+    doc["nodes"].extend({"id": i, "kind": kind, "attrs": attrs} for i, kind, attrs in nodes)
+    doc["edges"].extend({"src": src, "rel": rel, "dst": dst} for src, rel, dst in edges)
+    with open(graph_file, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    return first_edge
+
+
+@pytest.mark.parametrize(
+    "nodes, edges, reason",
+    [
+        (
+            [
+                ("panel:0_0_0/visual2", "panel_visual", {}),
+                ("panel:0_0_0/visual2/action:0", "action", {"verb": "jump"}),
+            ],
+            [
+                ("panel:0_0_0", "has_visual", "panel:0_0_0/visual2"),
+                ("panel:0_0_0/visual2", "has_action", "panel:0_0_0/visual2/action:0"),
+            ],
+            "second has_visual edge from 'panel:0_0_0'; the first leads to 'panel:0_0_0/visual'",
+        ),
+        (
+            [("char:zed", "character", {"label": "Zed"})],
+            [("panel:0_0_0/char:a", "refers_to", "char:zed")],
+            "second refers_to edge from 'panel:0_0_0/char:a'; the first leads to 'char:a'",
+        ),
+    ],
+    ids=["second_visual_hub", "second_identity"],
+)
+def test_graph_with_a_second_hub_or_identity_exits_2(
+    graph_file, story_file, capsys, nodes, edges, reason
+):
+    # Loading such a graph used to drop the second hub or identity silently.
+    index = _append_records(graph_file, nodes, edges)
+    expected = f"{graph_file}: schema error: edges[{index}]: {reason}\n"
+    for argv in (
+        ["query", graph_file, "actions", "--unit", "Think of family"],
+        ["query", graph_file, "characters"],
+        ["eval", story_file, "--graph", graph_file],
+    ):
+        assert run_cli(argv, capsys) == (2, "", expected), argv
+
+
+def test_graph_with_a_repeated_unit_label_exits_2(tmp_path, capsys):
+    # Loading such a graph used to answer arc_0 from only its first node and
+    # leave arc_1 unknown.
+    corpus = tmp_path / "story.json"
+    corpus.write_text(ng.serialize_corpus(ng.generate(ng.GenParams(seed=0))), encoding="utf-8")
+    graph_file = str(tmp_path / "graph.json")
+    assert run_cli(["build", str(corpus), graph_file], capsys)[0] == 0
+    index = _set_attr(graph_file, "macro:m1", "label", "arc_0")
+    expected = (
+        f"{graph_file}: schema error: nodes[{index}].attrs: duplicate macro_event label 'arc_0'\n"
+    )
+    for argv in (
+        ["query", graph_file, "timeline", "--unit", "arc_0"],
+        ["query", graph_file, "timeline", "--unit", "arc_1"],
+        ["eval", str(corpus), "--graph", graph_file],
+    ):
+        assert run_cli(argv, capsys) == (2, "", expected), argv
+
+
 def test_query_characters_full_map(graph_file, capsys):
     code, out, _ = run_cli(["query", graph_file, "characters"], capsys)
     assert code == 0

@@ -55,14 +55,39 @@ def mutated(draw, original):
     """``original`` after one to three mutations: drop a key or item, swap a
     value for an odd one, replace a string with another string of the
     document or an enum value, or duplicate a list item; in a graph also
-    point an edge at another node, or change a node kind or a relation."""
+    point an edge at another node, change a node kind or a relation, give
+    a panel a second hub, or give an event or macro-event another unit's
+    label."""
     doc = copy.deepcopy(original)
     ops = ["drop", "swap", "restring", "duplicate"]
     if "edges" in original:
-        ops += ["retarget", "rekind"]
+        ops += ["retarget", "rekind", "second_hub", "relabel"]
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(ops))
         nodes, edges = _records(doc, "nodes"), _records(doc, "edges")
+        if op == "second_hub":
+            panels = [node for node in nodes if node.get("kind") == "panel"]
+            if panels and isinstance(doc.get("edges"), list):
+                panel = draw(st.sampled_from(panels)).get("id")
+                rel, kind = draw(
+                    st.sampled_from([("has_visual", "panel_visual"), ("has_textual", "panel_textual")])
+                )
+                doc["nodes"].append({"id": f"{panel}/hub2", "kind": kind, "attrs": {}})
+                doc["edges"].append({"src": panel, "rel": rel, "dst": f"{panel}/hub2"})
+            continue
+        if op == "relabel":
+            units = [
+                node["attrs"]
+                for node in nodes
+                if node.get("kind") in ("event", "macro_event")
+                and isinstance(node.get("attrs"), dict)
+            ]
+            labels = sorted(
+                {attrs.get("label") for attrs in units if isinstance(attrs.get("label"), str)}
+            )
+            if labels:
+                draw(st.sampled_from(units))["label"] = draw(st.sampled_from(labels))
+            continue
         if op == "retarget":
             if edges and nodes:
                 edge = draw(st.sampled_from(edges))

@@ -50,8 +50,13 @@ def test_add_node_and_count():
 def test_add_node_twice_raises():
     g = NarrativeGraph(Tier.PANEL)
     g.add_node("x", NodeKind.PANEL)
-    with pytest.raises(DuplicateNodeError):
+    with pytest.raises(DuplicateNodeError) as err:
         g.add_node("x", NodeKind.PANEL)
+    assert str(err.value) == "node 'x' already exists"
+    with pytest.raises(DuplicateNodeError) as err:
+        g.add_node("x", NodeKind.PANEL_VISUAL)
+    assert str(err.value) == "node 'x' already exists with kind 'panel', not 'panel_visual'"
+    assert g.node_count == 1
 
 
 def test_precedes_adds_follows_inverse():
@@ -179,9 +184,10 @@ def test_deserialize_rejects_bad_json():
         deserialize_graph("{oops")
 
 
-def _with_edge(graph_text, src, rel, dst):
+def _with_records(graph_text, nodes=(), edges=()):
     doc = json.loads(graph_text)
-    doc["edges"].append({"src": src, "rel": rel, "dst": dst})
+    doc["nodes"].extend({"id": i, "kind": kind, "attrs": attrs} for i, kind, attrs in nodes)
+    doc["edges"].extend({"src": src, "rel": rel, "dst": dst} for src, rel, dst in edges)
     return json.dumps(doc)
 
 
@@ -196,7 +202,7 @@ def _with_edge(graph_text, src, rel, dst):
     ids=["self_loop", "back_edge", "follows_self_loop", "follows_back_edge"],
 )
 def test_deserialize_rejects_precedes_cycle(unified, src, rel, dst):
-    text = _with_edge(serialize_graph(unified.graph), src, rel, dst)
+    text = _with_records(serialize_graph(unified.graph), edges=[(src, rel, dst)])
     with pytest.raises(SchemaError) as err:
         deserialize_graph(text)
     assert err.value.path == "edges"
@@ -223,11 +229,59 @@ def test_deserialize_rejects_precedes_cycle(unified, src, rel, dst):
     ids=["action_to_scene_object", "instantiates_from_segment", "follows_across_kinds"],
 )
 def test_deserialize_rejects_edge_between_wrong_kinds(unified, src, rel, dst, reason):
-    text = _with_edge(serialize_graph(unified.graph), src, rel, dst)
+    text = _with_records(serialize_graph(unified.graph), edges=[(src, rel, dst)])
     with pytest.raises(SchemaError) as err:
         deserialize_graph(text)
     assert err.value.path == f"edges[{unified.graph.edge_count}]"
     assert err.value.reason == reason
+
+
+@pytest.mark.parametrize(
+    "src, rel, first, kind, attrs",
+    [
+        ("panel:0_0_0", "has_visual", "panel:0_0_0/visual", "panel_visual", {}),
+        ("panel:0_0_0", "has_textual", "panel:0_0_0/textual", "panel_textual", {}),
+        ("panel:0_0_0/char:a", "refers_to", "char:a", "character", {"label": "Zed"}),
+    ],
+    ids=["second_visual_hub", "second_textual_hub", "second_identity"],
+)
+def test_deserialize_rejects_a_second_target(unified, src, rel, first, kind, attrs):
+    # The queries read one hub per panel and one identity per mention.
+    text = _with_records(
+        serialize_graph(unified.graph), nodes=[("extra", kind, attrs)], edges=[(src, rel, "extra")]
+    )
+    with pytest.raises(SchemaError) as err:
+        deserialize_graph(text)
+    assert err.value.path == f"edges[{unified.graph.edge_count}]"
+    assert err.value.reason == f"second {rel} edge from {src!r}; the first leads to {first!r}"
+
+
+def test_deserialize_repeated_one_target_record_is_a_noop(unified):
+    text = serialize_graph(unified.graph)
+    repeated = [
+        edge for edge in unified.graph.edges()
+        if edge[1] in (RelationKind.HAS_VISUAL, RelationKind.HAS_TEXTUAL, RelationKind.REFERS_TO)
+    ]
+    assert deserialize_graph(_with_records(text, edges=repeated)) == unified.graph
+
+
+@pytest.mark.parametrize(
+    "kind, label", [("event", "Intro_1"), ("macro_event", "Think of family")]
+)
+def test_deserialize_rejects_a_repeated_unit_label(unified, kind, label):
+    # The unit-label index could hold only one of the two nodes.
+    text = _with_records(serialize_graph(unified.graph), nodes=[("extra", kind, {"label": label})])
+    with pytest.raises(SchemaError) as err:
+        deserialize_graph(text)
+    assert err.value.path == f"nodes[{unified.graph.node_count}].attrs"
+    assert err.value.reason == f"duplicate {kind} label {label!r}"
+
+
+def test_deserialize_lets_an_event_share_its_macro_event_label(unified):
+    text = _with_records(
+        serialize_graph(unified.graph), nodes=[("extra", "event", {"label": "Think of family"})]
+    )
+    assert deserialize_graph(text).node_kind("extra") is NodeKind.EVENT
 
 
 def _with_follows_records(graph_text):
@@ -372,6 +426,10 @@ ENDPOINTS = {
 }
 
 
+#: Relations a source may have only one target of in a graph file.
+ONE_TARGET = {RelationKind.HAS_VISUAL, RelationKind.HAS_TEXTUAL, RelationKind.REFERS_TO}
+
+
 def _lacks_required_attr(kind, attrs):
     key = REQUIRED_ATTR.get(kind)
     if key is None:
@@ -419,20 +477,35 @@ def test_serialize_roundtrip_property(node_specs, data):
         for src, rel, dst in data.draw(st.lists(edge, max_size=16)):
             g.add_edge(src, rel, dst)
     text = serialize_graph(g)
-    bad = [i for i, (_, kind, attrs) in enumerate(g.nodes()) if _lacks_required_attr(kind, attrs)]
-    misjoined = [
-        i
-        for i, (src, rel, dst) in enumerate(g.edges())
-        if (g.node_kind(src), g.node_kind(dst)) not in ENDPOINTS[rel]
-    ]
-    if bad:
+    labels = set()
+
+    def node_fault(kind, attrs):
+        if _lacks_required_attr(kind, attrs):
+            return True
+        if kind in (NodeKind.EVENT, NodeKind.MACRO_EVENT):
+            if (kind, attrs["label"]) in labels:
+                return True
+            labels.add((kind, attrs["label"]))
+        return False
+
+    targets = {}
+
+    def edge_fault(src, rel, dst):
+        if (g.node_kind(src), g.node_kind(dst)) not in ENDPOINTS[rel]:
+            return True
+        return rel in ONE_TARGET and targets.setdefault((src, rel), dst) != dst
+
+    # The first faulty node, else the first faulty edge, is the one reported.
+    faulty_nodes = [i for i, (_, kind, attrs) in enumerate(g.nodes()) if node_fault(kind, attrs)]
+    faulty_edges = [i for i, edge in enumerate(g.edges()) if edge_fault(*edge)]
+    if faulty_nodes:
         with pytest.raises(SchemaError) as err:
             deserialize_graph(text)
-        assert err.value.path == f"nodes[{bad[0]}].attrs"
-    elif misjoined:
+        assert err.value.path == f"nodes[{faulty_nodes[0]}].attrs"
+    elif faulty_edges:
         with pytest.raises(SchemaError) as err:
             deserialize_graph(text)
-        assert err.value.path == f"edges[{misjoined[0]}]"
+        assert err.value.path == f"edges[{faulty_edges[0]}]"
     elif g.is_acyclic({RelationKind.PRECEDES}):
         assert deserialize_graph(text) == g
     else:

@@ -10,10 +10,12 @@ Node ids are namespaced so the tier unions can never collide:
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 
 from .annotations import AnnotationCorpus, EventSegment, PanelAnnotation, normalize_token
-from .graph import UNIT_KINDS, NarrativeGraph, NodeKind, RelationKind, Tier
+from .errors import SchemaError
+from .graph import NarrativeGraph, NodeKind, RelationKind, Tier
 
 
 def panel_node_id(panel_id: str) -> str:
@@ -44,6 +46,19 @@ def character_node_id(label: str) -> str:
     return f"char:{normalize_token(label)}"
 
 
+#: Kinds the queries resolve by label, so no two nodes of one may share it.
+UNIT_KINDS = frozenset({NodeKind.EVENT, NodeKind.MACRO_EVENT})
+
+#: Relations the queries follow from a node of each kind to exactly one target:
+#: a panel's hubs and segment, a segment's or event's parent, a mention's character.
+_ONE_TARGET: dict[NodeKind, tuple[RelationKind, ...]] = {
+    NodeKind.PANEL: (RelationKind.HAS_VISUAL, RelationKind.HAS_TEXTUAL, RelationKind.INSTANTIATES),
+    NodeKind.EVENT_SEGMENT: (RelationKind.SUBEVENT_OF,),
+    NodeKind.EVENT: (RelationKind.SUBEVENT_OF,),
+    NodeKind.CHARACTER_MENTION: (RelationKind.REFERS_TO,),
+}
+
+
 @dataclass
 class UnifiedGraph:
     """Integrated graph plus the unit-label index the queries start from."""
@@ -53,16 +68,28 @@ class UnifiedGraph:
 
     @classmethod
     def from_graph(cls, graph: NarrativeGraph) -> "UnifiedGraph":
-        """Rebuild the index from a (typically deserialized) graph.
-
-        Events and macro-events (``UNIT_KINDS``), the units the queries
-        resolve, are keyed by their ``label`` attribute. A loaded graph
-        repeats no label; in a graph built by hand the first node wins.
-        """
+        """Index events and macro-events (``UNIT_KINDS``) by label and check
+        the story contract the queries trust: ``SchemaError`` at ``nodes[i].attrs``
+        for a repeated label, at ``nodes[i]`` unless each ``_ONE_TARGET`` relation
+        has exactly one edge. ``i`` is the position in ``graph.nodes()``."""
+        sources = {rel: [] for rels in _ONE_TARGET.values() for rel in rels}
+        for src, rel, _ in graph.edges():
+            if rel in sources:
+                sources[rel].append(src)
+        counts = {rel: Counter(srcs) for rel, srcs in sources.items()}
         index: dict[tuple[NodeKind, str], str] = {}
-        for node_id, kind, attrs in graph.nodes():
+        for i, (node_id, kind, attrs) in enumerate(graph.nodes()):
             if kind in UNIT_KINDS:
-                index.setdefault((kind, attrs["label"]), node_id)
+                label = attrs["label"]
+                if (kind, label) in index:
+                    reason = f"duplicate {kind.value} label {label!r}"
+                    raise SchemaError(f"nodes[{i}].attrs", reason)
+                index[(kind, label)] = node_id
+            for rel in _ONE_TARGET.get(kind, ()):
+                n = counts[rel][node_id]
+                if n != 1:
+                    reason = f"{kind.value} {node_id!r} has {n} {rel.value} edges, not 1"
+                    raise SchemaError(f"nodes[{i}]", reason)
         return cls(graph=graph, index=index)
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from .annotations import AnnotationCorpus, parse_corpus, serialize_corpus, validate_corpus
 from .build import UnifiedGraph, integrate
@@ -16,7 +16,7 @@ from .errors import SchemaError, UnknownUnitError
 from .evaluation import evaluate_all, load_synonym_map
 from .export import induced_subgraph, to_dot
 from .fixtures import GenParams, bundled_story_text, generate
-from .graph import NarrativeGraph, NodeKind, deserialize_graph, serialize_graph
+from .graph import NodeKind, deserialize_graph, serialize_graph
 from .reasoning import (
     ReasoningTask,
     actions_by_macro_event,
@@ -24,6 +24,9 @@ from .reasoning import (
     dialogue_by_event,
     panel_timeline,
 )
+
+
+T = TypeVar("T")
 
 
 class _CliError(Exception):
@@ -41,32 +44,30 @@ def _read_text(path: str) -> str:
         raise _CliError(2, f"cannot read {path}: {exc}") from None
 
 
-def _load_corpus(path: str) -> AnnotationCorpus:
+def _load(path: str, parse: Callable[[str], T]) -> T:
+    """``parse`` of the file's text; a ``SchemaError`` exits 2."""
     text = _read_text(path)
     try:
-        return parse_corpus(text)
+        return parse(text)
     except SchemaError as exc:
         raise _CliError(2, f"{path}: schema error: {exc}") from None
 
 
+def _parse_unified(text: str) -> UnifiedGraph:
+    return UnifiedGraph.from_graph(deserialize_graph(text))
+
+
 def _load_valid_corpus(path: str) -> AnnotationCorpus:
     """Parsed corpus that passed validation; else every violation, exit 1."""
-    corpus = _load_corpus(path)
+    corpus = _load(path, parse_corpus)
     report = validate_corpus(corpus)
     if not report.ok:
         raise _CliError(1, "\n".join(str(violation) for violation in report.violations))
     return corpus
 
 
-def _load_graph(path: str) -> NarrativeGraph:
-    try:
-        return deserialize_graph(_read_text(path))
-    except SchemaError as exc:
-        raise _CliError(2, f"{path}: schema error: {exc}") from None
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args.corpus)
+    corpus = _load(args.corpus, parse_corpus)
     report = validate_corpus(corpus)
     for violation in report.violations:
         print(violation)
@@ -93,7 +94,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     elif args.unit is None:
         raise _CliError(2, f"the {task.value} task requires --unit")
 
-    unified = UnifiedGraph.from_graph(_load_graph(args.graph))
+    unified = _load(args.graph, _parse_unified)
     try:
         if task is ReasoningTask.ACTIONS:
             result = actions_by_macro_event(unified, args.unit)
@@ -112,7 +113,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     corpus = _load_valid_corpus(args.corpus)
     if args.graph is not None:
-        unified = UnifiedGraph.from_graph(_load_graph(args.graph))
+        unified = _load(args.graph, _parse_unified)
     else:
         unified = integrate(corpus)
     synonyms = None
@@ -133,7 +134,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, deserialize_graph)
     kinds = None
     if args.kinds is not None:
         kinds = []

@@ -40,9 +40,8 @@ def _node_label(node_id: str, kind: NodeKind, attrs: dict[str, str]) -> str:
         return panel_id_of(node_id)
     if kind is NodeKind.EVENT_SEGMENT:
         return segment_id_of(node_id)
-    if kind in (NodeKind.EVENT, NodeKind.MACRO_EVENT):
-        return attrs.get("label", node_id)
-    if kind in (NodeKind.CHARACTER, NodeKind.CHARACTER_MENTION, NodeKind.SCENE_OBJECT):
+    if kind in (NodeKind.EVENT, NodeKind.MACRO_EVENT, NodeKind.CHARACTER,
+                NodeKind.CHARACTER_MENTION, NodeKind.SCENE_OBJECT):
         return attrs.get("label", node_id)
     if kind is NodeKind.ACTION:
         return attrs.get("verb", node_id)

@@ -312,22 +312,16 @@ _ENDPOINTS: dict[RelationKind, set[tuple[NodeKind, NodeKind]]] = {
     RelationKind.REFERS_TO: {(NodeKind.CHARACTER_MENTION, NodeKind.CHARACTER)},
 }
 
-#: Kinds the queries resolve by label, so no two nodes of one may share it.
-UNIT_KINDS = frozenset({NodeKind.EVENT, NodeKind.MACRO_EVENT})
-
-#: Relations whose source has one target the queries read: a panel's visual
-#: and textual hubs and a mention's character identity.
-_ONE_TARGET = frozenset({RelationKind.HAS_VISUAL, RelationKind.HAS_TEXTUAL, RelationKind.REFERS_TO})
-
 
 def deserialize_graph(text: str) -> NarrativeGraph:
     """Inverse of :func:`serialize_graph`; raises ``SchemaError`` on any
-    malformed document, including nodes without their ``_REQUIRED_ATTRS``,
-    two events or two macro-events with one label, edges that reference
-    unknown nodes or join kinds outside their relation's ``_ENDPOINTS``, a
-    second ``_ONE_TARGET`` edge from one source to another target, and
-    ``precedes`` edges that form a cycle. A repeated edge record is a no-op,
-    and a ``follows`` record (older files) loads as its ``precedes`` edge."""
+    malformed record: nodes without their ``_REQUIRED_ATTRS``, edges that
+    reference unknown nodes or join kinds outside their relation's
+    ``_ENDPOINTS``, and ``precedes`` edges that form a cycle. A repeated
+    edge record is a no-op, and a ``follows`` record (older files) loads as
+    its ``precedes`` edge. How the records fit together as a story is
+    checked by ``UnifiedGraph.from_graph``, so tier graphs and filtered
+    exports load too."""
     doc = parse_json(text)
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected an object")
@@ -342,7 +336,6 @@ def deserialize_graph(text: str) -> NarrativeGraph:
 
     graph = NarrativeGraph(tier)
     kinds: dict[str, NodeKind] = {}
-    units: set[tuple[NodeKind, str]] = set()
 
     nodes = doc.get("nodes")
     if not isinstance(nodes, list):
@@ -374,16 +367,10 @@ def deserialize_graph(text: str) -> NarrativeGraph:
         except DuplicateNodeError:
             raise SchemaError(f"{path}.id", f"duplicate node id {node_id!r}") from None
         kinds[node_id] = kind
-        if kind in UNIT_KINDS:
-            unit = (kind, attrs["label"])
-            if unit in units:
-                raise SchemaError(f"{path}.attrs", f"duplicate {kind.value} label {unit[1]!r}")
-            units.add(unit)
 
     edges = doc.get("edges")
     if not isinstance(edges, list):
         raise SchemaError("edges", "missing or non-list edges")
-    targets: dict[tuple[str, RelationKind], str] = {}
     for i, entry in enumerate(edges):
         path = f"edges[{i}]"
         if not isinstance(entry, dict):
@@ -403,12 +390,6 @@ def deserialize_graph(text: str) -> NarrativeGraph:
             raise SchemaError(
                 path, f"{rel.value} cannot join {kinds[src].value} to {kinds[dst].value}"
             )
-        if rel in _ONE_TARGET:
-            held = targets.setdefault((src, rel), dst)
-            if held != dst:
-                raise SchemaError(
-                    path, f"second {rel.value} edge from {src!r}; the first leads to {held!r}"
-                )
         graph.add_edge(src, rel, dst)
 
     if not graph.is_acyclic({RelationKind.PRECEDES}):

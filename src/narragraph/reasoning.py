@@ -1,8 +1,9 @@
 """Symbolic reasoning queries over an integrated story graph.
 
-All four functions are pure traversals of a frozen graph. Items are
-deduplicated on their normalized form while the first surface form seen
-in reading order is the one reported.
+All four functions are pure traversals of a graph whose story contract
+``UnifiedGraph.from_graph`` checked. Items are deduplicated on their
+normalized form while the first surface form seen in reading order is the
+one reported.
 """
 
 from __future__ import annotations
@@ -71,15 +72,13 @@ def _panels_below(unified: UnifiedGraph, unit_node: str, is_macro: bool) -> list
     for event in events:
         for segment in g.neighbors(event, RelationKind.SUBEVENT_OF, "in"):
             panels.extend(g.neighbors(segment, RelationKind.INSTANTIATES, "in"))
-    panels = list(dict.fromkeys(panels))
     panels.sort(key=lambda p: _reading_order(unified, p))
     return panels
 
 
-def _hub(unified: UnifiedGraph, panel_node: str, rel: RelationKind) -> Optional[str]:
+def _hub(unified: UnifiedGraph, panel_node: str, rel: RelationKind) -> str:
     """The panel's visual (``has_visual``) or textual (``has_textual``) hub."""
-    hubs = unified.graph.neighbors(panel_node, rel, "out")
-    return hubs[0] if hubs else None
+    return unified.graph.neighbors(panel_node, rel, "out")[0]
 
 
 def actions_by_macro_event(unified: UnifiedGraph, macro_label: str) -> QueryResult:
@@ -95,8 +94,6 @@ def actions_by_macro_event(unified: UnifiedGraph, macro_label: str) -> QueryResu
     items: list[str] = []
     for panel in _panels_below(unified, macro, is_macro=True):
         visual = _hub(unified, panel, RelationKind.HAS_VISUAL)
-        if visual is None:
-            continue
         for action in g.neighbors(visual, RelationKind.HAS_ACTION, "out"):
             verb = g.node_attrs(action)["verb"]
             key = normalize_token(verb)
@@ -118,8 +115,6 @@ def dialogue_by_event(unified: UnifiedGraph, event_label: str) -> QueryResult:
     items: list[str] = []
     for panel in _panels_below(unified, event, is_macro=False):
         textual = _hub(unified, panel, RelationKind.HAS_TEXTUAL)
-        if textual is None:
-            continue
         for utterance in g.neighbors(textual, RelationKind.PART_OF, "in"):
             if g.node_kind(utterance) is not NodeKind.DIALOGUE:
                 continue
@@ -144,13 +139,9 @@ def character_appearances(unified: UnifiedGraph) -> QueryResult:
     for panel in panels:
         pid = panel_id_of(panel)
         visual = _hub(unified, panel, RelationKind.HAS_VISUAL)
-        if visual is None:
-            continue
         for mention in g.neighbors(visual, RelationKind.HAS_CHARACTER, "out"):
-            identities = g.neighbors(mention, RelationKind.REFERS_TO, "out")
-            if not identities:
-                continue
-            label = g.node_attrs(identities[0])["label"]
+            identity = g.neighbors(mention, RelationKind.REFERS_TO, "out")[0]
+            label = g.node_attrs(identity)["label"]
             panel_ids = appearances.setdefault(label, [])
             if not panel_ids or panel_ids[-1] != pid:
                 panel_ids.append(pid)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given
@@ -12,11 +13,13 @@ from narragraph import (
     build_event_graph,
     build_panel_graph,
     build_temporal_graph,
+    deserialize_graph,
     integrate,
     normalize_token,
     serialize_graph,
 )
 from narragraph.build import (
+    _ONE_TARGET,
     character_node_id,
     event_node_id,
     macro_node_id,
@@ -228,16 +231,68 @@ def test_unified_index_lookups(unified, story):
     }
 
 
-def test_index_keeps_first_node_of_a_duplicate_label():
+def test_index_rejects_a_repeated_label():
+    # A hand-built graph used to keep the first node of the label.
     g = ng.NarrativeGraph(Tier.UNIFIED)
-    for node_id, label in (("event:b", "x"), ("event:a", "x"), ("event:c", "y")):
-        g.add_node(node_id, NodeKind.EVENT, {"label": label})
-    g.add_node("macro:m", NodeKind.MACRO_EVENT, {"label": "x"})
-    assert ng.UnifiedGraph.from_graph(g).index == {
-        (NodeKind.EVENT, "x"): "event:b",
-        (NodeKind.EVENT, "y"): "event:c",
-        (NodeKind.MACRO_EVENT, "x"): "macro:m",
-    }
+    for node_id, label in (("macro:b", "x"), ("macro:a", "x"), ("macro:c", "y")):
+        g.add_node(node_id, NodeKind.MACRO_EVENT, {"label": label})
+    with pytest.raises(ng.SchemaError) as err:
+        ng.UnifiedGraph.from_graph(g)
+    assert err.value.path == "nodes[1].attrs"
+    assert err.value.reason == "duplicate macro_event label 'x'"
+
+
+@pytest.mark.parametrize(
+    "kind, label", [("event", "Intro_1"), ("macro_event", "Think of family")]
+)
+def test_from_graph_rejects_a_repeated_unit_label(unified, kind, label):
+    # The unit-label index could hold only one of the two nodes. Loading
+    # checks single records, so the file loads and the index refuses it.
+    doc = json.loads(serialize_graph(unified.graph))
+    doc["nodes"].append({"id": "extra", "kind": kind, "attrs": {"label": label}})
+    graph = deserialize_graph(json.dumps(doc))
+    with pytest.raises(ng.SchemaError) as err:
+        ng.UnifiedGraph.from_graph(graph)
+    assert err.value.path == f"nodes[{unified.graph.node_count}].attrs"
+    assert err.value.reason == f"duplicate {kind} label {label!r}"
+
+
+def test_one_target_pairs_cover_the_contract():
+    pairs = {(kind.value, rel.value) for kind, rels in _ONE_TARGET.items() for rel in rels}
+    assert pairs == set(util.ONE_TARGET_PAIRS)
+
+
+@pytest.mark.parametrize("edit", ["missing", "second"])
+@pytest.mark.parametrize(
+    "kind, rel", util.ONE_TARGET_PAIRS, ids=[f"{k}-{r}" for k, r in util.ONE_TARGET_PAIRS]
+)
+def test_from_graph_requires_exactly_one_target(unified, kind, rel, edit):
+    # The queries follow each of these edges to one node; a missing one
+    # used to drop the node's panels or mentions from every answer, and a
+    # second one its second hub or identity.
+    doc = json.loads(serialize_graph(unified.graph))
+    index, reason = util.break_contract(doc, kind, rel, edit)
+    graph = deserialize_graph(json.dumps(doc))
+    with pytest.raises(ng.SchemaError) as err:
+        ng.UnifiedGraph.from_graph(graph)
+    assert (err.value.path, err.value.reason) == (f"nodes[{index}]", reason)
+
+
+def _interleaved():
+    """Two events whose reading-order spans interleave; generated events
+    never overlap in reading order."""
+    return util.corpus(
+        [util.panel("p0", "s0", 0), util.panel("p1", "s1", 1), util.panel("p2", "s0", 2)]
+    )
+
+
+def test_from_graph_accepts_every_graph_integrate_writes(story):
+    corpora = [story, _interleaved()] + [ng.generate(ng.GenParams(seed=s)) for s in range(20)]
+    for corpus in corpora:
+        unified = integrate(corpus)
+        loaded = deserialize_graph(serialize_graph(unified.graph))
+        assert ng.UnifiedGraph.from_graph(loaded).index == unified.index
+        assert ng.UnifiedGraph.from_graph(unified.graph).index == unified.index
 
 
 def _generated(seed):
@@ -271,12 +326,8 @@ def test_structural_invariants_on_generated_corpora():
 def test_integrate_writes_only_edges_a_graph_file_may_hold(story):
     # Every edge integrate writes joins kinds its relation allows, and each
     # allowed pair is written somewhere, so the table holds nothing more.
-    # Generated events never overlap in reading order; these two do.
-    interleaved = util.corpus(
-        [util.panel("p0", "s0", 0), util.panel("p1", "s1", 1), util.panel("p2", "s0", 2)]
-    )
     written = set()
-    for corpus in [story, interleaved] + [_generated(seed) for seed in range(20)]:
+    for corpus in [story, _interleaved()] + [_generated(seed) for seed in range(20)]:
         g = integrate(corpus).graph
         for src, rel, dst in g.edges():
             pair = (g.node_kind(src), g.node_kind(dst))

@@ -254,20 +254,22 @@ def test_graph_with_action_edge_to_scene_object_exits_2(graph_file, story_file, 
 
 
 def _append_records(graph_file, nodes=(), edges=()):
-    """Append node and edge records to a graph file; returns the index of
-    the first appended edge."""
+    """Append node and edge records to a graph file."""
     with open(graph_file, encoding="utf-8") as handle:
         doc = json.load(handle)
-    first_edge = len(doc["edges"])
     doc["nodes"].extend({"id": i, "kind": kind, "attrs": attrs} for i, kind, attrs in nodes)
     doc["edges"].extend({"src": src, "rel": rel, "dst": dst} for src, rel, dst in edges)
     with open(graph_file, "w", encoding="utf-8") as handle:
         json.dump(doc, handle)
-    return first_edge
+
+
+def _node_index(graph_file, node_id):
+    with open(graph_file, encoding="utf-8") as handle:
+        return [node["id"] for node in json.load(handle)["nodes"]].index(node_id)
 
 
 @pytest.mark.parametrize(
-    "nodes, edges, reason",
+    "nodes, edges, src, reason",
     [
         (
             [
@@ -278,26 +280,72 @@ def _append_records(graph_file, nodes=(), edges=()):
                 ("panel:0_0_0", "has_visual", "panel:0_0_0/visual2"),
                 ("panel:0_0_0/visual2", "has_action", "panel:0_0_0/visual2/action:0"),
             ],
-            "second has_visual edge from 'panel:0_0_0'; the first leads to 'panel:0_0_0/visual'",
+            "panel:0_0_0",
+            "panel 'panel:0_0_0' has 2 has_visual edges, not 1",
         ),
         (
             [("char:zed", "character", {"label": "Zed"})],
             [("panel:0_0_0/char:a", "refers_to", "char:zed")],
-            "second refers_to edge from 'panel:0_0_0/char:a'; the first leads to 'char:a'",
+            "panel:0_0_0/char:a",
+            "character_mention 'panel:0_0_0/char:a' has 2 refers_to edges, not 1",
         ),
     ],
     ids=["second_visual_hub", "second_identity"],
 )
 def test_graph_with_a_second_hub_or_identity_exits_2(
-    graph_file, story_file, capsys, nodes, edges, reason
+    graph_file, story_file, capsys, nodes, edges, src, reason
 ):
     # Loading such a graph used to drop the second hub or identity silently.
-    index = _append_records(graph_file, nodes, edges)
-    expected = f"{graph_file}: schema error: edges[{index}]: {reason}\n"
+    _append_records(graph_file, nodes, edges)
+    expected = f"{graph_file}: schema error: nodes[{_node_index(graph_file, src)}]: {reason}\n"
     for argv in (
         ["query", graph_file, "actions", "--unit", "Think of family"],
         ["query", graph_file, "characters"],
         ["eval", story_file, "--graph", graph_file],
+    ):
+        assert run_cli(argv, capsys) == (2, "", expected), argv
+    # Export draws what the file holds, the second hub or identity too.
+    code, out, _ = run_cli(["export", graph_file, "--format", "dot"], capsys)
+    assert code == 0
+    assert f'"{edges[0][0]}" -> "{edges[0][2]}"' in out
+
+
+@pytest.mark.parametrize("edit", ["missing", "second"])
+@pytest.mark.parametrize(
+    "kind, rel", util.ONE_TARGET_PAIRS, ids=[f"{k}-{r}" for k, r in util.ONE_TARGET_PAIRS]
+)
+def test_graph_that_breaks_the_story_contract_exits_2(
+    graph_file, story_file, capsys, kind, rel, edit
+):
+    # A missing link used to exit 0 with the node's panels or mentions left
+    # out of the answer.
+    with open(graph_file, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    index, reason = util.break_contract(doc, kind, rel, edit)
+    with open(graph_file, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    expected = f"{graph_file}: schema error: nodes[{index}]: {reason}\n"
+    for argv in (
+        ["query", graph_file, "timeline", "--unit", "Think of family"],
+        ["eval", story_file, "--graph", graph_file],
+    ):
+        assert run_cli(argv, capsys) == (2, "", expected), argv
+
+
+def test_filtered_export_stays_a_readable_graph_file(graph_file, story_file, tmp_path, capsys):
+    kinds = "panel,event_segment,event,macro_event"
+    code, out, _ = run_cli(["export", graph_file, "--format", "json", "--kinds", kinds], capsys)
+    assert code == 0
+    sub = tmp_path / "sub.json"
+    sub.write_text(out, encoding="utf-8")
+    for fmt in ("dot", "json"):
+        assert run_cli(["export", str(sub), "--format", fmt], capsys)[0] == 0, fmt
+    # It holds no hubs, so the queries refuse it rather than answer nothing.
+    reason = "panel 'panel:0_0_0' has 0 has_visual edges, not 1"
+    expected = f"{sub}: schema error: nodes[0]: {reason}\n"
+    for argv in (
+        ["query", str(sub), "actions", "--unit", "Think of family"],
+        ["eval", story_file, "--graph", str(sub)],
     ):
         assert run_cli(argv, capsys) == (2, "", expected), argv
 

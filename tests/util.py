@@ -93,3 +93,33 @@ def run_cli(argv, capsys):
         code = exc.code if isinstance(exc.code, int) else 0
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+#: (node kind, relation) of every edge the queries follow to exactly one
+#: target, as ``UnifiedGraph.from_graph`` requires.
+ONE_TARGET_PAIRS = [
+    ("panel", "has_visual"),
+    ("panel", "has_textual"),
+    ("panel", "instantiates"),
+    ("event_segment", "subevent_of"),
+    ("event", "subevent_of"),
+    ("character_mention", "refers_to"),
+]
+
+
+def break_contract(doc, kind, rel, edit):
+    """Edit a graph document so that its first ``kind`` node has no ``rel``
+    edge (``edit="missing"``) or a second one, to a new node of the same
+    kind as the first target (``edit="second"``). Returns the node's record
+    index and the reason ``UnifiedGraph.from_graph`` gives for it."""
+    i, node_id = next((i, n["id"]) for i, n in enumerate(doc["nodes"]) if n["kind"] == kind)
+    edge = next(e for e in doc["edges"] if e["src"] == node_id and e["rel"] == rel)
+    if edit == "missing":
+        doc["edges"].remove(edge)
+        count = 0
+    else:
+        target_kind = next(n["kind"] for n in doc["nodes"] if n["id"] == edge["dst"])
+        doc["nodes"].append({"id": "extra", "kind": target_kind, "attrs": {"label": "extra"}})
+        doc["edges"].append({"src": node_id, "rel": rel, "dst": "extra"})
+        count = 2
+    return i, f"{kind} {node_id!r} has {count} {rel} edges, not 1"

@@ -187,8 +187,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="path to an annotation JSON file")
     p.add_argument("--graph", help="score this graph instead of rebuilding from the corpus")
     p.add_argument("--synonyms", help="JSON object mapping verb variants to canonical forms")
-    p.add_argument("--per-unit", action="store_true", help="include per-unit counts in the JSON")
-    p.add_argument("--table", action="store_true", help="print a plain-text table instead of JSON")
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--per-unit", action="store_true", help="include per-unit counts in the JSON")
+    output.add_argument("--table", action="store_true", help="print a plain-text table instead of JSON")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("export", help="emit a graph as DOT or node-link JSON")

@@ -20,7 +20,10 @@ from typing import Mapping, Optional, Sequence
 from .annotations import AnnotationCorpus, normalize_token, normalize_utterance
 from .build import UnifiedGraph
 from .errors import SchemaError, parse_json
-from .gold import gold_actions, gold_characters, gold_dialogue, gold_timeline
+from .gold import GoldIndex
+# The per-unit functions stay importable from here: the benchmark's tracer
+# (bench/tracing.py) wraps them by this module's attribute names.
+from .gold import gold_actions, gold_characters, gold_dialogue, gold_timeline  # noqa: F401
 from .reasoning import (
     actions_by_macro_event,
     character_appearances,
@@ -186,6 +189,7 @@ def evaluate_all(
     names = {task: (name, focus) for task, name, focus in TASK_ROWS}
     macro_labels = _unique(m.label for m in corpus.macro_events)
     event_labels = _unique(e.label for e in corpus.events)
+    gold_index = GoldIndex(corpus)
 
     action_units = []
     for label in macro_labels:
@@ -193,7 +197,7 @@ def evaluate_all(
             canon(normalize_token(verb))
             for verb in actions_by_macro_event(unified, label).items
         }
-        gold = {canon(verb) for verb in gold_actions(corpus, label).items}
+        gold = {canon(verb) for verb in gold_index.actions(label).items}
         action_units.append(UnitScore(unit=label, metrics=set_prf(predicted, gold)))
 
     dialogue_units = []
@@ -201,7 +205,7 @@ def evaluate_all(
         predicted = {
             normalize_utterance(text) for text in dialogue_by_event(unified, label).items
         }
-        gold = set(gold_dialogue(corpus, label).items)
+        gold = set(gold_index.dialogue(label).items)
         dialogue_units.append(UnitScore(unit=label, metrics=set_prf(predicted, gold)))
 
     appearances = character_appearances(unified).appearances
@@ -213,14 +217,14 @@ def evaluate_all(
     character_units = [
         UnitScore(
             unit=corpus.story_id,
-            metrics=set_prf(predicted_pairs, set(gold_characters(corpus).items)),
+            metrics=set_prf(predicted_pairs, set(gold_index.characters().items)),
         )
     ]
 
     timeline_units = []
     for label in macro_labels:
         predicted = panel_timeline(unified, label).items
-        gold = gold_timeline(corpus, label).items
+        gold = gold_index.timeline(label).items
         timeline_units.append(UnitScore(unit=label, metrics=ordering_prf(predicted, gold)))
 
     return EvaluationReport(

@@ -1,18 +1,19 @@
 """Gold-standard answers computed straight from annotations.
 
 These builders deliberately never touch a graph: they are the independent
-oracle the reasoning queries are checked against.
+oracle the reasoning queries are checked against. ``GoldIndex`` reads the
+corpus once and then answers any number of units; each ``gold_*`` function
+answers one unit from a fresh index.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .annotations import (
     AnnotationCorpus,
-    Event,
-    MacroEvent,
     PanelAnnotation,
     normalize_token,
     normalize_utterance,
@@ -33,64 +34,96 @@ class GoldSet:
     items: Union[frozenset, tuple]
 
 
-def _find_macro(corpus: AnnotationCorpus, label: str) -> MacroEvent:
-    for macro in corpus.macro_events:
-        if macro.label == label:
-            return macro
-    raise UnknownUnitError(f"unknown macro-event label: {label!r}")
+class GoldIndex:
+    """Every unit's gold answers, indexed from one pass over the annotations.
 
+    Each macro-event and event label maps to its unit's panels in corpus
+    order. A label given to more than one unit names the first of them,
+    and units are joined by id, so units sharing an id share their panels.
+    A query computes only the gold set it is asked for.
+    """
 
-def _find_event(corpus: AnnotationCorpus, label: str) -> Event:
-    for event in corpus.events:
-        if event.label == label:
-            return event
-    raise UnknownUnitError(f"unknown event label: {label!r}")
+    def __init__(self, corpus: AnnotationCorpus):
+        self._panels = corpus.panels
+        self._macro_ids: dict[str, str] = {}
+        for macro in corpus.macro_events:
+            self._macro_ids.setdefault(macro.label, macro.id)
+        self._event_ids: dict[str, str] = {}
+        macros_of_event: dict[str, set[str]] = defaultdict(set)
+        for event in corpus.events:
+            self._event_ids.setdefault(event.label, event.id)
+            macros_of_event[event.id].add(event.macro_event_id)
+        events_of_segment: dict[str, set[str]] = defaultdict(set)
+        for segment in corpus.segments:
+            events_of_segment[segment.id].add(segment.event_id)
 
+        self._macro_panels: dict[str, list[PanelAnnotation]] = defaultdict(list)
+        self._event_panels: dict[str, list[PanelAnnotation]] = defaultdict(list)
+        for panel in corpus.panels:
+            event_ids = events_of_segment.get(panel.segment_id, ())
+            for event_id in event_ids:
+                self._event_panels[event_id].append(panel)
+            for macro_id in {m for e in event_ids for m in macros_of_event.get(e, ())}:
+                self._macro_panels[macro_id].append(panel)
 
-def _panels_of_events(corpus: AnnotationCorpus, event_ids: set[str]) -> list[PanelAnnotation]:
-    segment_ids = {s.id for s in corpus.segments if s.event_id in event_ids}
-    return [p for p in corpus.panels if p.segment_id in segment_ids]
+    def _of_macro(self, label: str) -> list[PanelAnnotation]:
+        if label not in self._macro_ids:
+            raise UnknownUnitError(f"unknown macro-event label: {label!r}")
+        return self._macro_panels.get(self._macro_ids[label], [])
 
+    def _of_event(self, label: str) -> list[PanelAnnotation]:
+        if label not in self._event_ids:
+            raise UnknownUnitError(f"unknown event label: {label!r}")
+        return self._event_panels.get(self._event_ids[label], [])
 
-def _panels_of_macro(corpus: AnnotationCorpus, macro: MacroEvent) -> list[PanelAnnotation]:
-    event_ids = {e.id for e in corpus.events if e.macro_event_id == macro.id}
-    return _panels_of_events(corpus, event_ids)
+    def actions(self, macro_label: str) -> GoldSet:
+        """Deduplicated normalized verbs of every panel under the macro-event."""
+        verbs = frozenset(
+            normalize_token(action.verb)
+            for panel in self._of_macro(macro_label)
+            for action in panel.actions
+        )
+        return GoldSet(task="actions", unit=macro_label, items=verbs)
+
+    def dialogue(self, event_label: str) -> GoldSet:
+        """Deduplicated normalized dialogue lines of an event (captions excluded)."""
+        texts = frozenset(
+            normalize_utterance(utterance.text)
+            for panel in self._of_event(event_label)
+            for utterance in panel.dialogues
+        )
+        return GoldSet(task="dialogue", unit=event_label, items=texts)
+
+    def characters(self) -> GoldSet:
+        """Set of (normalized character, panel id) pairs over the whole corpus."""
+        pairs = frozenset(
+            (normalize_token(label), panel.panel_id)
+            for panel in self._panels
+            for label in panel.characters
+        )
+        return GoldSet(task="characters", unit=None, items=pairs)
+
+    def timeline(self, macro_label: str) -> GoldSet:
+        """Panel ids under the macro-event, sorted by reading order."""
+        panels = sorted(self._of_macro(macro_label), key=lambda p: p.reading_order)
+        return GoldSet(task="timeline", unit=macro_label, items=tuple(p.panel_id for p in panels))
 
 
 def gold_actions(corpus: AnnotationCorpus, macro_label: str) -> GoldSet:
     """Deduplicated normalized verbs of every panel under the macro-event."""
-    macro = _find_macro(corpus, macro_label)
-    verbs = frozenset(
-        normalize_token(action.verb)
-        for panel in _panels_of_macro(corpus, macro)
-        for action in panel.actions
-    )
-    return GoldSet(task="actions", unit=macro_label, items=verbs)
+    return GoldIndex(corpus).actions(macro_label)
 
 
 def gold_dialogue(corpus: AnnotationCorpus, event_label: str) -> GoldSet:
     """Deduplicated normalized dialogue lines of an event (captions excluded)."""
-    event = _find_event(corpus, event_label)
-    texts = frozenset(
-        normalize_utterance(utterance.text)
-        for panel in _panels_of_events(corpus, {event.id})
-        for utterance in panel.dialogues
-    )
-    return GoldSet(task="dialogue", unit=event_label, items=texts)
+    return GoldIndex(corpus).dialogue(event_label)
 
 
 def gold_characters(corpus: AnnotationCorpus) -> GoldSet:
     """Set of (normalized character, panel id) pairs over the whole corpus."""
-    pairs = frozenset(
-        (normalize_token(label), panel.panel_id)
-        for panel in corpus.panels
-        for label in panel.characters
-    )
-    return GoldSet(task="characters", unit=None, items=pairs)
+    return GoldIndex(corpus).characters()
 
 
 def gold_timeline(corpus: AnnotationCorpus, macro_label: str) -> GoldSet:
     """Panel ids under the macro-event, sorted by reading order."""
-    macro = _find_macro(corpus, macro_label)
-    panels = sorted(_panels_of_macro(corpus, macro), key=lambda p: p.reading_order)
-    return GoldSet(task="timeline", unit=macro_label, items=tuple(p.panel_id for p in panels))
+    return GoldIndex(corpus).timeline(macro_label)

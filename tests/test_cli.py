@@ -409,6 +409,13 @@ def test_eval_per_unit_breakdown(story_file, capsys):
     assert obj["tasks"][0]["units"][0]["unit"] == "Think of family"
 
 
+def test_eval_table_with_per_unit_is_a_usage_error(story_file, capsys):
+    # The table has no per-unit rows, so the pair would drop the counts.
+    code, out, err = run_cli(["eval", story_file, "--table", "--per-unit"], capsys)
+    assert (code, out) == (2, "")
+    assert "not allowed with argument" in err
+
+
 def _verb_corpus(verbs):
     panels = [
         util.panel(f"p{i}", f"s{i}", i, characters=("c",), actions=[("c", verb)])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -124,6 +125,37 @@ def test_empty_corpus_scores_by_convention():
         assert (task.metrics.tp, task.metrics.fp, task.metrics.fn) == (0, 0, 0)
         assert task.metrics.f1 == 1.0
 
+
+
+class _CountingTuple(tuple):
+    """A tuple that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+CORPUS_LISTS = ("macro_events", "events", "segments", "panels")
+
+
+def _corpus_iterations(corpus):
+    """Times ``evaluate_all`` iterates each list of ``corpus``."""
+    unified = integrate(corpus)
+    counted = dataclasses.replace(
+        corpus, **{name: _CountingTuple(getattr(corpus, name)) for name in CORPUS_LISTS}
+    )
+    evaluate_all(unified, counted)
+    return {name: getattr(counted, name).iterations for name in CORPUS_LISTS}
+
+
+def test_evaluate_all_reads_each_corpus_list_a_fixed_number_of_times():
+    # Rescanning the corpus per unit would make the counts grow with the
+    # number of units; a time bound would be flaky where this is exact.
+    one_macro = _corpus_iterations(ng.generate(ng.GenParams(seed=1, n_macro=1)))
+    many_macros = _corpus_iterations(ng.generate(ng.GenParams(seed=1, n_macro=200)))
+    assert one_macro == many_macros
 
 def _verb_corpus(verbs):
     panels = [

@@ -16,6 +16,7 @@ from narragraph import (
     build_event_graph,
     build_panel_graph,
     build_temporal_graph,
+    evaluate_all,
     integrate,
     serialize_graph,
     to_dot,
@@ -87,3 +88,37 @@ def test_build_outputs_match_pinned_digests(name):
         for output, text in _outputs(CORPORA[name]()).items()
     }
     assert digests == DIGESTS[name]
+
+
+#: Digests of ``evaluate_all(integrate(c), c)`` per corpus: the per-unit JSON
+#: report and the table.
+EVAL_DIGESTS = {
+    "paper": {
+        "per_unit": "0fbe2e99191d868bc9da300ebb5fb28182edb845e2efb3d1ef2d314161aeff5b",
+        "table": "ee3fa93ad130547d2325379b73e6ecaa9ef66898cb060e0aca99126b28906328",
+    },
+    "seed0": {
+        "per_unit": "23a8c083acb67c9368efe2b32c131207aa4a0abb596e12201701093473618361",
+        "table": "ee3fa93ad130547d2325379b73e6ecaa9ef66898cb060e0aca99126b28906328",
+    },
+    "seed1": {
+        "per_unit": "4afb758202c5ebd49ff7b5460025f47cc0b9b543140da20f4d8b18a61cb8eaaf",
+        "table": "ee3fa93ad130547d2325379b73e6ecaa9ef66898cb060e0aca99126b28906328",
+    },
+    "seed2": {
+        "per_unit": "8a4a2661d498bb2bd7295fd089ea603b802fec4ac8b120dc1295aed2fbf78635",
+        "table": "ee3fa93ad130547d2325379b73e6ecaa9ef66898cb060e0aca99126b28906328",
+    },
+}
+
+
+@pytest.mark.parametrize("name", CORPORA)
+def test_eval_outputs_match_pinned_digests(name):
+    corpus = CORPORA[name]()
+    report = evaluate_all(integrate(corpus), corpus)
+    outputs = {"per_unit": report.to_json(per_unit=True), "table": report.to_table()}
+    digests = {
+        output: hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for output, text in outputs.items()
+    }
+    assert digests == EVAL_DIGESTS[name]

@@ -10,7 +10,6 @@ Node ids are namespaced so the tier unions can never collide:
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
 
 from .annotations import AnnotationCorpus, EventSegment, PanelAnnotation, normalize_token
@@ -72,11 +71,6 @@ class UnifiedGraph:
         the story contract the queries trust: ``SchemaError`` at ``nodes[i].attrs``
         for a repeated label, at ``nodes[i]`` unless each ``_ONE_TARGET`` relation
         has exactly one edge. ``i`` is the position in ``graph.nodes()``."""
-        sources = {rel: [] for rels in _ONE_TARGET.values() for rel in rels}
-        for src, rel, _ in graph.edges():
-            if rel in sources:
-                sources[rel].append(src)
-        counts = {rel: Counter(srcs) for rel, srcs in sources.items()}
         index: dict[tuple[NodeKind, str], str] = {}
         for i, (node_id, kind, attrs) in enumerate(graph.nodes()):
             if kind in UNIT_KINDS:
@@ -86,7 +80,7 @@ class UnifiedGraph:
                     raise SchemaError(f"nodes[{i}].attrs", reason)
                 index[(kind, label)] = node_id
             for rel in _ONE_TARGET.get(kind, ()):
-                n = counts[rel][node_id]
+                n = len(graph.neighbors(node_id, rel, "out"))
                 if n != 1:
                     reason = f"{kind.value} {node_id!r} has {n} {rel.value} edges, not 1"
                     raise SchemaError(f"nodes[{i}]", reason)

@@ -2,7 +2,8 @@
 raises them."""
 
 import json
-from typing import Any
+import re
+from typing import Any, Optional
 
 
 class NarragraphError(Exception):
@@ -33,11 +34,39 @@ class UnknownUnitError(NarragraphError):
     """A macro-event or event label resolved to nothing."""
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+# The JSON escapes \ud800-\udfff. The backslash test in front of the search
+# is a memchr, so a text without escapes pays nothing for the check.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _lone_surrogate(doc: Any) -> Optional[str]:
+    """A lone surrogate in some key or string of ``doc``, else None."""
+    stack = [doc]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            stack.extend(item)
+            stack.extend(item.values())
+        elif isinstance(item, list):
+            stack.extend(item)
+        elif isinstance(item, str) and (found := _SURROGATE.search(item)):
+            return found.group()
+    return None
+
+
 def parse_json(text: str) -> Any:
     """``json.loads``, raising ``SchemaError("$", "not valid JSON: …")`` for
     any text it cannot decode: malformed JSON, an integer literal longer
-    than ``sys.get_int_max_str_digits()`` or nesting too deep to parse."""
+    than ``sys.get_int_max_str_digits()``, nesting too deep to parse, or a
+    ``\\ud800``-``\\udfff`` escape that is not half of a surrogate pair
+    (no UTF-8 text can hold it, so no output could be written)."""
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise SchemaError("$", f"not valid JSON: {exc}") from None
+    if "\\" in text and _SURROGATE_ESCAPE.search(text):
+        lone = _lone_surrogate(doc)
+        if lone is not None:
+            raise SchemaError("$", f"not valid JSON: lone surrogate {lone!r} in a string")
+    return doc

@@ -147,13 +147,28 @@ class EvaluationReport:
 
 
 def load_synonym_map(text: str) -> dict[str, str]:
-    """Parse a JSON object mapping variant verbs to their canonical form."""
+    """Parse a JSON object mapping variant verbs to their canonical form.
+
+    Keys and targets are normalized. The map is applied once, so it must be
+    unambiguous and final: two keys that normalize alike with different
+    targets, or a target that is itself a key mapped elsewhere, raise
+    ``SchemaError``."""
     doc = parse_json(text)
     if not isinstance(doc, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in doc.items()
     ):
         raise SchemaError("$", "synonym map must be an object of strings")
-    return {normalize_token(k): normalize_token(v) for k, v in doc.items()}
+    synonyms: dict[str, str] = {}
+    for key, value in doc.items():
+        variant, canonical = normalize_token(key), normalize_token(value)
+        if synonyms.setdefault(variant, canonical) != canonical:
+            reason = f"{variant!r} maps to both {synonyms[variant]!r} and {canonical!r}"
+            raise SchemaError("$", reason)
+    for variant, canonical in synonyms.items():
+        if synonyms.get(canonical, canonical) != canonical:
+            reason = f"{variant!r} maps to {canonical!r}, which maps to {synonyms[canonical]!r}"
+            raise SchemaError("$", reason)
+    return synonyms
 
 
 def _unique(labels) -> list[str]:

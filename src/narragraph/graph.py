@@ -5,12 +5,14 @@ Nodes carry a kind and a flat string-to-string attribute map; edges are
 insertion order so that traversals and serialized output are
 deterministic. ``follows`` is a view, not stored: ``(a, follows, b)`` is
 stored, found and traversed as ``(b, precedes, a)``.
+
+Stored as read: node id -> kind and -> attrs, the edge set, and adjacency
+keyed by relation then node, so one traversal step reads one stored list.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring
 from typing import Callable, Iterable, Iterator, Optional
@@ -58,21 +60,17 @@ class Tier(str, Enum):
     UNIFIED = "unified"
 
 
-@dataclass
-class _Node:
-    kind: NodeKind
-    attrs: dict[str, str]
-
-
 class NarrativeGraph:
     """Single-writer graph; call :meth:`freeze` before sharing for reads."""
 
     def __init__(self, tier: Tier):
         self.tier = tier
-        self._nodes: dict[str, _Node] = {}
+        self._kinds: dict[str, NodeKind] = {}
+        self._attrs: dict[str, dict[str, str]] = {}
         self._edges: dict[tuple[str, RelationKind, str], None] = {}
-        self._out: dict[str, list[tuple[RelationKind, str]]] = {}
-        self._in: dict[str, list[tuple[RelationKind, str]]] = {}
+        # relation -> node id -> adjacent ids, in edge insertion order
+        self._out: dict[RelationKind, dict[str, list[str]]] = {rel: {} for rel in RelationKind}
+        self._in: dict[RelationKind, dict[str, list[str]]] = {rel: {} for rel in RelationKind}
         self._frozen = False
 
     # -- mutation --------------------------------------------------------
@@ -83,24 +81,23 @@ class NarrativeGraph:
 
     def add_node(self, node_id: str, kind: NodeKind, attrs: Optional[dict[str, str]] = None) -> None:
         self._check_mutable()
-        if node_id in self._nodes:
-            held = self._nodes[node_id].kind
+        if node_id in self._kinds:
+            held = self._kinds[node_id]
             clash = "" if held is kind else f" with kind {held.value!r}, not {kind.value!r}"
             raise DuplicateNodeError(f"node {node_id!r} already exists{clash}")
         attrs = dict(attrs) if attrs else {}
         for key, value in attrs.items():
             if not isinstance(key, str) or not isinstance(value, str):
                 raise TypeError("node attributes must map strings to strings")
-        self._nodes[node_id] = _Node(kind=kind, attrs=attrs)
-        self._out[node_id] = []
-        self._in[node_id] = []
+        self._kinds[node_id] = kind
+        self._attrs[node_id] = attrs
 
     def add_edge(self, src: str, rel: RelationKind, dst: str) -> None:
         """Insert ``(src, rel, dst)``; re-adding is a no-op. A ``follows``
         edge is stored as its ``precedes`` inverse."""
         self._check_mutable()
         for endpoint in (src, dst):
-            if endpoint not in self._nodes:
+            if endpoint not in self._kinds:
                 raise MissingNodeError(f"node {endpoint!r} is not in the graph")
         if rel is RelationKind.FOLLOWS:
             src, rel, dst = dst, RelationKind.PRECEDES, src
@@ -108,8 +105,8 @@ class NarrativeGraph:
         if key in self._edges:
             return
         self._edges[key] = None
-        self._out[src].append((rel, dst))
-        self._in[dst].append((rel, src))
+        self._out[rel].setdefault(src, []).append(dst)
+        self._in[rel].setdefault(dst, []).append(src)
 
     def freeze(self) -> None:
         """Mark construction finished; later mutations raise."""
@@ -123,37 +120,37 @@ class NarrativeGraph:
 
     @property
     def node_count(self) -> int:
-        return len(self._nodes)
+        return len(self._kinds)
 
     @property
     def edge_count(self) -> int:
         return len(self._edges)
 
     def has_node(self, node_id: str) -> bool:
-        return node_id in self._nodes
+        return node_id in self._kinds
 
     def node_kind(self, node_id: str) -> NodeKind:
         try:
-            return self._nodes[node_id].kind
+            return self._kinds[node_id]
         except KeyError:
             raise MissingNodeError(f"node {node_id!r} is not in the graph") from None
 
     def node_attrs(self, node_id: str) -> dict[str, str]:
         """Attribute map of a node. Treat the result as read-only."""
         try:
-            return self._nodes[node_id].attrs
+            return self._attrs[node_id]
         except KeyError:
             raise MissingNodeError(f"node {node_id!r} is not in the graph") from None
 
     def node_ids(self) -> list[str]:
-        return list(self._nodes)
+        return list(self._kinds)
 
     def nodes(self) -> Iterator[tuple[str, NodeKind, dict[str, str]]]:
-        for node_id, node in self._nodes.items():
-            yield node_id, node.kind, node.attrs
+        for node_id, kind in self._kinds.items():
+            yield node_id, kind, self._attrs[node_id]
 
     def nodes_of_kind(self, kind: NodeKind) -> list[str]:
-        return [node_id for node_id, node in self._nodes.items() if node.kind is kind]
+        return [node_id for node_id, held in self._kinds.items() if held is kind]
 
     def edges(self) -> Iterator[tuple[str, RelationKind, str]]:
         return iter(self._edges)
@@ -169,14 +166,14 @@ class NarrativeGraph:
         ``direction="out"`` follows edges from the node, ``"in"`` follows
         edges into it. ``follows`` answers from ``precedes`` the other way.
         """
-        if node_id not in self._nodes:
+        if node_id not in self._kinds:
             raise MissingNodeError(f"node {node_id!r} is not in the graph")
         if direction not in ("out", "in"):
             raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
         if rel is RelationKind.FOLLOWS:
             rel, direction = RelationKind.PRECEDES, "in" if direction == "out" else "out"
-        adjacency = self._out[node_id] if direction == "out" else self._in[node_id]
-        return [other for edge_rel, other in adjacency if edge_rel is rel]
+        adjacency = self._out[rel] if direction == "out" else self._in[rel]
+        return list(adjacency.get(node_id, ()))
 
     def is_acyclic(self, rels: Iterable[RelationKind]) -> bool:
         """True iff the subgraph restricted to ``rels`` has no directed cycle.
@@ -184,21 +181,21 @@ class NarrativeGraph:
         keep = {RelationKind.PRECEDES if rel is RelationKind.FOLLOWS else rel for rel in rels}
         # Only nodes on a kept edge can lie on a cycle.
         indegree: dict[str, int] = {}
-        outgoing: dict[str, list[str]] = {}
-        for src, rel, dst in self._edges:
-            if rel in keep:
-                outgoing.setdefault(src, []).append(dst)
+        for rel in keep:
+            for src, dsts in self._out[rel].items():
                 indegree.setdefault(src, 0)
-                indegree[dst] = indegree.get(dst, 0) + 1
+                for dst in dsts:
+                    indegree[dst] = indegree.get(dst, 0) + 1
         queue = deque(node_id for node_id, deg in indegree.items() if deg == 0)
         visited = 0
         while queue:
             node_id = queue.popleft()
             visited += 1
-            for dst in outgoing.get(node_id, ()):
-                indegree[dst] -= 1
-                if indegree[dst] == 0:
-                    queue.append(dst)
+            for rel in keep:
+                for dst in self._out[rel].get(node_id, ()):
+                    indegree[dst] -= 1
+                    if indegree[dst] == 0:
+                        queue.append(dst)
         return visited == len(indegree)
 
     def __eq__(self, other: object) -> bool:
@@ -206,8 +203,7 @@ class NarrativeGraph:
             return NotImplemented
         return (
             self.tier is other.tier
-            and [(i, n.kind, n.attrs) for i, n in self._nodes.items()]
-            == [(i, n.kind, n.attrs) for i, n in other._nodes.items()]
+            and list(self.nodes()) == list(other.nodes())
             and list(self._edges) == list(other._edges)
         )
 
@@ -335,7 +331,7 @@ def deserialize_graph(text: str) -> NarrativeGraph:
         raise SchemaError("tier", f"unknown tier {tier_raw!r}") from None
 
     graph = NarrativeGraph(tier)
-    kinds: dict[str, NodeKind] = {}
+    kinds = graph._kinds
 
     nodes = doc.get("nodes")
     if not isinstance(nodes, list):
@@ -366,7 +362,6 @@ def deserialize_graph(text: str) -> NarrativeGraph:
             graph.add_node(node_id, kind, attrs)
         except DuplicateNodeError:
             raise SchemaError(f"{path}.id", f"duplicate node id {node_id!r}") from None
-        kinds[node_id] = kind
 
     edges = doc.get("edges")
     if not isinstance(edges, list):

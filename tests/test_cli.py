@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -120,8 +121,53 @@ def test_undecodable_input_exits_2(tmp_path, story_file, graph_file, capsys, nam
         assert err.startswith(prefix) and err.count("\n") == 1, (argv, err[:200])
 
 
+def test_lone_surrogate_exits_2_and_writes_nothing(tmp_path, story_file, graph_file, capsys):
+    # json.dumps writes the lone surrogates as the escapes \ud800 and \udfff:
+    # json.loads accepts them, but no UTF-8 output can hold them.
+    story = json.loads(ng.bundled_story_text())
+    story["macro_events"][0]["description"] = "lone \ud800"
+    graph = json.loads(Path(graph_file).read_text(encoding="utf-8"))
+    graph["nodes"][0]["attrs"]["lone \udfff"] = "x"
+    bad_story, bad_graph, bad_synonyms = (tmp_path / f"{name}.json" for name in ("s", "g", "syn"))
+    bad_story.write_text(json.dumps(story), encoding="utf-8")
+    bad_graph.write_text(json.dumps(graph), encoding="utf-8")
+    bad_synonyms.write_text(json.dumps({"insert_into": "\ud800"}), encoding="utf-8")
+    out = tmp_path / "out.json"
+    out.write_text("kept", encoding="utf-8")
+    s, g, syn = str(bad_story), str(bad_graph), str(bad_synonyms)
+    story_err = f"{s}: schema error: $: not valid JSON: lone surrogate '\\ud800' in a string\n"
+    graph_err = f"{g}: schema error: $: not valid JSON: lone surrogate '\\udfff' in a string\n"
+    cases = [
+        (["validate", s], story_err),
+        (["build", s, str(out)], story_err),
+        (["eval", s], story_err),
+        (["eval", story_file, "--graph", g], graph_err),
+        (["query", g, "characters"], graph_err),
+        (["export", g, "--format", "dot"], graph_err),
+        (
+            ["eval", story_file, "--graph", graph_file, "--synonyms", syn],
+            f"{syn}: $: not valid JSON: lone surrogate '\\ud800' in a string\n",
+        ),
+    ]
+    for argv, err in cases:
+        assert run_cli(argv, capsys) == (2, "", err), argv
+    assert out.read_text(encoding="utf-8") == "kept"
+
+
+def test_surrogate_pair_escape_still_loads(tmp_path, capsys):
+    story = json.loads(ng.bundled_story_text())
+    story["macro_events"][0]["description"] = "smile \U0001f600"
+    src = tmp_path / "s.json"
+    src.write_text(json.dumps(story), encoding="utf-8")
+    assert "\\ud83d\\ude00" in src.read_text(encoding="utf-8")
+    out = tmp_path / "g.json"
+    assert run_cli(["build", str(src), str(out)], capsys) == (0, "", "")
+    graph = ng.deserialize_graph(out.read_text(encoding="utf-8"))
+    assert graph.node_attrs("macro:m1")["description"] == "smile \U0001f600"
+
+
 def test_build_writes_graph_with_nine_panels(graph_file):
-    graph = ng.deserialize_graph(open(graph_file, encoding="utf-8").read())
+    graph = ng.deserialize_graph(Path(graph_file).read_text(encoding="utf-8"))
     assert len(graph.nodes_of_kind(ng.NodeKind.PANEL)) == 9
 
 
@@ -169,7 +215,7 @@ def test_query_timeline_unknown_unit(graph_file, capsys):
 
 
 def test_query_graph_with_precedes_cycle(graph_file, capsys):
-    doc = json.loads(open(graph_file, encoding="utf-8").read())
+    doc = json.loads(Path(graph_file).read_text(encoding="utf-8"))
     doc["edges"].append({"src": "panel:0_0_0", "rel": "precedes", "dst": "panel:0_0_0"})
     with open(graph_file, "w", encoding="utf-8") as handle:
         json.dump(doc, handle)
@@ -456,6 +502,20 @@ def test_eval_with_variant_graph_and_synonyms(tmp_path, capsys):
     assert code == 0
     by_task = {t["task"]: t for t in json.loads(out)["tasks"]}
     assert by_task["actions"]["f1"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "synonyms, reason",
+    [
+        ('{"Insert Into": "insert", "insert_into": "put"}', "'insert_into' maps to both 'insert' and 'put'"),
+        ('{"a": "b", "b": "c"}', "'a' maps to 'b', which maps to 'c'"),
+    ],
+)
+def test_eval_with_ambiguous_synonyms_exits_2(tmp_path, story_file, capsys, synonyms, reason):
+    path = tmp_path / "syn.json"
+    path.write_text(synonyms, encoding="utf-8")
+    code, out, err = run_cli(["eval", story_file, "--synonyms", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"{path}: $: {reason}\n")
 
 
 def test_export_dot(graph_file, capsys):

@@ -54,12 +54,13 @@ def _records(doc, key):
 def mutated(draw, original):
     """``original`` after one to three mutations: drop a key or item, swap a
     value for an odd one, replace a string with another string of the
-    document or an enum value, or duplicate a list item; in a graph also
-    point an edge at another node, change a node kind or a relation, give
-    a panel a second hub, or give an event or macro-event another unit's
-    label."""
+    document or an enum value, end a string with a lone surrogate (json.dump
+    writes the escape ``\\ud800``), or duplicate a list item; in a graph
+    also point an edge at another node, change a node kind or a relation,
+    give a panel a second hub, or give an event or macro-event another
+    unit's label."""
     doc = copy.deepcopy(original)
-    ops = ["drop", "swap", "restring", "duplicate"]
+    ops = ["drop", "swap", "restring", "surrogate", "duplicate"]
     if "edges" in original:
         ops += ["retarget", "rekind", "second_hub", "relabel"]
     for _ in range(draw(st.integers(1, 3))):
@@ -101,7 +102,7 @@ def mutated(draw, original):
             continue
         slots = _slots(doc)
         strings = sorted({c[k] for c, k in slots if isinstance(c[k], str)})
-        if op == "restring":
+        if op in ("restring", "surrogate"):
             slots = [(c, k) for c, k in slots if isinstance(c[k], str)]
         elif op == "duplicate":
             slots = [(c, k) for c, k in slots if isinstance(c, list)]
@@ -114,6 +115,8 @@ def mutated(draw, original):
             container[key] = draw(st.sampled_from(ODD_VALUES))
         elif op == "restring":
             container[key] = draw(st.sampled_from(strings + ENUM_VALUES))
+        elif op == "surrogate":
+            container[key] += "\ud800"
         else:
             container.insert(key, copy.deepcopy(container[key]))
     return doc

@@ -196,6 +196,16 @@ def test_load_synonym_map_normalizes_and_rejects_junk():
         load_synonym_map("[1, 2]")
     with pytest.raises(ng.SchemaError):
         load_synonym_map("{not json")
+    # Keys that normalize alike must agree; agreeing ones fold into one entry.
+    assert load_synonym_map('{"Insert Into": "insert", "insert_into": "Insert"}') == {
+        "insert_into": "insert"
+    }
+    with pytest.raises(ng.SchemaError, match="maps to both 'insert' and 'put'"):
+        load_synonym_map('{"Insert Into": "insert", "insert_into": "put"}')
+    # The map is applied once, so a target may not map on; it may map to itself.
+    assert load_synonym_map('{"a": "b", "b": "b"}') == {"a": "b", "b": "b"}
+    with pytest.raises(ng.SchemaError, match="'a' maps to 'b', which maps to 'c'"):
+        load_synonym_map('{"a": "b", "b": "c"}')
 
 
 def test_report_json_shape(story, unified):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 
@@ -363,6 +364,73 @@ def test_is_acyclic_matches_bruteforce(pairs, rel):
         g.add_edge(src, rel, dst)
     arcs = [(src, dst) for src, edge_rel, dst in g.edges() if edge_rel is rel]
     assert g.is_acyclic({rel}) == (not _has_cycle(TWELVE, arcs))
+
+
+@st.composite
+def store_scripts(draw):
+    """A few relations, then up to 60 edges over five nodes drawn from them:
+    relations interleave, edges repeat, and ``follows`` may be drawn."""
+    rels = draw(st.lists(st.sampled_from(list(RelationKind)), min_size=1, max_size=5, unique=True))
+    ids = NODE_IDS[:5]
+    edge = st.tuples(st.sampled_from(ids), st.sampled_from(rels), st.sampled_from(ids))
+    return rels, draw(st.lists(edge, max_size=60))
+
+
+def _stored(src, rel, dst):
+    """The triple a graph stores for ``(src, rel, dst)``."""
+    if rel is RelationKind.FOLLOWS:
+        return dst, RelationKind.PRECEDES, src
+    return src, rel, dst
+
+
+def _reference_neighbors(g, node, rel, direction):
+    """``neighbors`` as first defined: scan every edge, keep one relation
+    and one direction; ``follows`` is ``precedes`` the other way."""
+    if rel is RelationKind.FOLLOWS:
+        rel, direction = RelationKind.PRECEDES, "in" if direction == "out" else "out"
+    if direction == "out":
+        return [dst for src, edge_rel, dst in g.edges() if edge_rel is rel and src == node]
+    return [src for src, edge_rel, dst in g.edges() if edge_rel is rel and dst == node]
+
+
+@given(store_scripts())
+def test_store_matches_edge_scan_reference(drawn):
+    rels, script = drawn
+    ids = NODE_IDS[:5]
+    g = graph_with_nodes(ids=ids)
+    for src, rel, dst in script:
+        g.add_edge(src, rel, dst)
+    # The same script regrouped by stored relation: each relation's edges
+    # keep their order, so every traversal answers alike; only edges() moves.
+    order = list(RelationKind)
+    regrouped = graph_with_nodes(ids=ids)
+    for edge in sorted(script, key=lambda edge: order.index(_stored(*edge)[1])):
+        regrouped.add_edge(*edge)
+
+    assert list(g.nodes()) == [(node, NodeKind.PANEL, {}) for node in ids]
+    stored = list(dict.fromkeys(_stored(*edge) for edge in script))
+    assert list(g.edges()) == stored and g.edge_count == len(stored)
+    for node in ids:
+        for rel in RelationKind:
+            for direction in ("out", "in"):
+                expected = _reference_neighbors(g, node, rel, direction)
+                assert g.neighbors(node, rel, direction) == expected
+                assert regrouped.neighbors(node, rel, direction) == expected
+            for other in ids:
+                assert g.has_edge(node, rel, other) == (_stored(node, rel, other) in stored)
+
+    assert (g == regrouped) == (list(g.edges()) == list(regrouped.edges()))
+    rebuilt = graph_with_nodes(ids=ids)
+    for edge in script:
+        rebuilt.add_edge(*edge)
+    assert g == rebuilt
+
+    for subset in itertools.chain.from_iterable(
+        itertools.combinations(rels, k) for k in range(len(rels) + 1)
+    ):
+        keep = {RelationKind.PRECEDES if rel is RelationKind.FOLLOWS else rel for rel in subset}
+        arcs = [(src, dst) for src, rel, dst in g.edges() if rel in keep]
+        assert g.is_acyclic(subset) == (not _has_cycle(ids, arcs)), subset
 
 
 attr_maps = st.dictionaries(

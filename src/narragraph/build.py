@@ -80,7 +80,7 @@ class UnifiedGraph:
                     raise SchemaError(f"nodes[{i}].attrs", reason)
                 index[(kind, label)] = node_id
             for rel in _ONE_TARGET.get(kind, ()):
-                n = len(graph.neighbors(node_id, rel, "out"))
+                n = graph.degree(node_id, rel, "out")
                 if n != 1:
                     reason = f"{kind.value} {node_id!r} has {n} {rel.value} edges, not 1"
                     raise SchemaError(f"nodes[{i}]", reason)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from enum import Enum
 from json.encoder import encode_basestring
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import DuplicateNodeError, MissingNodeError, SchemaError, parse_json
 
@@ -160,12 +160,8 @@ class NarrativeGraph:
             src, rel, dst = dst, RelationKind.PRECEDES, src
         return (src, rel, dst) in self._edges
 
-    def neighbors(self, node_id: str, rel: RelationKind, direction: str = "out") -> list[str]:
-        """Adjacent node ids over ``rel``, in edge insertion order.
-
-        ``direction="out"`` follows edges from the node, ``"in"`` follows
-        edges into it. ``follows`` answers from ``precedes`` the other way.
-        """
+    def _adjacent(self, node_id: str, rel: RelationKind, direction: str) -> Sequence[str]:
+        """The stored adjacency behind :meth:`neighbors`, not a copy."""
         if node_id not in self._kinds:
             raise MissingNodeError(f"node {node_id!r} is not in the graph")
         if direction not in ("out", "in"):
@@ -173,7 +169,19 @@ class NarrativeGraph:
         if rel is RelationKind.FOLLOWS:
             rel, direction = RelationKind.PRECEDES, "in" if direction == "out" else "out"
         adjacency = self._out[rel] if direction == "out" else self._in[rel]
-        return list(adjacency.get(node_id, ()))
+        return adjacency.get(node_id, ())
+
+    def neighbors(self, node_id: str, rel: RelationKind, direction: str = "out") -> list[str]:
+        """Adjacent node ids over ``rel``, in edge insertion order.
+
+        ``direction="out"`` follows edges from the node, ``"in"`` follows
+        edges into it. ``follows`` answers from ``precedes`` the other way.
+        """
+        return list(self._adjacent(node_id, rel, direction))
+
+    def degree(self, node_id: str, rel: RelationKind, direction: str = "out") -> int:
+        """``len(self.neighbors(node_id, rel, direction))``, without the copy."""
+        return len(self._adjacent(node_id, rel, direction))
 
     def is_acyclic(self, rels: Iterable[RelationKind]) -> bool:
         """True iff the subgraph restricted to ``rels`` has no directed cycle.
@@ -309,15 +317,30 @@ _ENDPOINTS: dict[RelationKind, set[tuple[NodeKind, NodeKind]]] = {
 }
 
 
+# deserialize_graph's lookup tables, derived once from the enums,
+# _REQUIRED_ATTRS and _ENDPOINTS, which stay the one home of the rules.
+_KIND_OF = {kind.value: kind for kind in NodeKind}
+_RELATION_OF = {rel.value: rel for rel in RelationKind}
+_REQUIRED = {kind: tuple(forms.items()) for kind, forms in _REQUIRED_ATTRS.items()}
+#: Allowed (relation, source kind, target kind) triples.
+_JOINS = frozenset((rel, src, dst) for rel, pairs in _ENDPOINTS.items() for src, dst in pairs)
+# isinstance(value, str) as a one-argument function, for all(map(...)).
+_is_str = str.__instancecheck__
+
+
 def deserialize_graph(text: str) -> NarrativeGraph:
     """Inverse of :func:`serialize_graph`; raises ``SchemaError`` on any
     malformed record: nodes without their ``_REQUIRED_ATTRS``, edges that
     reference unknown nodes or join kinds outside their relation's
-    ``_ENDPOINTS``, and ``precedes`` edges that form a cycle. A repeated
+    ``_ENDPOINTS``, and ``precedes`` edges that form a cycle. Records are
+    checked in file order and the first fault is reported. A repeated
     edge record is a no-op, and a ``follows`` record (older files) loads as
     its ``precedes`` edge. How the records fit together as a story is
     checked by ``UnifiedGraph.from_graph``, so tier graphs and filtered
-    exports load too."""
+    exports load too.
+
+    Each record is checked once here and written straight into the store:
+    a checked record needs none of ``add_node``'s or ``add_edge``'s checks."""
     doc = parse_json(text)
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected an object")
@@ -331,62 +354,70 @@ def deserialize_graph(text: str) -> NarrativeGraph:
         raise SchemaError("tier", f"unknown tier {tier_raw!r}") from None
 
     graph = NarrativeGraph(tier)
-    kinds = graph._kinds
+    kinds, node_attrs = graph._kinds, graph._attrs
 
     nodes = doc.get("nodes")
     if not isinstance(nodes, list):
         raise SchemaError("nodes", "missing or non-list nodes")
     for i, entry in enumerate(nodes):
-        path = f"nodes[{i}]"
         if not isinstance(entry, dict):
-            raise SchemaError(path, "expected an object")
+            raise SchemaError(f"nodes[{i}]", "expected an object")
         node_id = entry.get("id")
         if not isinstance(node_id, str):
-            raise SchemaError(f"{path}.id", "missing or non-string id")
+            raise SchemaError(f"nodes[{i}].id", "missing or non-string id")
         kind_raw = entry.get("kind")
-        try:
-            kind = NodeKind(kind_raw)
-        except ValueError:
-            raise SchemaError(f"{path}.kind", f"unknown node kind {kind_raw!r}") from None
+        kind = _KIND_OF.get(kind_raw) if isinstance(kind_raw, str) else None
+        if kind is None:
+            raise SchemaError(f"nodes[{i}].kind", f"unknown node kind {kind_raw!r}")
         attrs = entry.get("attrs", {})
-        if not isinstance(attrs, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in attrs.items()
-        ):
-            raise SchemaError(f"{path}.attrs", "attrs must map strings to strings")
-        for key, form in _REQUIRED_ATTRS.get(kind, {}).items():
+        # JSON object keys are always strings; only the values need a look.
+        if not isinstance(attrs, dict) or not all(map(_is_str, attrs.values())):
+            raise SchemaError(f"nodes[{i}].attrs", "attrs must map strings to strings")
+        for key, form in _REQUIRED.get(kind, ()):
             if key not in attrs:
-                raise SchemaError(f"{path}.attrs", f"{kind.value} node lacks attribute {key!r}")
+                raise SchemaError(f"nodes[{i}].attrs", f"{kind_raw} node lacks attribute {key!r}")
             if form is not None and not form[0](attrs[key]):
-                raise SchemaError(f"{path}.attrs", f"{key} must be {form[1]}, got {attrs[key]!r}")
-        try:
-            graph.add_node(node_id, kind, attrs)
-        except DuplicateNodeError:
-            raise SchemaError(f"{path}.id", f"duplicate node id {node_id!r}") from None
+                raise SchemaError(f"nodes[{i}].attrs", f"{key} must be {form[1]}, got {attrs[key]!r}")
+        if node_id in kinds:
+            raise SchemaError(f"nodes[{i}].id", f"duplicate node id {node_id!r}")
+        kinds[node_id] = kind
+        node_attrs[node_id] = attrs
 
     edges = doc.get("edges")
     if not isinstance(edges, list):
         raise SchemaError("edges", "missing or non-list edges")
+    stored, out, into = graph._edges, graph._out, graph._in
+    # Read once: an enum member lookup costs more than a local.
+    follows, precedes = RelationKind.FOLLOWS, RelationKind.PRECEDES
     for i, entry in enumerate(edges):
-        path = f"edges[{i}]"
         if not isinstance(entry, dict):
-            raise SchemaError(path, "expected an object")
+            raise SchemaError(f"edges[{i}]", "expected an object")
         rel_raw = entry.get("rel")
-        try:
-            rel = RelationKind(rel_raw)
-        except ValueError:
-            raise SchemaError(f"{path}.rel", f"unknown relation {rel_raw!r}") from None
+        rel = _RELATION_OF.get(rel_raw) if isinstance(rel_raw, str) else None
+        if rel is None:
+            raise SchemaError(f"edges[{i}].rel", f"unknown relation {rel_raw!r}")
         src, dst = entry.get("src"), entry.get("dst")
-        for key, endpoint in (("src", src), ("dst", dst)):
-            if not isinstance(endpoint, str):
-                raise SchemaError(f"{path}.{key}", "missing or non-string node id")
-            if endpoint not in kinds:
-                raise SchemaError(f"{path}.{key}", f"edge references unknown node {endpoint!r}")
-        if (kinds[src], kinds[dst]) not in _ENDPOINTS[rel]:
-            raise SchemaError(
-                path, f"{rel.value} cannot join {kinds[src].value} to {kinds[dst].value}"
-            )
-        graph.add_edge(src, rel, dst)
+        if not isinstance(src, str):
+            raise SchemaError(f"edges[{i}].src", "missing or non-string node id")
+        src_kind = kinds.get(src)
+        if src_kind is None:
+            raise SchemaError(f"edges[{i}].src", f"edge references unknown node {src!r}")
+        if not isinstance(dst, str):
+            raise SchemaError(f"edges[{i}].dst", "missing or non-string node id")
+        dst_kind = kinds.get(dst)
+        if dst_kind is None:
+            raise SchemaError(f"edges[{i}].dst", f"edge references unknown node {dst!r}")
+        if (rel, src_kind, dst_kind) not in _JOINS:
+            reason = f"{rel_raw} cannot join {src_kind.value} to {dst_kind.value}"
+            raise SchemaError(f"edges[{i}]", reason)
+        if rel is follows:
+            src, rel, dst = dst, precedes, src
+        key = (src, rel, dst)
+        if key not in stored:
+            stored[key] = None
+            out[rel].setdefault(src, []).append(dst)
+            into[rel].setdefault(dst, []).append(src)
 
-    if not graph.is_acyclic({RelationKind.PRECEDES}):
+    if not graph.is_acyclic({precedes}):
         raise SchemaError("edges", "precedes edges form a cycle")
     return graph

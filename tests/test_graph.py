@@ -111,12 +111,16 @@ def test_neighbors_missing_node():
     g = NarrativeGraph(Tier.PANEL)
     with pytest.raises(MissingNodeError):
         g.neighbors("ghost", RelationKind.HAS_ACTION, "out")
+    with pytest.raises(MissingNodeError):
+        g.degree("ghost", RelationKind.HAS_ACTION, "out")
 
 
 def test_neighbors_bad_direction():
     g = graph_with_nodes(ids=["a"])
     with pytest.raises(ValueError):
         g.neighbors("a", RelationKind.HAS_ACTION, "sideways")
+    with pytest.raises(ValueError):
+        g.degree("a", RelationKind.HAS_ACTION, "sideways")
 
 
 def test_is_acyclic_chain():
@@ -170,7 +174,8 @@ def test_deserialize_edge_to_unknown_node():
     )
     with pytest.raises(SchemaError) as err:
         deserialize_graph(doc)
-    assert "ghost" in str(err.value)
+    assert err.value.path == "edges[0].dst"
+    assert err.value.reason == "edge references unknown node 'ghost'"
 
 
 def test_deserialize_rejects_unknown_kind():
@@ -181,8 +186,130 @@ def test_deserialize_rejects_unknown_kind():
 
 
 def test_deserialize_rejects_bad_json():
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as err:
         deserialize_graph("{oops")
+    assert err.value.path == "$"
+    assert err.value.reason == (
+        "not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    )
+
+
+def _graph_doc(nodes=(), edges=()):
+    return json.dumps({"tier": "unified", "nodes": list(nodes), "edges": list(edges)})
+
+
+P0 = {"id": "p0", "kind": "panel", "attrs": {"reading_order": "0"}}
+P1 = {"id": "p1", "kind": "panel", "attrs": {"reading_order": "1"}}
+EV = {"id": "e", "kind": "event", "attrs": {"label": "E"}}
+
+
+def _node(kind, attrs):
+    return _graph_doc([{"id": "n", "kind": kind, "attrs": attrs}])
+
+
+def _edges(*triples, nodes=(P0, P1, EV)):
+    return _graph_doc(nodes, [{"src": src, "rel": rel, "dst": dst} for src, rel, dst in triples])
+
+
+def _edge(src="p0", rel="precedes", dst="p1"):
+    return _edges((src, rel, dst))
+
+
+def _lacks(kind, key):
+    return "nodes[0].attrs", f"{kind} node lacks attribute {key!r}"
+
+
+NOT_STR_MAP = ("nodes[0].attrs", "attrs must map strings to strings")
+NOT_STR_ID = "missing or non-string node id"
+
+# (document, path, reason) of every check deserialize_graph makes, besides
+# the two tests above; where a document has two faults, the one the loader
+# checks first is reported.
+LOADER_ERRORS = {
+    "not_an_object": ("[]", "$", "expected an object"),
+    "tier_missing": ('{"nodes": [], "edges": []}', "tier", "missing or non-string tier"),
+    "tier_not_a_string": ('{"tier": 1, "nodes": []}', "tier", "missing or non-string tier"),
+    "tier_unknown": ('{"tier": "blob", "nodes": []}', "tier", "unknown tier 'blob'"),
+    "nodes_not_a_list": ('{"tier": "panel", "nodes": {}}', "nodes", "missing or non-list nodes"),
+    "nodes_missing": ('{"tier": "panel", "edges": []}', "nodes", "missing or non-list nodes"),
+    "edges_not_a_list": ('{"tier": "panel", "nodes": [], "edges": 0}', "edges", "missing or non-list edges"),
+    "node_not_an_object": (_graph_doc([P0, "p1"]), "nodes[1]", "expected an object"),
+    "id_not_a_string": (_graph_doc([{"id": 7}]), "nodes[0].id", "missing or non-string id"),
+    "id_missing": (_graph_doc([{"kind": "blob"}]), "nodes[0].id", "missing or non-string id"),
+    "kind_unknown": (_node("blob", {}), "nodes[0].kind", "unknown node kind 'blob'"),
+    "kind_list": (_node([], {}), "nodes[0].kind", "unknown node kind []"),
+    "kind_object": (_node({}, {}), "nodes[0].kind", "unknown node kind {}"),
+    "kind_missing": (_graph_doc([{"id": "n"}]), "nodes[0].kind", "unknown node kind None"),
+    "attrs_null": (_node("panel", None), *NOT_STR_MAP),
+    "attrs_list": (_node("scene_object", []), *NOT_STR_MAP),
+    "attrs_value_not_a_string": (_node("panel", {"reading_order": 0}), *NOT_STR_MAP),
+    "attrs_missing": (_graph_doc([{"id": "n", "kind": "panel"}]), *_lacks("panel", "reading_order")),
+    "panel_reading_order": (_node("panel", {"shot_type": "wide"}), *_lacks("panel", "reading_order")),
+    "action_verb": (_node("action", {"object": "x"}), *_lacks("action", "verb")),
+    "dialogue_content_text": (_node("dialogue_content", {}), *_lacks("dialogue_content", "text")),
+    "character_label": (_node("character", {}), *_lacks("character", "label")),
+    "event_label": (_node("event", {}), *_lacks("event", "label")),
+    "macro_event_label": (_node("macro_event", {}), *_lacks("macro_event", "label")),
+    "reading_order_negative": (
+        _node("panel", {"reading_order": "-1"}),
+        "nodes[0].attrs",
+        "reading_order must be a non-negative decimal integer, got '-1'",
+    ),
+    "reading_order_not_decimal": (
+        _node("panel", {"reading_order": "0x1"}),
+        "nodes[0].attrs",
+        "reading_order must be a non-negative decimal integer, got '0x1'",
+    ),
+    "duplicate_id": (_graph_doc([P0, {**EV, "id": "p0"}]), "nodes[1].id", "duplicate node id 'p0'"),
+    "duplicate_id_with_bad_attrs": (
+        _graph_doc([P0, {**EV, "id": "p0", "attrs": {}}]),
+        "nodes[1].attrs",
+        "event node lacks attribute 'label'",
+    ),
+    "node_fault_before_edge_fault": (
+        _graph_doc([P0, {"id": "x", "kind": "blob"}], [{"rel": "blob"}]),
+        "nodes[1].kind",
+        "unknown node kind 'blob'",
+    ),
+    "edge_not_an_object": (_graph_doc([P0], [[]]), "edges[0]", "expected an object"),
+    "rel_unknown": (_edge(rel="blob"), "edges[0].rel", "unknown relation 'blob'"),
+    "rel_list": (_edge(rel=[]), "edges[0].rel", "unknown relation []"),
+    "rel_missing": (_graph_doc([], [{"src": "p0"}]), "edges[0].rel", "unknown relation None"),
+    "rel_before_endpoints": (_edge(src=None, rel="blob"), "edges[0].rel", "unknown relation 'blob'"),
+    "src_not_a_string": (_edge(src=1), "edges[0].src", NOT_STR_ID),
+    "dst_not_a_string": (_edge(dst=["p1"]), "edges[0].dst", NOT_STR_ID),
+    "dst_missing": (_graph_doc([P0], [{"src": "p0", "rel": "precedes"}]), "edges[0].dst", NOT_STR_ID),
+    "src_unknown": (_edge(src="ghost", dst=1), "edges[0].src", "edge references unknown node 'ghost'"),
+    "wrong_kinds": (_edge(dst="e"), "edges[0]", "precedes cannot join panel to event"),
+    "wrong_kinds_follows": (_edge("e", "follows"), "edges[0]", "follows cannot join event to panel"),
+    "wrong_kinds_reversed": (
+        _edge(src="e", rel="instantiates", dst="p0"),
+        "edges[0]",
+        "instantiates cannot join event to panel",
+    ),
+    "cycle": (
+        _edges(("p0", "precedes", "p1"), ("p1", "precedes", "p0")),
+        "edges",
+        "precedes edges form a cycle",
+    ),
+    "cycle_through_follows": (
+        _edges(("p0", "precedes", "p1"), ("p0", "follows", "p1")),
+        "edges",
+        "precedes edges form a cycle",
+    ),
+    "edge_fault_before_cycle": (
+        _edges(("p0", "precedes", "p0"), ("p0", "precedes", "x")),
+        "edges[1].dst",
+        "edge references unknown node 'x'",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, path, reason", LOADER_ERRORS.values(), ids=LOADER_ERRORS)
+def test_deserialize_reports_exact_path_and_reason(text, path, reason):
+    with pytest.raises(SchemaError) as err:
+        deserialize_graph(text)
+    assert (err.value.path, err.value.reason) == (path, reason)
 
 
 def _with_records(graph_text, nodes=(), edges=()):
@@ -416,6 +543,7 @@ def test_store_matches_edge_scan_reference(drawn):
                 expected = _reference_neighbors(g, node, rel, direction)
                 assert g.neighbors(node, rel, direction) == expected
                 assert regrouped.neighbors(node, rel, direction) == expected
+                assert g.degree(node, rel, direction) == len(expected)
             for other in ids:
                 assert g.has_edge(node, rel, other) == (_stored(node, rel, other) in stored)
 

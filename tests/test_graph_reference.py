@@ -1,0 +1,136 @@
+"""The bulk graph loader against the per-record reference it replaced.
+
+On the bundled story's graph, seeded graphs, the same graphs written with
+``follows`` records, and mutations of all of them, ``deserialize_graph``
+must build the graph the reference builds, or raise the ``SchemaError``
+the reference raises, at the same path with the same reason.
+"""
+
+import copy
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import narragraph as ng
+from narragraph import NodeKind, RelationKind, SchemaError, deserialize_graph, serialize_graph
+
+import reference_graph
+from test_cli_robustness import GRAPH, mutated
+
+
+def _as_follows(doc):
+    """``doc`` with every ``precedes`` record written as its ``follows`` inverse."""
+    doc = copy.deepcopy(doc)
+    for edge in doc["edges"]:
+        if edge["rel"] == "precedes":
+            edge["src"], edge["rel"], edge["dst"] = edge["dst"], "follows", edge["src"]
+    return doc
+
+
+def _seeded(seed):
+    return json.loads(serialize_graph(ng.integrate(ng.generate(ng.GenParams(seed=seed))).graph))
+
+
+BASES = {"paper": GRAPH, **{f"seed{seed}": _seeded(seed) for seed in range(10)}}
+BASES.update({f"{name}_follows": _as_follows(doc) for name, doc in list(BASES.items())})
+
+
+def _load(loader, text):
+    try:
+        return loader(text)
+    except SchemaError as exc:
+        return (exc.path, exc.reason)
+
+
+def _assert_same_as_reference(text):
+    expected = _load(reference_graph.deserialize_graph, text)
+    got = _load(deserialize_graph, text)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert isinstance(got, ng.NarrativeGraph), got
+    assert got == expected
+    assert serialize_graph(got) == serialize_graph(expected)
+    for node_id in expected.node_ids():
+        for rel in RelationKind:
+            for direction in ("out", "in"):
+                assert got.neighbors(node_id, rel, direction) == expected.neighbors(node_id, rel, direction)
+    # Each node has its own attribute map, also when its record had none.
+    assert len({id(attrs) for _, _, attrs in got.nodes()}) == got.node_count
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_loader_matches_reference_on_base_graphs(name):
+    text = json.dumps(BASES[name])
+    assert isinstance(_load(deserialize_graph, text), ng.NarrativeGraph)
+    _assert_same_as_reference(text)
+
+
+def test_records_without_attrs_get_their_own_map():
+    nodes = [{"id": "a", "kind": "caption"}, {"id": "b", "kind": "caption"}]
+    _assert_same_as_reference(json.dumps({"tier": "panel", "nodes": nodes, "edges": []}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.sampled_from(list(BASES.values())).flatmap(mutated))
+def test_loader_matches_reference_on_mutated_graphs(doc):
+    _assert_same_as_reference(json.dumps(doc))
+
+
+DROP = object()
+
+#: Values a node or edge field may take instead of its own, besides DROP,
+#: the id of an earlier node (a duplicate id or another endpoint) and, for
+#: attrs, the record's own map with one value changed or one key dropped.
+FIELD_FAULTS = {
+    "nodes": {
+        "id": [None, 7],
+        "kind": [None, "blob", [], {}] + [kind.value for kind in NodeKind],
+        "attrs": [None, [], {}],
+    },
+    "edges": {
+        "rel": [None, "blob", []] + [rel.value for rel in RelationKind],
+        "src": [None, 1, "ghost"],
+        "dst": [None, 1, "ghost"],
+    },
+}
+
+
+@st.composite
+def with_record_faults(draw, original):
+    """``original`` with one to three fields of one node or edge record made
+    faulty, so that the order of the checks shows, or with a ``precedes`` or
+    ``follows`` record added reversed, which closes a cycle."""
+    doc = copy.deepcopy(original)
+    key = draw(st.sampled_from(["nodes", "edges", "reverse"]))
+    if key == "reverse":
+        edge = draw(st.sampled_from([e for e in doc["edges"] if e["rel"] in ("precedes", "follows")]))
+        doc["edges"].append({"src": edge["dst"], "rel": edge["rel"], "dst": edge["src"]})
+        return doc
+    i = draw(st.integers(0, len(doc[key]) - 1))
+    record = doc[key][i]
+    earlier = [node["id"] for node in doc["nodes"][: i if key == "nodes" else None]]
+    fields = st.sampled_from(sorted(FIELD_FAULTS[key]))
+    for field in draw(st.lists(fields, min_size=1, max_size=3, unique=True)):
+        options = [st.sampled_from(FIELD_FAULTS[key][field] + [DROP])]
+        if field in ("id", "src", "dst") and earlier:
+            options.append(st.sampled_from(earlier))
+        if field == "attrs" and record["attrs"]:
+            attrs = record["attrs"]
+            name = draw(st.sampled_from(sorted(attrs)))
+            options.append(st.sampled_from([None, 1, "-1", "x"]).map(lambda v: {**attrs, name: v}))
+            options.append(st.just({k: v for k, v in attrs.items() if k != name}))
+        value = draw(st.one_of(options))
+        if value is DROP:
+            del record[field]
+        else:
+            record[field] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.sampled_from(list(BASES.values())).flatmap(with_record_faults))
+def test_loader_matches_reference_on_faulty_records(doc):
+    _assert_same_as_reference(json.dumps(doc))

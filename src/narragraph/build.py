@@ -351,8 +351,8 @@ def integrate(corpus: AnnotationCorpus) -> UnifiedGraph:
     attributes), the reading-order chains, the macro-events and events, and
     the event hierarchy. Adds one ``instantiates`` edge per panel (panel to
     its segment), one global character node per normalized label, and one
-    ``refers_to`` edge per character mention. The result is frozen and
-    indexed.
+    ``refers_to`` edge per character mention. The result is indexed by
+    ``UnifiedGraph.from_graph``.
 
     Needs no cycle check: each ``precedes`` chain is a simple path (a
     repeated id raises) within one id namespace — panels, segments, the
@@ -390,5 +390,4 @@ def integrate(corpus: AnnotationCorpus) -> UnifiedGraph:
                 unified.add_node(cnode, NodeKind.CHARACTER, {"label": label})
             unified.add_edge(mention, RelationKind.REFERS_TO, cnode)
 
-    unified.freeze()
     return UnifiedGraph.from_graph(unified)

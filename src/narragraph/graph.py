@@ -7,7 +7,11 @@ deterministic. ``follows`` is a view, not stored: ``(a, follows, b)`` is
 stored, found and traversed as ``(b, precedes, a)``.
 
 Stored as read: node id -> kind and -> attrs, the edge set, and adjacency
-keyed by relation then node, so one traversal step reads one stored list.
+keyed by relation then node, so one traversal step reads one stored entry.
+The store is laid out so that the cyclic GC can skip almost all of it: an
+edge key ``(src, relation value, dst)`` holds only strings, so the GC
+untracks it after one pass, and an adjacency entry is a bare id at degree 1,
+becoming a list only at the second neighbour.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from enum import Enum
 from json.encoder import encode_basestring
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DuplicateNodeError, MissingNodeError, SchemaError, parse_json
 
@@ -60,27 +64,52 @@ class Tier(str, Enum):
     UNIFIED = "unified"
 
 
+# Read once for the per-edge paths: ``rel.value`` is a property call, and
+# reading ``RelationKind.FOLLOWS`` through the class is slow too before
+# Python 3.12; a dict lookup or a module global costs several times less.
+_VALUE = {rel: rel.value for rel in RelationKind}
+_RELATION_OF = {rel.value: rel for rel in RelationKind}
+_FOLLOWS, _PRECEDES = RelationKind.FOLLOWS, RelationKind.PRECEDES
+
+#: Adjacency of one relation: node id -> one adjacent id, or a list of two or more.
+_Adjacency = dict[str, Union[str, list[str]]]
+
+
+def _link(adjacency: _Adjacency, node: str, other: str) -> None:
+    """Append ``other`` to ``node``'s entry: a bare id at degree 1, a list
+    from the second neighbour on."""
+    held = adjacency.get(node)
+    if held is None:
+        adjacency[node] = other
+    elif type(held) is list:
+        held.append(other)
+    else:
+        adjacency[node] = [held, other]
+
+
+def _ids(held: Optional[Union[str, list[str]]]) -> Sequence[str]:
+    """An adjacency entry, or ``None`` for none, read as a sequence of ids."""
+    if held is None:
+        return ()
+    return held if type(held) is list else (held,)
+
+
 class NarrativeGraph:
-    """Single-writer graph; call :meth:`freeze` before sharing for reads."""
+    """Single-writer graph: build it in one thread, then share it for reads."""
 
     def __init__(self, tier: Tier):
         self.tier = tier
         self._kinds: dict[str, NodeKind] = {}
         self._attrs: dict[str, dict[str, str]] = {}
-        self._edges: dict[tuple[str, RelationKind, str], None] = {}
+        # (src, relation value, dst), in insertion order
+        self._edges: dict[tuple[str, str, str], None] = {}
         # relation -> node id -> adjacent ids, in edge insertion order
-        self._out: dict[RelationKind, dict[str, list[str]]] = {rel: {} for rel in RelationKind}
-        self._in: dict[RelationKind, dict[str, list[str]]] = {rel: {} for rel in RelationKind}
-        self._frozen = False
+        self._out: dict[RelationKind, _Adjacency] = {rel: {} for rel in RelationKind}
+        self._in: dict[RelationKind, _Adjacency] = {rel: {} for rel in RelationKind}
 
     # -- mutation --------------------------------------------------------
 
-    def _check_mutable(self) -> None:
-        if self._frozen:
-            raise RuntimeError("graph is frozen")
-
     def add_node(self, node_id: str, kind: NodeKind, attrs: Optional[dict[str, str]] = None) -> None:
-        self._check_mutable()
         if node_id in self._kinds:
             held = self._kinds[node_id]
             clash = "" if held is kind else f" with kind {held.value!r}, not {kind.value!r}"
@@ -95,26 +124,22 @@ class NarrativeGraph:
     def add_edge(self, src: str, rel: RelationKind, dst: str) -> None:
         """Insert ``(src, rel, dst)``; re-adding is a no-op. A ``follows``
         edge is stored as its ``precedes`` inverse."""
-        self._check_mutable()
-        for endpoint in (src, dst):
-            if endpoint not in self._kinds:
-                raise MissingNodeError(f"node {endpoint!r} is not in the graph")
-        if rel is RelationKind.FOLLOWS:
-            src, rel, dst = dst, RelationKind.PRECEDES, src
-        key = (src, rel, dst)
-        if key in self._edges:
-            return
-        self._edges[key] = None
-        self._out[rel].setdefault(src, []).append(dst)
-        self._in[rel].setdefault(dst, []).append(src)
+        kinds = self._kinds
+        if src not in kinds or dst not in kinds:
+            missing = dst if src in kinds else src
+            raise MissingNodeError(f"node {missing!r} is not in the graph")
+        if rel is _FOLLOWS:
+            src, rel, dst = dst, _PRECEDES, src
+        self._insert(src, rel, dst)
 
-    def freeze(self) -> None:
-        """Mark construction finished; later mutations raise."""
-        self._frozen = True
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
+    def _insert(self, src: str, rel: RelationKind, dst: str) -> None:
+        """Store ``(src, rel, dst)`` between known nodes unless it is held;
+        ``rel`` is not ``follows``."""
+        key = (src, _VALUE[rel], dst)
+        if key not in self._edges:
+            self._edges[key] = None
+            _link(self._out[rel], src, dst)
+            _link(self._in[rel], dst, src)
 
     # -- queries ---------------------------------------------------------
 
@@ -153,12 +178,12 @@ class NarrativeGraph:
         return [node_id for node_id, held in self._kinds.items() if held is kind]
 
     def edges(self) -> Iterator[tuple[str, RelationKind, str]]:
-        return iter(self._edges)
+        return ((src, _RELATION_OF[value], dst) for src, value, dst in self._edges)
 
     def has_edge(self, src: str, rel: RelationKind, dst: str) -> bool:
-        if rel is RelationKind.FOLLOWS:
-            src, rel, dst = dst, RelationKind.PRECEDES, src
-        return (src, rel, dst) in self._edges
+        if rel is _FOLLOWS:
+            src, rel, dst = dst, _PRECEDES, src
+        return (src, _VALUE.get(rel), dst) in self._edges
 
     def _adjacent(self, node_id: str, rel: RelationKind, direction: str) -> Sequence[str]:
         """The stored adjacency behind :meth:`neighbors`, not a copy."""
@@ -166,10 +191,10 @@ class NarrativeGraph:
             raise MissingNodeError(f"node {node_id!r} is not in the graph")
         if direction not in ("out", "in"):
             raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
-        if rel is RelationKind.FOLLOWS:
-            rel, direction = RelationKind.PRECEDES, "in" if direction == "out" else "out"
+        if rel is _FOLLOWS:
+            rel, direction = _PRECEDES, "in" if direction == "out" else "out"
         adjacency = self._out[rel] if direction == "out" else self._in[rel]
-        return adjacency.get(node_id, ())
+        return _ids(adjacency.get(node_id))
 
     def neighbors(self, node_id: str, rel: RelationKind, direction: str = "out") -> list[str]:
         """Adjacent node ids over ``rel``, in edge insertion order.
@@ -186,13 +211,13 @@ class NarrativeGraph:
     def is_acyclic(self, rels: Iterable[RelationKind]) -> bool:
         """True iff the subgraph restricted to ``rels`` has no directed cycle.
         ``follows`` counts as ``precedes``: its cycles are theirs reversed."""
-        keep = {RelationKind.PRECEDES if rel is RelationKind.FOLLOWS else rel for rel in rels}
+        keep = {_PRECEDES if rel is _FOLLOWS else rel for rel in rels}
         # Only nodes on a kept edge can lie on a cycle.
         indegree: dict[str, int] = {}
         for rel in keep:
-            for src, dsts in self._out[rel].items():
+            for src, held in self._out[rel].items():
                 indegree.setdefault(src, 0)
-                for dst in dsts:
+                for dst in _ids(held):
                     indegree[dst] = indegree.get(dst, 0) + 1
         queue = deque(node_id for node_id, deg in indegree.items() if deg == 0)
         visited = 0
@@ -200,7 +225,7 @@ class NarrativeGraph:
             node_id = queue.popleft()
             visited += 1
             for rel in keep:
-                for dst in self._out[rel].get(node_id, ()):
+                for dst in _ids(self._out[rel].get(node_id)):
                     indegree[dst] -= 1
                     if indegree[dst] == 0:
                         queue.append(dst)
@@ -239,7 +264,7 @@ def serialize_graph(graph: NarrativeGraph) -> str:
     """
     quote = encode_basestring
     kinds = {kind: quote(kind.value) for kind in NodeKind}
-    rels = {rel: quote(rel.value) for rel in RelationKind}
+    rels = {value: quote(value) for value in _RELATION_OF}
     nodes = []
     for node_id, kind, attrs in graph.nodes():
         if attrs:
@@ -256,7 +281,7 @@ def serialize_graph(graph: NarrativeGraph) -> str:
         )
     edges = [
         f'    {{\n      "src": {quote(src)},\n      "rel": {rels[rel]},\n      "dst": {quote(dst)}\n    }}'
-        for src, rel, dst in graph.edges()
+        for src, rel, dst in graph._edges
     ]
     return (
         f'{{\n  "tier": {quote(graph.tier.value)},\n  "nodes": {_json_list(nodes)},\n'
@@ -320,7 +345,6 @@ _ENDPOINTS: dict[RelationKind, set[tuple[NodeKind, NodeKind]]] = {
 # deserialize_graph's lookup tables, derived once from the enums,
 # _REQUIRED_ATTRS and _ENDPOINTS, which stay the one home of the rules.
 _KIND_OF = {kind.value: kind for kind in NodeKind}
-_RELATION_OF = {rel.value: rel for rel in RelationKind}
 _REQUIRED = {kind: tuple(forms.items()) for kind, forms in _REQUIRED_ATTRS.items()}
 #: Allowed (relation, source kind, target kind) triples.
 _JOINS = frozenset((rel, src, dst) for rel, pairs in _ENDPOINTS.items() for src, dst in pairs)
@@ -339,8 +363,9 @@ def deserialize_graph(text: str) -> NarrativeGraph:
     checked by ``UnifiedGraph.from_graph``, so tier graphs and filtered
     exports load too.
 
-    Each record is checked once here and written straight into the store:
-    a checked record needs none of ``add_node``'s or ``add_edge``'s checks."""
+    Each record is checked once here and written straight into the store,
+    an edge through ``add_edge``'s own writer: a checked record needs none
+    of ``add_node``'s or ``add_edge``'s checks."""
     doc = parse_json(text)
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected an object")
@@ -386,9 +411,7 @@ def deserialize_graph(text: str) -> NarrativeGraph:
     edges = doc.get("edges")
     if not isinstance(edges, list):
         raise SchemaError("edges", "missing or non-list edges")
-    stored, out, into = graph._edges, graph._out, graph._in
-    # Read once: an enum member lookup costs more than a local.
-    follows, precedes = RelationKind.FOLLOWS, RelationKind.PRECEDES
+    insert = graph._insert
     for i, entry in enumerate(edges):
         if not isinstance(entry, dict):
             raise SchemaError(f"edges[{i}]", "expected an object")
@@ -410,14 +433,10 @@ def deserialize_graph(text: str) -> NarrativeGraph:
         if (rel, src_kind, dst_kind) not in _JOINS:
             reason = f"{rel_raw} cannot join {src_kind.value} to {dst_kind.value}"
             raise SchemaError(f"edges[{i}]", reason)
-        if rel is follows:
-            src, rel, dst = dst, precedes, src
-        key = (src, rel, dst)
-        if key not in stored:
-            stored[key] = None
-            out[rel].setdefault(src, []).append(dst)
-            into[rel].setdefault(dst, []).append(src)
+        if rel is _FOLLOWS:
+            src, rel, dst = dst, _PRECEDES, src
+        insert(src, rel, dst)
 
-    if not graph.is_acyclic({precedes}):
+    if not graph.is_acyclic({_PRECEDES}):
         raise SchemaError("edges", "precedes edges form a cycle")
     return graph

@@ -33,7 +33,6 @@ def deserialize_graph(text: str) -> NarrativeGraph:
         raise SchemaError("tier", f"unknown tier {tier_raw!r}") from None
 
     graph = NarrativeGraph(tier)
-    kinds = graph._kinds
 
     nodes = doc.get("nodes")
     if not isinstance(nodes, list):
@@ -81,12 +80,11 @@ def deserialize_graph(text: str) -> NarrativeGraph:
         for key, endpoint in (("src", src), ("dst", dst)):
             if not isinstance(endpoint, str):
                 raise SchemaError(f"{path}.{key}", "missing or non-string node id")
-            if endpoint not in kinds:
+            if not graph.has_node(endpoint):
                 raise SchemaError(f"{path}.{key}", f"edge references unknown node {endpoint!r}")
-        if (kinds[src], kinds[dst]) not in _ENDPOINTS[rel]:
-            raise SchemaError(
-                path, f"{rel.value} cannot join {kinds[src].value} to {kinds[dst].value}"
-            )
+        src_kind, dst_kind = graph.node_kind(src), graph.node_kind(dst)
+        if (src_kind, dst_kind) not in _ENDPOINTS[rel]:
+            raise SchemaError(path, f"{rel.value} cannot join {src_kind.value} to {dst_kind.value}")
         graph.add_edge(src, rel, dst)
 
     if not graph.is_acyclic({RelationKind.PRECEDES}):

@@ -214,12 +214,6 @@ def test_integrate_empty_corpus():
     assert u.index == {}
 
 
-def test_integrate_freezes_graph(unified):
-    assert unified.graph.frozen
-    with pytest.raises(RuntimeError):
-        unified.graph.add_node("late", NodeKind.PANEL)
-
-
 def test_unified_index_lookups(unified, story):
     index = unified.index
     assert index[(NodeKind.MACRO_EVENT, "Think of family")] == macro_node_id("m1")

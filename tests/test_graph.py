@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import re
@@ -16,6 +17,7 @@ from narragraph import (
     SchemaError,
     Tier,
     deserialize_graph,
+    integrate,
     serialize_graph,
 )
 
@@ -142,15 +144,6 @@ def test_is_acyclic_empty_relation_set():
     g.add_edge("a", RelationKind.PRECEDES, "b")
     g.add_edge("b", RelationKind.PRECEDES, "a")
     assert g.is_acyclic(set())
-
-
-def test_frozen_graph_rejects_mutation():
-    g = graph_with_nodes(ids=["a", "b"])
-    g.freeze()
-    with pytest.raises(RuntimeError):
-        g.add_node("c", NodeKind.PANEL)
-    with pytest.raises(RuntimeError):
-        g.add_edge("a", RelationKind.PRECEDES, "b")
 
 
 def test_serialize_empty_roundtrip():
@@ -493,14 +486,28 @@ def test_is_acyclic_matches_bruteforce(pairs, rel):
     assert g.is_acyclic({rel}) == (not _has_cycle(TWELVE, arcs))
 
 
+#: Nodes that only the skeleton of ``store_scripts`` joins.
+SKELETON_IDS = ["s0", "s1", "s2", "s3"]
+
+
 @st.composite
 def store_scripts(draw):
     """A few relations, then up to 60 edges over five nodes drawn from them:
-    relations interleave, edges repeat, and ``follows`` may be drawn."""
+    relations interleave, edges repeat, and ``follows`` may be drawn.
+
+    Spliced in at drawn places: a skeleton over one drawn relation that
+    gives ``SKELETON_IDS`` degree 0, 1 and 2 in each direction, with one
+    edge repeated, so that every node's adjacency is empty, one id or a
+    list and each shape change happens amid other inserts."""
     rels = draw(st.lists(st.sampled_from(list(RelationKind)), min_size=1, max_size=5, unique=True))
     ids = NODE_IDS[:5]
     edge = st.tuples(st.sampled_from(ids), st.sampled_from(rels), st.sampled_from(ids))
-    return rels, draw(st.lists(edge, max_size=60))
+    script = draw(st.lists(edge, max_size=60))
+    rel = draw(st.sampled_from(rels))
+    s0, s1, s2, s3 = SKELETON_IDS
+    for skeleton_edge in ((s0, rel, s1), (s0, rel, s2), (s3, rel, s2), (s0, rel, s2)):
+        script.insert(draw(st.integers(0, len(script))), skeleton_edge)
+    return rels, rel, script
 
 
 def _stored(src, rel, dst):
@@ -522,8 +529,8 @@ def _reference_neighbors(g, node, rel, direction):
 
 @given(store_scripts())
 def test_store_matches_edge_scan_reference(drawn):
-    rels, script = drawn
-    ids = NODE_IDS[:5]
+    rels, skeleton_rel, script = drawn
+    ids = NODE_IDS[:5] + SKELETON_IDS
     g = graph_with_nodes(ids=ids)
     for src, rel, dst in script:
         g.add_edge(src, rel, dst)
@@ -547,6 +554,10 @@ def test_store_matches_edge_scan_reference(drawn):
             for other in ids:
                 assert g.has_edge(node, rel, other) == (_stored(node, rel, other) in stored)
 
+    for direction in ("out", "in"):
+        shapes = {min(g.degree(node, skeleton_rel, direction), 2) for node in SKELETON_IDS}
+        assert shapes == {0, 1, 2}, direction
+
     assert (g == regrouped) == (list(g.edges()) == list(regrouped.edges()))
     rebuilt = graph_with_nodes(ids=ids)
     for edge in script:
@@ -559,6 +570,54 @@ def test_store_matches_edge_scan_reference(drawn):
         keep = {RelationKind.PRECEDES if rel is RelationKind.FOLLOWS else rel for rel in subset}
         arcs = [(src, dst) for src, rel, dst in g.edges() if rel in keep]
         assert g.is_acyclic(subset) == (not _has_cycle(ids, arcs)), subset
+
+
+def test_edges_yield_relation_members_in_insertion_order():
+    g = NarrativeGraph(Tier.EVENT)
+    for node_id in ("a", "b", "c"):
+        g.add_node(node_id, NodeKind.EVENT, {"label": node_id})
+    co, pre, fol = RelationKind.CO_OCCURS, RelationKind.PRECEDES, RelationKind.FOLLOWS
+    for edge in [("b", co, "c"), ("a", pre, "b"), ("c", fol, "b"), ("a", co, "b"), ("b", co, "c")]:
+        g.add_edge(*edge)
+    expected = [("b", co, "c"), ("a", pre, "b"), ("b", pre, "c"), ("a", co, "b")]
+    for graph in (g, deserialize_graph(serialize_graph(g))):
+        edges = list(graph.edges())
+        # A str enum member equals its value, so compare the types too.
+        assert edges == expected
+        assert [type(rel) for _, rel, _ in edges] == [RelationKind] * len(expected)
+
+
+def _containers(graph):
+    """Every dict, list and tuple the graph's attributes hold, found
+    through ``gc.get_referents``."""
+    found, seen, stack = [], set(), list(vars(graph).values())
+    while stack:
+        obj = stack.pop()
+        if type(obj) in (dict, list, tuple) and id(obj) not in seen:
+            seen.add(id(obj))
+            found.append(obj)
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+@pytest.mark.parametrize("load", [False, True], ids=["integrate", "deserialize_graph"])
+@pytest.mark.parametrize(
+    "make", [ng.bundled_story, lambda: ng.generate(ng.GenParams(seed=0))], ids=["paper", "seed0"]
+)
+def test_store_is_mostly_untracked_by_the_gc(make, load):
+    """The only tuples in the store are the edge keys, one per edge; they
+    hold only strings, so a collection untracks them all. A node with one
+    neighbour over a relation holds a bare id, so every list has two or more."""
+    g = integrate(make()).graph
+    if load:
+        g = deserialize_graph(serialize_graph(g))
+    gc.collect()
+    found = _containers(g)
+    keys = [obj for obj in found if type(obj) is tuple]
+    assert len(keys) == g.edge_count > 0
+    assert not any(map(gc.is_tracked, keys))
+    lists = [obj for obj in found if type(obj) is list]
+    assert lists and min(map(len, lists)) >= 2
 
 
 attr_maps = st.dictionaries(

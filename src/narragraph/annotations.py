@@ -9,9 +9,11 @@ panel ids are opaque strings and are never compared lexicographically.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, auto
 from typing import Any, Optional
 
 from .errors import SchemaError, parse_json
@@ -146,187 +148,216 @@ class ValidationReport:
 
 # --- parsing -----------------------------------------------------------
 
-def _child(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
+class _Form(Enum):
+    """How a field is read from its JSON value; an optional form reads an
+    absent field as null."""
+
+    STR = auto()  # a string
+    OPT_STR = auto()  # a string or null
+    NAT = auto()  # a non-negative integer; a bool is not one
+    ENUM = auto()  # a string naming a member of the field's enum
+    OPT_ENUM = auto()  # ENUM or null
+    STR_LIST = auto()  # a list of strings, read as a tuple
+    RECORDS = auto()  # a list of records of the field's kind, read as a tuple
 
 
-def _get(obj: dict, key: str, path: str) -> Any:
-    if key not in obj:
-        raise SchemaError(_child(path, key), "missing required field")
-    return obj[key]
+_OPTIONAL = (_Form.OPT_STR, _Form.OPT_ENUM)
+#: JSON value types each form admits before its value is looked at.
+_TYPES = {
+    _Form.STR: (str,),
+    _Form.OPT_STR: (str, type(None)),
+    _Form.NAT: (int,),
+    _Form.ENUM: (str,),
+    _Form.OPT_ENUM: (str, type(None)),
+    _Form.STR_LIST: (list,),
+    _Form.RECORDS: (list,),
+}
+# isinstance(value, str) as a one-argument function, for all(map(...)).
+_is_str = str.__instancecheck__
 
 
-def _get_str(obj: dict, key: str, path: str) -> str:
-    value = _get(obj, key, path)
-    if not isinstance(value, str):
-        raise SchemaError(_child(path, key), "expected a string")
-    return value
+class _Fault(Exception):
+    """Some check of the document failed; :func:`_first_fault` says which."""
 
 
-def _get_int(obj: dict, key: str, path: str) -> int:
-    value = _get(obj, key, path)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(_child(path, key), "expected an integer")
-    if value < 0:
-        raise SchemaError(_child(path, key), "expected a non-negative integer")
-    return value
+class _RecordKind:
+    """The field table of one record kind, and the lookups derived from it.
+
+    ``fields`` lists ``(name, form, arg)`` in check order, where ``arg`` is
+    the enum of an ``ENUM`` field and the record kind of a ``RECORDS`` field.
+    The JSON key of a field is its dataclass field name. ``constants`` are
+    dataclass fields set to the same value for every record; a dataclass
+    field in neither keeps its default.
+    """
+
+    def __init__(self, cls: type, fields: tuple[tuple[str, _Form, Any], ...], **constants: Any):
+        self.cls = cls
+        self.fields = fields
+        table = {name: (form, arg) for name, form, arg in fields}
+        ctor = [f.name for f in dataclasses.fields(cls)]
+        # The fast path reads the fields in constructor order.
+        self.names = tuple(name for name in ctor if name in table)
+        forms = [table[name] for name in self.names]
+        self.types = frozenset(itertools.product(*(_TYPES[form] for form, _ in forms)))
+        self.nats = tuple(j for j, (form, _) in enumerate(forms) if form is _Form.NAT)
+        self.enums = tuple(
+            (j, {member.value: member for member in arg})
+            for j, (form, arg) in enumerate(forms)
+            if form in (_Form.ENUM, _Form.OPT_ENUM)
+        )
+        self.str_lists = tuple(j for j, (form, _) in enumerate(forms) if form is _Form.STR_LIST)
+        self.records = tuple((j, arg) for j, (form, arg) in enumerate(forms) if form is _Form.RECORDS)
+        self.constants = tuple(sorted((ctor.index(name), value) for name, value in constants.items()))
 
 
-def _get_list(obj: dict, key: str, path: str) -> list:
-    value = _get(obj, key, path)
-    if not isinstance(value, list):
-        raise SchemaError(_child(path, key), "expected a list")
-    return value
+_S, _O = _Form.STR, _Form.OPT_STR
+_MACRO = _RecordKind(MacroEvent, (("id", _S, None), ("label", _S, None), ("description", _S, None)))
+_EVENT = _RecordKind(
+    Event,
+    (("id", _S, None), ("macro_event_id", _S, None), ("label", _S, None), ("description", _S, None)),
+)
+_SEGMENT = _RecordKind(
+    EventSegment,
+    (
+        ("narrative_role", _Form.OPT_ENUM, NarrativeRole),
+        ("id", _S, None),
+        ("event_id", _S, None),
+        ("description", _S, None),
+    ),
+)
+_ACTION = _RecordKind(ActionTriple, (("agent", _S, None), ("verb", _S, None), ("object", _O, None)))
+_DIALOGUE = _RecordKind(
+    Utterance,
+    (("speaker", _O, None), ("id", _S, None), ("text", _S, None)),
+    kind=UtteranceKind.DIALOGUE,
+)
+# A caption has no speaker; a "speaker" key in one is not read.
+_CAPTION = _RecordKind(Utterance, (("id", _S, None), ("text", _S, None)), kind=UtteranceKind.CAPTION)
+_PANEL = _RecordKind(
+    PanelAnnotation,
+    (
+        ("shot_type", _Form.ENUM, ShotType),
+        ("panel_id", _S, None),
+        ("segment_id", _S, None),
+        ("page_index", _Form.NAT, None),
+        ("reading_order", _Form.NAT, None),
+        ("image_path", _O, None),
+        ("characters", _Form.STR_LIST, None),
+        ("background", _O, None),
+        ("objects", _Form.STR_LIST, None),
+        ("actions", _Form.RECORDS, _ACTION),
+        ("dialogues", _Form.RECORDS, _DIALOGUE),
+        ("captions", _Form.RECORDS, _CAPTION),
+        ("event_description", _O, None),
+    ),
+)
+_STORY = _RecordKind(
+    AnnotationCorpus,
+    (
+        ("story_id", _S, None),
+        ("macro_events", _Form.RECORDS, _MACRO),
+        ("events", _Form.RECORDS, _EVENT),
+        ("segments", _Form.RECORDS, _SEGMENT),
+        ("panels", _Form.RECORDS, _PANEL),
+    ),
+)
+del _S, _O
 
 
-def _opt_str(obj: dict, key: str, path: str) -> Optional[str]:
-    value = obj.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, str):
-        raise SchemaError(_child(path, key), "expected a string or null")
-    return value
-
-
-def _as_object(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaError(path, "expected an object")
-    return value
-
-
-def _str_items(values: list, path: str) -> tuple[str, ...]:
+def _records(items: list, kind: _RecordKind) -> tuple:
+    """The records of ``kind`` that ``items`` holds, each checked in one
+    pass; raises ``_Fault`` as soon as some check fails."""
+    cls, names, types, constants = kind.cls, kind.names, kind.types, kind.constants
+    nats, enums, str_lists, records = kind.nats, kind.enums, kind.str_lists, kind.records
+    flat = not (nats or enums or str_lists or records)
     out = []
-    for i, value in enumerate(values):
-        if not isinstance(value, str):
-            raise SchemaError(f"{path}[{i}]", "expected a string")
-        out.append(value)
+    for obj in items:
+        if type(obj) is not dict:
+            raise _Fault
+        # An absent field reads as None, which no required form admits.
+        values = list(map(obj.get, names))
+        if tuple(map(type, values)) not in types:
+            raise _Fault
+        if not flat:
+            for j in nats:
+                if values[j] < 0:
+                    raise _Fault
+            for j, members in enums:
+                raw = values[j]
+                if raw is not None:
+                    if raw not in members:
+                        raise _Fault
+                    values[j] = members[raw]
+            for j in str_lists:
+                if not all(map(_is_str, values[j])):
+                    raise _Fault
+                values[j] = tuple(values[j])
+            for j, sub in records:
+                values[j] = _records(values[j], sub) if values[j] else ()
+        for j, value in constants:
+            values.insert(j, value)
+        out.append(cls(*values))
     return tuple(out)
 
 
-def _parse_macro(value: Any, path: str) -> MacroEvent:
-    obj = _as_object(value, path)
-    return MacroEvent(
-        id=_get_str(obj, "id", path),
-        label=_get_str(obj, "label", path),
-        description=_get_str(obj, "description", path),
-    )
-
-
-def _parse_event(value: Any, path: str) -> Event:
-    obj = _as_object(value, path)
-    return Event(
-        id=_get_str(obj, "id", path),
-        macro_event_id=_get_str(obj, "macro_event_id", path),
-        label=_get_str(obj, "label", path),
-        description=_get_str(obj, "description", path),
-    )
-
-
-def _parse_segment(value: Any, path: str) -> EventSegment:
-    obj = _as_object(value, path)
-    role_raw = _opt_str(obj, "narrative_role", path)
-    role = None
-    if role_raw is not None:
-        try:
-            role = NarrativeRole(role_raw)
-        except ValueError:
-            raise SchemaError(
-                _child(path, "narrative_role"),
-                f"unknown narrative_role {role_raw!r}",
-            ) from None
-    return EventSegment(
-        id=_get_str(obj, "id", path),
-        event_id=_get_str(obj, "event_id", path),
-        narrative_role=role,
-        description=_get_str(obj, "description", path),
-    )
-
-
-def _parse_action(value: Any, path: str) -> ActionTriple:
-    obj = _as_object(value, path)
-    return ActionTriple(
-        agent=_get_str(obj, "agent", path),
-        verb=_get_str(obj, "verb", path),
-        object=_opt_str(obj, "object", path),
-    )
-
-
-def _parse_utterance(value: Any, path: str, kind: UtteranceKind) -> Utterance:
-    obj = _as_object(value, path)
-    speaker = None
-    if kind is UtteranceKind.DIALOGUE:
-        speaker = _opt_str(obj, "speaker", path)
-    return Utterance(
-        id=_get_str(obj, "id", path),
-        kind=kind,
-        text=_get_str(obj, "text", path),
-        speaker=speaker,
-    )
-
-
-def _parse_panel(value: Any, path: str) -> PanelAnnotation:
-    obj = _as_object(value, path)
-    shot_raw = _get_str(obj, "shot_type", path)
-    try:
-        shot = ShotType(shot_raw)
-    except ValueError:
-        raise SchemaError(
-            _child(path, "shot_type"), f"unknown shot_type {shot_raw!r}"
-        ) from None
-    return PanelAnnotation(
-        panel_id=_get_str(obj, "panel_id", path),
-        segment_id=_get_str(obj, "segment_id", path),
-        page_index=_get_int(obj, "page_index", path),
-        reading_order=_get_int(obj, "reading_order", path),
-        shot_type=shot,
-        image_path=_opt_str(obj, "image_path", path),
-        characters=_str_items(_get_list(obj, "characters", path), _child(path, "characters")),
-        background=_opt_str(obj, "background", path),
-        objects=_str_items(_get_list(obj, "objects", path), _child(path, "objects")),
-        actions=tuple(
-            _parse_action(a, f"{path}.actions[{i}]")
-            for i, a in enumerate(_get_list(obj, "actions", path))
-        ),
-        dialogues=tuple(
-            _parse_utterance(u, f"{path}.dialogues[{i}]", UtteranceKind.DIALOGUE)
-            for i, u in enumerate(_get_list(obj, "dialogues", path))
-        ),
-        captions=tuple(
-            _parse_utterance(u, f"{path}.captions[{i}]", UtteranceKind.CAPTION)
-            for i, u in enumerate(_get_list(obj, "captions", path))
-        ),
-        event_description=_opt_str(obj, "event_description", path),
-    )
+def _first_fault(obj: Any, kind: _RecordKind, path: str) -> Optional[SchemaError]:
+    """The error of the first check that record ``obj`` of ``kind`` fails,
+    walking its fields and their items in table order, or None. ``path``
+    addresses the record; the root's is empty."""
+    if type(obj) is not dict:
+        return SchemaError(path or "$", "expected an object")
+    for name, form, arg in kind.fields:
+        at = f"{path}.{name}" if path else name
+        value = obj.get(name)
+        if form in _OPTIONAL:
+            if value is None:
+                continue
+            if type(value) is not str:
+                return SchemaError(at, "expected a string or null")
+        elif name not in obj:
+            return SchemaError(at, "missing required field")
+        elif form is _Form.NAT:
+            if type(value) is not int:
+                return SchemaError(at, "expected an integer")
+            if value < 0:
+                return SchemaError(at, "expected a non-negative integer")
+        elif form in (_Form.STR, _Form.ENUM):
+            if type(value) is not str:
+                return SchemaError(at, "expected a string")
+        elif type(value) is not list:
+            return SchemaError(at, "expected a list")
+        elif form is _Form.STR_LIST:
+            for j, item in enumerate(value):
+                if type(item) is not str:
+                    return SchemaError(f"{at}[{j}]", "expected a string")
+        else:
+            for j, item in enumerate(value):
+                fault = _first_fault(item, arg, f"{at}[{j}]")
+                if fault is not None:
+                    return fault
+        if form in (_Form.ENUM, _Form.OPT_ENUM) and value not in {member.value for member in arg}:
+            return SchemaError(at, f"unknown {name} {value!r}")
+    return None
 
 
 def parse_corpus(text: str) -> AnnotationCorpus:
     """Parse one story document into a typed corpus, checking its shape only.
 
-    Raises ``SchemaError`` on malformed JSON (path ``$``) and on missing
-    fields, wrong types or unknown enum values, with a path to the offending
-    element. Ids and references are not checked here: that is
-    :func:`validate_corpus`'s job. List order from the file is preserved.
+    Raises ``SchemaError`` on malformed JSON or a key repeated within one
+    object (path ``$``), and on missing fields, wrong types or unknown enum
+    values, with a path to the offending element. Ids and references are not
+    checked here: that is :func:`validate_corpus`'s job. List order from the
+    file is preserved.
+
+    Each record is checked against its kind's field table in one pass, and
+    no path is built unless a check fails; then the document is walked
+    again in check order to report the first failing field.
     """
-    root = _as_object(parse_json(text), "$")
-    return AnnotationCorpus(
-        story_id=_get_str(root, "story_id", ""),
-        macro_events=tuple(
-            _parse_macro(m, f"macro_events[{i}]")
-            for i, m in enumerate(_get_list(root, "macro_events", ""))
-        ),
-        events=tuple(
-            _parse_event(e, f"events[{i}]")
-            for i, e in enumerate(_get_list(root, "events", ""))
-        ),
-        segments=tuple(
-            _parse_segment(s, f"segments[{i}]")
-            for i, s in enumerate(_get_list(root, "segments", ""))
-        ),
-        panels=tuple(
-            _parse_panel(p, f"panels[{i}]")
-            for i, p in enumerate(_get_list(root, "panels", ""))
-        ),
-    )
+    doc = parse_json(text, unique_keys=True)
+    try:
+        return _records([doc], _STORY)[0]
+    except _Fault:
+        raise _first_fault(doc, _STORY, "") from None
 
 
 # --- serialization -----------------------------------------------------

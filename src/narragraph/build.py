@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import Optional
 
 from .annotations import AnnotationCorpus, EventSegment, PanelAnnotation, normalize_token
 from .errors import SchemaError
@@ -58,6 +59,31 @@ _ONE_TARGET: dict[NodeKind, tuple[RelationKind, ...]] = {
 }
 
 
+# Members read once: before Python 3.12 a read through the enum class costs
+# about ten times a global lookup, and the panel writer makes several per node.
+_PANEL, _VISUAL, _TEXTUAL = NodeKind.PANEL, NodeKind.PANEL_VISUAL, NodeKind.PANEL_TEXTUAL
+_MENTION, _ACTION, _OBJECT = NodeKind.CHARACTER_MENTION, NodeKind.ACTION, NodeKind.SCENE_OBJECT
+_DIALOGUE, _CAPTION, _CONTENT = NodeKind.DIALOGUE, NodeKind.CAPTION, NodeKind.DIALOGUE_CONTENT
+_HAS_VISUAL, _HAS_TEXTUAL = RelationKind.HAS_VISUAL, RelationKind.HAS_TEXTUAL
+_HAS_CHARACTER, _HAS_ACTION, _HAS_OBJECT = (
+    RelationKind.HAS_CHARACTER, RelationKind.HAS_ACTION, RelationKind.HAS_OBJECT
+)
+_AGENT_OF, _PART_OF, _CONTENT_OF = RelationKind.AGENT_OF, RelationKind.PART_OF, RelationKind.CONTENT_OF
+
+
+def _index_unit(
+    index: dict[tuple[NodeKind, str], str], kind: NodeKind, label: str, node_id: str, position: int
+) -> Optional[SchemaError]:
+    """Index a unit node (``UNIT_KINDS``) by its label. A label the index
+    already holds keeps its first node and gives the ``SchemaError`` to
+    raise, at ``nodes[position].attrs``; ``position`` is the node's place in
+    ``graph.nodes()``. Otherwise None."""
+    if (kind, label) in index:
+        return SchemaError(f"nodes[{position}].attrs", f"duplicate {kind.value} label {label!r}")
+    index[(kind, label)] = node_id
+    return None
+
+
 @dataclass
 class UnifiedGraph:
     """Integrated graph plus the unit-label index the queries start from."""
@@ -70,15 +96,16 @@ class UnifiedGraph:
         """Index events and macro-events (``UNIT_KINDS``) by label and check
         the story contract the queries trust: ``SchemaError`` at ``nodes[i].attrs``
         for a repeated label, at ``nodes[i]`` unless each ``_ONE_TARGET`` relation
-        has exactly one edge. ``i`` is the position in ``graph.nodes()``."""
+        has exactly one edge. ``i`` is the position in ``graph.nodes()``.
+
+        For a loaded graph. :func:`integrate` indexes its units as it writes
+        them, and its writes meet the rest of the contract by construction."""
         index: dict[tuple[NodeKind, str], str] = {}
         for i, (node_id, kind, attrs) in enumerate(graph.nodes()):
             if kind in UNIT_KINDS:
-                label = attrs["label"]
-                if (kind, label) in index:
-                    reason = f"duplicate {kind.value} label {label!r}"
-                    raise SchemaError(f"nodes[{i}].attrs", reason)
-                index[(kind, label)] = node_id
+                repeated = _index_unit(index, kind, attrs["label"], node_id, i)
+                if repeated is not None:
+                    raise repeated
             for rel in _ONE_TARGET.get(kind, ()):
                 n = graph.degree(node_id, rel, "out")
                 if n != 1:
@@ -89,7 +116,11 @@ class UnifiedGraph:
 
 def _write_panel(g: NarrativeGraph, panel: PanelAnnotation) -> None:
     """Write the multimodal subgraph of one panel into ``g``; a node id
-    that ``g`` already holds raises ``DuplicateNodeError``."""
+    that ``g`` already holds raises ``DuplicateNodeError``.
+
+    Each node is new and each edge joins two of them, so they go through the
+    store's own writers, past ``add_node``'s copy and ``add_edge``'s lookups."""
+    put, insert = g._put_node, g._insert
     pnode = panel_node_id(panel.panel_id)
     attrs = {
         "reading_order": str(panel.reading_order),
@@ -100,15 +131,14 @@ def _write_panel(g: NarrativeGraph, panel: PanelAnnotation) -> None:
         attrs["image_path"] = panel.image_path
     if panel.event_description is not None:
         attrs["event_description"] = panel.event_description
-    g.add_node(pnode, NodeKind.PANEL, attrs)
+    put(pnode, _PANEL, attrs)
 
     vnode = f"{pnode}/visual"
-    visual_attrs = {"background": panel.background} if panel.background is not None else {}
-    g.add_node(vnode, NodeKind.PANEL_VISUAL, visual_attrs)
+    put(vnode, _VISUAL, {"background": panel.background} if panel.background is not None else {})
     tnode = f"{pnode}/textual"
-    g.add_node(tnode, NodeKind.PANEL_TEXTUAL, {})
-    g.add_edge(pnode, RelationKind.HAS_VISUAL, vnode)
-    g.add_edge(pnode, RelationKind.HAS_TEXTUAL, tnode)
+    put(tnode, _TEXTUAL, {})
+    insert(pnode, _HAS_VISUAL, vnode)
+    insert(pnode, _HAS_TEXTUAL, tnode)
 
     # Mention and object ids this panel has written. One node per
     # normalized label; the first surface form within the panel is kept.
@@ -118,8 +148,8 @@ def _write_panel(g: NarrativeGraph, panel: PanelAnnotation) -> None:
         mid = f"{pnode}/char:{normalize_token(label)}"
         if mid not in written:
             written.add(mid)
-            g.add_node(mid, NodeKind.CHARACTER_MENTION, {"label": label})
-            g.add_edge(vnode, RelationKind.HAS_CHARACTER, mid)
+            put(mid, _MENTION, {"label": label})
+            insert(vnode, _HAS_CHARACTER, mid)
         return mid
 
     for label in panel.characters:
@@ -130,31 +160,31 @@ def _write_panel(g: NarrativeGraph, panel: PanelAnnotation) -> None:
         action_attrs = {"verb": action.verb}
         if action.object is not None:
             action_attrs["object"] = action.object
-        g.add_node(aid, NodeKind.ACTION, action_attrs)
-        g.add_edge(vnode, RelationKind.HAS_ACTION, aid)
-        g.add_edge(aid, RelationKind.AGENT_OF, mention(action.agent))
+        put(aid, _ACTION, action_attrs)
+        insert(vnode, _HAS_ACTION, aid)
+        insert(aid, _AGENT_OF, mention(action.agent))
 
     for label in panel.objects:
         oid = f"{pnode}/obj:{normalize_token(label)}"
         if oid not in written:
             written.add(oid)
-            g.add_node(oid, NodeKind.SCENE_OBJECT, {"label": label})
-            g.add_edge(vnode, RelationKind.HAS_OBJECT, oid)
+            put(oid, _OBJECT, {"label": label})
+            insert(vnode, _HAS_OBJECT, oid)
 
     for prefix, kind, utterances in (
-        ("dlg", NodeKind.DIALOGUE, panel.dialogues),
-        ("cap", NodeKind.CAPTION, panel.captions),
+        ("dlg", _DIALOGUE, panel.dialogues),
+        ("cap", _CAPTION, panel.captions),
     ):
         for i, utterance in enumerate(utterances):
             uid = f"{pnode}/{prefix}:{i}"
             utterance_attrs = {"utterance_id": utterance.id}
             if utterance.speaker is not None:
                 utterance_attrs["speaker"] = utterance.speaker
-            g.add_node(uid, kind, utterance_attrs)
-            g.add_edge(uid, RelationKind.PART_OF, tnode)
+            put(uid, kind, utterance_attrs)
+            insert(uid, _PART_OF, tnode)
             cid = f"{uid}/text"
-            g.add_node(cid, NodeKind.DIALOGUE_CONTENT, {"text": utterance.text})
-            g.add_edge(cid, RelationKind.CONTENT_OF, uid)
+            put(cid, _CONTENT, {"text": utterance.text})
+            insert(cid, _CONTENT_OF, uid)
 
 
 def build_panel_graph(panel: PanelAnnotation) -> NarrativeGraph:
@@ -264,20 +294,23 @@ def _segment_event_attrs(segment: EventSegment) -> dict[str, str]:
     return attrs
 
 
-def _write_units(g: NarrativeGraph, corpus: AnnotationCorpus) -> None:
-    """Write the macro-event and event nodes."""
-    for macro in corpus.macro_events:
-        g.add_node(
-            macro_node_id(macro.id),
-            NodeKind.MACRO_EVENT,
-            {"label": macro.label, "description": macro.description},
-        )
-    for event in corpus.events:
-        g.add_node(
-            event_node_id(event.id),
-            NodeKind.EVENT,
-            {"label": event.label, "description": event.description},
-        )
+def _write_units(
+    g: NarrativeGraph, corpus: AnnotationCorpus
+) -> tuple[dict[tuple[NodeKind, str], str], Optional[SchemaError]]:
+    """Write the macro-event and event nodes and index them by label, as
+    ``UnifiedGraph.from_graph`` would index ``g``. Returns the index and the
+    error of the first repeated label, or None."""
+    units = [(NodeKind.MACRO_EVENT, macro_node_id(m.id), m) for m in corpus.macro_events]
+    units += [(NodeKind.EVENT, event_node_id(e.id), e) for e in corpus.events]
+    index: dict[tuple[NodeKind, str], str] = {}
+    repeated = None
+    for kind, node_id, unit in units:
+        position = g.node_count
+        g._put_node(node_id, kind, {"label": unit.label, "description": unit.description})
+        error = _index_unit(index, kind, unit.label, node_id, position)
+        if repeated is None:
+            repeated = error
+    return index, repeated
 
 
 def _write_hierarchy(g: NarrativeGraph, corpus: AnnotationCorpus) -> None:
@@ -351,8 +384,15 @@ def integrate(corpus: AnnotationCorpus) -> UnifiedGraph:
     attributes), the reading-order chains, the macro-events and events, and
     the event hierarchy. Adds one ``instantiates`` edge per panel (panel to
     its segment), one global character node per normalized label, and one
-    ``refers_to`` edge per character mention. The result is indexed by
-    ``UnifiedGraph.from_graph``.
+    ``refers_to`` edge per character mention.
+
+    The unit-label index is built as the units are written. A repeated label
+    raises the ``SchemaError`` that ``UnifiedGraph.from_graph`` would, once
+    every write has succeeded, so a missing or repeated id is reported first
+    as before. The rest of ``from_graph``'s contract holds by construction:
+    each panel writes its two hubs once, each panel, segment and event gets
+    one parent edge or raises ``MissingNodeError``, and each mention gets
+    one ``refers_to`` edge.
 
     Needs no cycle check: each ``precedes`` chain is a simple path (a
     repeated id raises) within one id namespace — panels, segments, the
@@ -364,13 +404,13 @@ def integrate(corpus: AnnotationCorpus) -> UnifiedGraph:
     for panel in corpus.panels:
         _write_panel(unified, panel)
     for segment in corpus.segments:
-        unified.add_node(
+        unified._put_node(
             segment_node_id(segment.id),
             NodeKind.EVENT_SEGMENT,
             {**_segment_temporal_attrs(segment, first_order), **_segment_event_attrs(segment)},
         )
     _write_reading_chains(unified, ordered, first_order)
-    _write_units(unified, corpus)
+    index, repeated = _write_units(unified, corpus)
     _write_hierarchy(unified, corpus)
 
     for panel in corpus.panels:
@@ -381,13 +421,17 @@ def integrate(corpus: AnnotationCorpus) -> UnifiedGraph:
         )
 
     # Character identity nodes, in first-appearance (reading) order.
+    kinds, attrs, insert = unified._kinds, unified._attrs, unified._insert
+    refers_to = RelationKind.REFERS_TO
     for panel in ordered:
         vnode = f"{panel_node_id(panel.panel_id)}/visual"
-        for mention in unified.neighbors(vnode, RelationKind.HAS_CHARACTER, "out"):
-            label = unified.node_attrs(mention)["label"]
+        for mention in unified._adjacent(vnode, _HAS_CHARACTER, "out"):
+            label = attrs[mention]["label"]
             cnode = character_node_id(label)
-            if not unified.has_node(cnode):
-                unified.add_node(cnode, NodeKind.CHARACTER, {"label": label})
-            unified.add_edge(mention, RelationKind.REFERS_TO, cnode)
+            if cnode not in kinds:
+                unified._put_node(cnode, NodeKind.CHARACTER, {"label": label})
+            insert(mention, refers_to, cnode)
 
-    return UnifiedGraph.from_graph(unified)
+    if repeated is not None:
+        raise repeated
+    return UnifiedGraph(graph=unified, index=index)

@@ -55,14 +55,32 @@ def _lone_surrogate(doc: Any) -> Optional[str]:
     return None
 
 
-def parse_json(text: str) -> Any:
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """``json.loads``'s ``object_pairs_hook`` that refuses a key repeated
+    within one object, where ``json.loads`` would keep its last value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError("$", f"repeated key {key!r} in one object")
+            seen.add(key)
+    return obj
+
+
+def parse_json(text: str, unique_keys: bool = False) -> Any:
     """``json.loads``, raising ``SchemaError("$", "not valid JSON: …")`` for
     any text it cannot decode: malformed JSON, an integer literal longer
     than ``sys.get_int_max_str_digits()``, nesting too deep to parse, or a
     ``\\ud800``-``\\udfff`` escape that is not half of a surrogate pair
-    (no UTF-8 text can hold it, so no output could be written)."""
+    (no UTF-8 text can hold it, so no output could be written).
+
+    With ``unique_keys``, a key repeated within one object raises
+    ``SchemaError("$", "repeated key … in one object")``. The check costs a
+    Python call per object, so only corpus and synonym files, where a lost
+    value would go unseen, are read with it."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys if unique_keys else None)
     except (ValueError, RecursionError) as exc:
         raise SchemaError("$", f"not valid JSON: {exc}") from None
     if "\\" in text and _SURROGATE_ESCAPE.search(text):

@@ -152,8 +152,8 @@ def load_synonym_map(text: str) -> dict[str, str]:
     Keys and targets are normalized. The map is applied once, so it must be
     unambiguous and final: two keys that normalize alike with different
     targets, or a target that is itself a key mapped elsewhere, raise
-    ``SchemaError``."""
-    doc = parse_json(text)
+    ``SchemaError``, and so does a key repeated in the file."""
+    doc = parse_json(text, unique_keys=True)
     if not isinstance(doc, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in doc.items()
     ):

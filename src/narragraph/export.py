@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .build import panel_id_of, segment_id_of
-from .graph import NarrativeGraph, NodeKind
+from .graph import NarrativeGraph, NodeKind, RelationKind
 
 #: shape and fill per node kind; listed in the legend header.
 _NODE_STYLE: dict[NodeKind, tuple[str, str]] = {
@@ -31,27 +31,46 @@ _NODE_STYLE: dict[NodeKind, tuple[str, str]] = {
 
 
 def _quote(text: str) -> str:
-    escaped = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    return f'"{escaped}"'
+    # Ids and labels almost never hold a character to escape.
+    if "\\" in text or '"' in text or "\n" in text:
+        text = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{text}"'
+
+
+#: The fixed part of each kind's node statement, and each relation's quoted label.
+_NODE_TAIL = {kind: f"shape={shape}, fillcolor={_quote(color)}];" for kind, (shape, color) in _NODE_STYLE.items()}
+_EDGE_TAIL = {rel: f" [label={_quote(rel.value)}];" for rel in RelationKind}
+
+
+#: The attribute that labels a node of each kind, the id standing in when
+#: it is absent; panels and segments show their id, other kinds fixed text.
+_LABEL_ATTR = {
+    NodeKind.EVENT: "label",
+    NodeKind.MACRO_EVENT: "label",
+    NodeKind.CHARACTER: "label",
+    NodeKind.CHARACTER_MENTION: "label",
+    NodeKind.SCENE_OBJECT: "label",
+    NodeKind.ACTION: "verb",
+    NodeKind.DIALOGUE_CONTENT: "text",
+}
+_FIXED_LABEL = {
+    NodeKind.PANEL_VISUAL: "visual",
+    NodeKind.PANEL_TEXTUAL: "textual",
+    NodeKind.DIALOGUE: NodeKind.DIALOGUE.value,
+    NodeKind.CAPTION: NodeKind.CAPTION.value,
+}
+_PANEL, _SEGMENT = NodeKind.PANEL, NodeKind.EVENT_SEGMENT
 
 
 def _node_label(node_id: str, kind: NodeKind, attrs: dict[str, str]) -> str:
-    if kind is NodeKind.PANEL:
+    key = _LABEL_ATTR.get(kind)
+    if key is not None:
+        return attrs.get(key, node_id)
+    if kind is _PANEL:
         return panel_id_of(node_id)
-    if kind is NodeKind.EVENT_SEGMENT:
+    if kind is _SEGMENT:
         return segment_id_of(node_id)
-    if kind in (NodeKind.EVENT, NodeKind.MACRO_EVENT, NodeKind.CHARACTER,
-                NodeKind.CHARACTER_MENTION, NodeKind.SCENE_OBJECT):
-        return attrs.get("label", node_id)
-    if kind is NodeKind.ACTION:
-        return attrs.get("verb", node_id)
-    if kind is NodeKind.DIALOGUE_CONTENT:
-        return attrs.get("text", node_id)
-    if kind is NodeKind.PANEL_VISUAL:
-        return "visual"
-    if kind is NodeKind.PANEL_TEXTUAL:
-        return "textual"
-    return kind.value
+    return _FIXED_LABEL[kind]
 
 
 def induced_subgraph(graph: NarrativeGraph, kinds: Iterable[NodeKind]) -> NarrativeGraph:
@@ -82,12 +101,9 @@ def to_dot(graph: NarrativeGraph, kinds: Optional[Iterable[NodeKind]] = None) ->
     lines.append("digraph {")
     lines.append("  node [style=filled];")
     for node_id, kind, attrs in g.nodes():
-        shape, color = _NODE_STYLE[kind]
-        lines.append(
-            f"  {_quote(node_id)} [label={_quote(_node_label(node_id, kind, attrs))}, "
-            f"shape={shape}, fillcolor={_quote(color)}];"
-        )
+        label = _quote(_node_label(node_id, kind, attrs))
+        lines.append(f"  {_quote(node_id)} [label={label}, {_NODE_TAIL[kind]}")
     for src, rel, dst in g.edges():
-        lines.append(f"  {_quote(src)} -> {_quote(dst)} [label={_quote(rel.value)}];")
+        lines.append(f"  {_quote(src)} -> {_quote(dst)}{_EDGE_TAIL[rel]}")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -110,15 +110,24 @@ class NarrativeGraph:
     # -- mutation --------------------------------------------------------
 
     def add_node(self, node_id: str, kind: NodeKind, attrs: Optional[dict[str, str]] = None) -> None:
-        if node_id in self._kinds:
-            held = self._kinds[node_id]
+        # A held id raises in _put_node before the attributes are read.
+        if node_id not in self._kinds:
+            attrs = dict(attrs) if attrs else {}
+            for key, value in attrs.items():
+                if not isinstance(key, str) or not isinstance(value, str):
+                    raise TypeError("node attributes must map strings to strings")
+        self._put_node(node_id, kind, attrs)
+
+    def _put_node(self, node_id: str, kind: NodeKind, attrs: dict[str, str]) -> None:
+        """Store a new node and take ``attrs``, which must map strings to
+        strings, as its own map, uncopied; a held id raises
+        ``DuplicateNodeError``."""
+        kinds = self._kinds
+        if node_id in kinds:
+            held = kinds[node_id]
             clash = "" if held is kind else f" with kind {held.value!r}, not {kind.value!r}"
             raise DuplicateNodeError(f"node {node_id!r} already exists{clash}")
-        attrs = dict(attrs) if attrs else {}
-        for key, value in attrs.items():
-            if not isinstance(key, str) or not isinstance(value, str):
-                raise TypeError("node attributes must map strings to strings")
-        self._kinds[node_id] = kind
+        kinds[node_id] = kind
         self._attrs[node_id] = attrs
 
     def add_edge(self, src: str, rel: RelationKind, dst: str) -> None:
@@ -363,9 +372,9 @@ def deserialize_graph(text: str) -> NarrativeGraph:
     checked by ``UnifiedGraph.from_graph``, so tier graphs and filtered
     exports load too.
 
-    Each record is checked once here and written straight into the store,
-    an edge through ``add_edge``'s own writer: a checked record needs none
-    of ``add_node``'s or ``add_edge``'s checks."""
+    Each record is checked once here and written through the store's own
+    writers, which ``add_node`` and ``add_edge`` also end in: a checked
+    record needs none of their checks or copies."""
     doc = parse_json(text)
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected an object")
@@ -379,7 +388,7 @@ def deserialize_graph(text: str) -> NarrativeGraph:
         raise SchemaError("tier", f"unknown tier {tier_raw!r}") from None
 
     graph = NarrativeGraph(tier)
-    kinds, node_attrs = graph._kinds, graph._attrs
+    kinds, put = graph._kinds, graph._put_node
 
     nodes = doc.get("nodes")
     if not isinstance(nodes, list):
@@ -403,10 +412,10 @@ def deserialize_graph(text: str) -> NarrativeGraph:
                 raise SchemaError(f"nodes[{i}].attrs", f"{kind_raw} node lacks attribute {key!r}")
             if form is not None and not form[0](attrs[key]):
                 raise SchemaError(f"nodes[{i}].attrs", f"{key} must be {form[1]}, got {attrs[key]!r}")
-        if node_id in kinds:
-            raise SchemaError(f"nodes[{i}].id", f"duplicate node id {node_id!r}")
-        kinds[node_id] = kind
-        node_attrs[node_id] = attrs
+        try:
+            put(node_id, kind, attrs)
+        except DuplicateNodeError:
+            raise SchemaError(f"nodes[{i}].id", f"duplicate node id {node_id!r}") from None
 
     edges = doc.get("edges")
     if not isinstance(edges, list):

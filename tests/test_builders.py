@@ -2,7 +2,7 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import narragraph as ng
@@ -289,6 +289,41 @@ def test_from_graph_accepts_every_graph_integrate_writes(story):
         assert ng.UnifiedGraph.from_graph(unified.graph).index == unified.index
 
 
+@st.composite
+def _drawn_corpora(draw):
+    """A seeded corpus, or one of panels in drawn segments and reading
+    order whose characters repeat in other surface forms."""
+    if draw(st.booleans()):
+        return ng.generate(
+            ng.GenParams(
+                seed=draw(st.integers(0, 2**32)),
+                n_macro=draw(st.integers(1, 4)),
+                events_per_macro=(1, 3),
+                segments_per_event=(1, 2),
+                panels_per_segment=(1, 3),
+            )
+        )
+    names = st.sampled_from(["A", "a", " A", "B", "C"])
+    layout = draw(st.lists(st.tuples(st.integers(0, 5), st.lists(names, max_size=3)), min_size=1, max_size=10))
+    orders = draw(st.permutations(range(len(layout))))
+    panels = [
+        util.panel(f"p{i}", f"s{seg}", order, characters=chars, actions=[(c, "wave") for c in chars[:1]])
+        for i, ((seg, chars), order) in enumerate(zip(layout, orders))
+    ]
+    return util.corpus(panels, seg_event={f"s{seg}": f"ev{seg % 3}" for seg, _ in layout})
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus=_drawn_corpora())
+def test_from_graph_gives_the_index_integrate_builds_on_drawn_corpora(corpus):
+    # integrate indexes its units as it writes them and skips from_graph's
+    # checks; from_graph must accept what it writes and index it alike.
+    unified = integrate(corpus)
+    assert ng.UnifiedGraph.from_graph(unified.graph).index == unified.index
+    loaded = deserialize_graph(serialize_graph(unified.graph))
+    assert ng.UnifiedGraph.from_graph(loaded).index == unified.index
+
+
 def _generated(seed):
     return ng.generate(
         ng.GenParams(
@@ -428,7 +463,8 @@ def test_co_occurs_matches_pairwise_loop_on_random_spans(layout):
 
 def _reference_integrate(corpus):
     """integrate as a merge of separately built tier graphs, the path the
-    one-pass integrate replaced; returns the serialized graph. Each tier is
+    one-pass integrate replaced, indexed by ``UnifiedGraph.from_graph`` as
+    it was then; returns the serialized graph and the index. Each tier is
     merged before the next is built, so errors come in the old order."""
     nodes, edges = {}, {}
 
@@ -466,7 +502,12 @@ def _reference_integrate(corpus):
                 unified.add_node(cnode, NodeKind.CHARACTER, {"label": label})
             unified.add_edge(mention, RelationKind.REFERS_TO, cnode)
     assert unified.is_acyclic({RelationKind.PRECEDES})
-    return serialize_graph(unified)
+    return serialize_graph(unified), ng.UnifiedGraph.from_graph(unified).index
+
+
+def _integrated(corpus):
+    unified = integrate(corpus)
+    return serialize_graph(unified.graph), unified.index
 
 
 def _outcome(build):
@@ -480,7 +521,7 @@ def test_integrate_matches_tier_merge_on_seeded_corpora(story):
     corpora = [story] + [_generated(seed) for seed in range(20)]
     corpora.append(ng.generate(ng.GenParams(seed=3)))
     for corpus in corpora:
-        assert serialize_graph(integrate(corpus).graph) == _reference_integrate(corpus)
+        assert _integrated(corpus) == _reference_integrate(corpus)
 
 
 def test_integrate_matches_tier_merge_on_unvalidated_corpora():
@@ -494,30 +535,41 @@ def test_integrate_matches_tier_merge_on_unvalidated_corpora():
         background="street",
     )
     # Agent and speaker not in the panel, repeated surface forms, repeated
-    # reading orders, repeated labels: integrate builds these.
+    # reading orders, segments sharing an event: integrate builds these.
     built = [
         util.corpus([rich, util.panel("p1", "s1", 0, characters=("a",)), util.panel("p2", "s0", 7)]),
         util.corpus([util.panel("p0", "s0", 0), util.panel("p1", "s1", 1)], seg_event={"s0": "x", "s1": "x"}),
     ]
     two = util.corpus([util.panel("p0", "s0", 0), util.panel("p1", "s1", 1)])
-    # Each of these raises, with the same error in both paths.
-    failing = {
-        "node 'panel:p0' already exists": util.corpus(
+    relabel = dataclasses.replace
+    same_event_labels = relabel(two, events=tuple(relabel(e, label="x") for e in two.events))
+    same_macro_labels = relabel(two, macro_events=(two.macro_events[0], relabel(two.macro_events[0], id="m1")))
+    # Each of these raises, with the same error in both paths. A repeated
+    # label is reported at the second unit's node once every write has
+    # succeeded, so a missing or repeated id is reported first.
+    failing = [
+        ("node 'panel:p0' already exists", util.corpus(
             [util.panel("p0", "s0", 0, characters=("A",)), util.panel("p0", "s1", 1, characters=("a",))]
-        ),
-        "node 'panel:a/visual' already exists with kind 'panel_visual', not 'panel'": util.corpus(
+        )),
+        ("node 'panel:a/visual' already exists with kind 'panel_visual', not 'panel'", util.corpus(
             [util.panel("a", "s0", 0), util.panel("a/visual", "s0", 1)]
-        ),
-        "node 'panel:a/char:x' already exists with kind 'panel', not 'character_mention'": util.corpus(
+        )),
+        ("node 'panel:a/char:x' already exists with kind 'panel', not 'character_mention'", util.corpus(
             [util.panel("a/char:x", "s0", 0), util.panel("a", "s0", 1, characters=("X",))]
-        ),
-        "node 'seg:s0' already exists": dataclasses.replace(two, segments=two.segments + two.segments[:1]),
-        "node 'macro:m0' already exists": dataclasses.replace(two, macro_events=two.macro_events * 2),
-        "node 'seg:s1' is not in the graph": dataclasses.replace(two, segments=two.segments[:1]),
-    }
+        )),
+        ("node 'seg:s0' already exists", relabel(two, segments=two.segments + two.segments[:1])),
+        ("node 'macro:m0' already exists", relabel(two, macro_events=two.macro_events * 2)),
+        ("node 'seg:s1' is not in the graph", relabel(two, segments=two.segments[:1])),
+        ("nodes[10].attrs: duplicate event label 'x'", same_event_labels),
+        ("nodes[9].attrs: duplicate macro_event label 'arc_0'", same_macro_labels),
+        ("node 'event:e3' is not in the graph", relabel(
+            same_event_labels, segments=(two.segments[0], relabel(two.segments[1], event_id="e3")))),
+        ("node 'macro:m0' already exists", relabel(
+            same_macro_labels, macro_events=same_macro_labels.macro_events + two.macro_events)),
+    ]
     for corpus in built:
-        assert serialize_graph(integrate(corpus).graph) == _reference_integrate(corpus)
-    for message, corpus in failing.items():
-        outcome = _outcome(lambda: serialize_graph(integrate(corpus).graph))
+        assert _integrated(corpus) == _reference_integrate(corpus)
+    for message, corpus in failing:
+        outcome = _outcome(lambda: _integrated(corpus))
         assert outcome == _outcome(lambda: _reference_integrate(corpus))
         assert outcome[1] == message

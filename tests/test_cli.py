@@ -154,6 +154,37 @@ def test_lone_surrogate_exits_2_and_writes_nothing(tmp_path, story_file, graph_f
     assert out.read_text(encoding="utf-8") == "kept"
 
 
+def test_repeated_key_exits_2_naming_the_key(tmp_path, story_file, graph_file, capsys):
+    # json.loads keeps the last of two equal keys: the story below used to
+    # validate and score under the label "Other arc", and the synonym map
+    # to use the last target.
+    story = ng.bundled_story_text()
+    first = '"label": "Think of family"'
+    assert story.count(first) == 1
+    bad_story = tmp_path / "repeated.json"
+    bad_story.write_text(story.replace(first, first + ', "label": "Other arc"'), encoding="utf-8")
+    bad_synonyms = tmp_path / "syn.json"
+    bad_synonyms.write_text('{"insert_into": "insert", "insert_into": "put"}', encoding="utf-8")
+    s, syn, out_path = str(bad_story), str(bad_synonyms), tmp_path / "g.json"
+    in_story = f"{s}: schema error: $: repeated key 'label' in one object\n"
+    cases = [
+        (["validate", s], in_story),
+        (["build", s, str(out_path)], in_story),
+        (["eval", s], in_story),
+        (["eval", s, "--graph", graph_file], in_story),
+        (["eval", story_file, "--synonyms", syn], f"{syn}: $: repeated key 'insert_into' in one object\n"),
+    ]
+    for argv, err in cases:
+        assert run_cli(argv, capsys) == (2, "", err), argv
+    assert not out_path.exists()
+    # Graph files are read as before: a repeated key keeps its last value.
+    doc = ng.serialize_graph(ng.integrate(ng.bundled_story()).graph)
+    graph = tmp_path / "repeated_graph.json"
+    graph.write_text(doc.replace('"tier": "unified"', '"tier": "panel", "tier": "unified"'), encoding="utf-8")
+    code, _, _ = run_cli(["query", str(graph), "timeline", "--unit", "Think of family"], capsys)
+    assert code == 0
+
+
 def test_surrogate_pair_escape_still_loads(tmp_path, capsys):
     story = json.loads(ng.bundled_story_text())
     story["macro_events"][0]["description"] = "smile \U0001f600"

@@ -50,19 +50,30 @@ def _records(doc, key):
     return [item for item in items if isinstance(item, dict)] if isinstance(items, list) else []
 
 
+class RepeatedKey(dict):
+    """An object that ``json.dump`` writes with its first key repeated at
+    the end, where ``json.loads`` would keep the repeat's value."""
+
+    def items(self):
+        items = list(super().items())
+        return items + items[:1]
+
+
 @st.composite
 def mutated(draw, original):
     """``original`` after one to three mutations: drop a key or item, swap a
     value for an odd one, replace a string with another string of the
     document or an enum value, end a string with a lone surrogate (json.dump
-    writes the escape ``\\ud800``), or duplicate a list item; in a graph
-    also point an edge at another node, change a node kind or a relation,
-    give a panel a second hub, or give an event or macro-event another
-    unit's label."""
+    writes the escape ``\\ud800``), or duplicate a list item; in a corpus
+    also repeat a key of an object; in a graph also point an edge at another
+    node, change a node kind or a relation, give a panel a second hub, or
+    give an event or macro-event another unit's label."""
     doc = copy.deepcopy(original)
     ops = ["drop", "swap", "restring", "surrogate", "duplicate"]
     if "edges" in original:
         ops += ["retarget", "rekind", "second_hub", "relabel"]
+    else:
+        ops += ["repeat_key"]
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(ops))
         nodes, edges = _records(doc, "nodes"), _records(doc, "edges")
@@ -101,6 +112,12 @@ def mutated(draw, original):
                 record[key] = draw(st.sampled_from([member.value for member in enum]))
             continue
         slots = _slots(doc)
+        if op == "repeat_key":
+            objects = [(c, k) for c, k in slots if isinstance(c[k], dict) and c[k]]
+            if objects:
+                container, key = draw(st.sampled_from(objects))
+                container[key] = RepeatedKey(container[key])
+            continue
         strings = sorted({c[k] for c, k in slots if isinstance(c[k], str)})
         if op in ("restring", "surrogate"):
             slots = [(c, k) for c, k in slots if isinstance(c[k], str)]

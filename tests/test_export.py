@@ -81,6 +81,18 @@ def test_dot_escapes_problem_text():
     parse_dot(dot)
 
 
+@pytest.mark.parametrize(
+    "text, quoted",
+    [('say "hi"', r'"say \"hi\""'), ("a\\b", r'"a\\b"'), ("one\ntwo", r'"one\ntwo"'), ("plain", '"plain"')],
+    ids=["quote", "backslash", "newline", "plain"],
+)
+def test_dot_escapes_each_problem_character_alone(text, quoted):
+    g = NarrativeGraph(Tier.PANEL)
+    g.add_node(text, NodeKind.DIALOGUE_CONTENT, {"text": text})
+    statement = f"  {quoted} [label={quoted}, shape=parallelogram, fillcolor=\"#eafaf1\"];"
+    assert statement in to_dot(g).splitlines()
+
+
 def test_unfiltered_dot_parses_for_all_tiers(story, unified):
     graphs = [
         build_panel_graph(story.panels[0]),

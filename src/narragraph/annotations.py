@@ -40,11 +40,6 @@ class NarrativeRole(str, Enum):
     OTHER = "other"
 
 
-class UtteranceKind(str, Enum):
-    DIALOGUE = "dialogue"
-    CAPTION = "caption"
-
-
 def normalize_token(text: str) -> str:
     """Comparison form of a verb or label: lowercase, trimmed, internal
     whitespace runs joined with ``_``. Stored annotation text is never
@@ -92,8 +87,10 @@ class ActionTriple:
 
 @dataclass(frozen=True)
 class Utterance:
+    """A line of dialogue or a caption; which one is said by the panel list
+    that holds it. A caption has no speaker."""
+
     id: str
-    kind: UtteranceKind
     text: str
     speaker: Optional[str] = None
 
@@ -162,6 +159,10 @@ class _Form(Enum):
 
 
 _OPTIONAL = (_Form.OPT_STR, _Form.OPT_ENUM)
+_ENUMS = (_Form.ENUM, _Form.OPT_ENUM)
+#: Forms whose values ``json.dumps`` writes as they are, None included; it
+#: writes a tuple as a list.
+_AS_IS = (_Form.STR, _Form.NAT, _Form.STR_LIST)
 #: JSON value types each form admits before its value is looked at.
 _TYPES = {
     _Form.STR: (str,),
@@ -185,29 +186,28 @@ class _RecordKind:
 
     ``fields`` lists ``(name, form, arg)`` in check order, where ``arg`` is
     the enum of an ``ENUM`` field and the record kind of a ``RECORDS`` field.
-    The JSON key of a field is its dataclass field name. ``constants`` are
-    dataclass fields set to the same value for every record; a dataclass
-    field in neither keeps its default.
+    The JSON key of a field is its dataclass field name; a dataclass field
+    not in the table is not read or written and keeps its default.
+    ``names`` and ``forms`` hold the fields in dataclass field order, which
+    is the order the fast path reads them and the key order of the JSON
+    that :func:`serialize_corpus` writes.
     """
 
-    def __init__(self, cls: type, fields: tuple[tuple[str, _Form, Any], ...], **constants: Any):
+    def __init__(self, cls: type, fields: tuple[tuple[str, _Form, Any], ...]):
         self.cls = cls
         self.fields = fields
         table = {name: (form, arg) for name, form, arg in fields}
-        ctor = [f.name for f in dataclasses.fields(cls)]
-        # The fast path reads the fields in constructor order.
-        self.names = tuple(name for name in ctor if name in table)
-        forms = [table[name] for name in self.names]
+        self.names = tuple(f.name for f in dataclasses.fields(cls) if f.name in table)
+        self.forms = forms = tuple(table[name] for name in self.names)
         self.types = frozenset(itertools.product(*(_TYPES[form] for form, _ in forms)))
         self.nats = tuple(j for j, (form, _) in enumerate(forms) if form is _Form.NAT)
         self.enums = tuple(
             (j, {member.value: member for member in arg})
             for j, (form, arg) in enumerate(forms)
-            if form in (_Form.ENUM, _Form.OPT_ENUM)
+            if form in _ENUMS
         )
         self.str_lists = tuple(j for j, (form, _) in enumerate(forms) if form is _Form.STR_LIST)
         self.records = tuple((j, arg) for j, (form, arg) in enumerate(forms) if form is _Form.RECORDS)
-        self.constants = tuple(sorted((ctor.index(name), value) for name, value in constants.items()))
 
 
 _S, _O = _Form.STR, _Form.OPT_STR
@@ -226,13 +226,9 @@ _SEGMENT = _RecordKind(
     ),
 )
 _ACTION = _RecordKind(ActionTriple, (("agent", _S, None), ("verb", _S, None), ("object", _O, None)))
-_DIALOGUE = _RecordKind(
-    Utterance,
-    (("speaker", _O, None), ("id", _S, None), ("text", _S, None)),
-    kind=UtteranceKind.DIALOGUE,
-)
-# A caption has no speaker; a "speaker" key in one is not read.
-_CAPTION = _RecordKind(Utterance, (("id", _S, None), ("text", _S, None)), kind=UtteranceKind.CAPTION)
+_DIALOGUE = _RecordKind(Utterance, (("speaker", _O, None), ("id", _S, None), ("text", _S, None)))
+# A caption has no speaker; a "speaker" key in one is not read or written.
+_CAPTION = _RecordKind(Utterance, (("id", _S, None), ("text", _S, None)))
 _PANEL = _RecordKind(
     PanelAnnotation,
     (
@@ -267,7 +263,7 @@ del _S, _O
 def _records(items: list, kind: _RecordKind) -> tuple:
     """The records of ``kind`` that ``items`` holds, each checked in one
     pass; raises ``_Fault`` as soon as some check fails."""
-    cls, names, types, constants = kind.cls, kind.names, kind.types, kind.constants
+    cls, names, types = kind.cls, kind.names, kind.types
     nats, enums, str_lists, records = kind.nats, kind.enums, kind.str_lists, kind.records
     flat = not (nats or enums or str_lists or records)
     out = []
@@ -294,8 +290,6 @@ def _records(items: list, kind: _RecordKind) -> tuple:
                 values[j] = tuple(values[j])
             for j, sub in records:
                 values[j] = _records(values[j], sub) if values[j] else ()
-        for j, value in constants:
-            values.insert(j, value)
         out.append(cls(*values))
     return tuple(out)
 
@@ -335,7 +329,7 @@ def _first_fault(obj: Any, kind: _RecordKind, path: str) -> Optional[SchemaError
                 fault = _first_fault(item, arg, f"{at}[{j}]")
                 if fault is not None:
                     return fault
-        if form in (_Form.ENUM, _Form.OPT_ENUM) and value not in {member.value for member in arg}:
+        if form in _ENUMS and value not in {member.value for member in arg}:
             return SchemaError(at, f"unknown {name} {value!r}")
     return None
 
@@ -362,74 +356,38 @@ def parse_corpus(text: str) -> AnnotationCorpus:
 
 # --- serialization -----------------------------------------------------
 
-def _action_obj(action: ActionTriple) -> dict:
-    obj: dict[str, Any] = {"agent": action.agent, "verb": action.verb}
-    if action.object is not None:
-        obj["object"] = action.object
-    return obj
-
-
-def _utterance_obj(utterance: Utterance) -> dict:
-    obj: dict[str, Any] = {"id": utterance.id, "text": utterance.text}
-    if utterance.kind is UtteranceKind.DIALOGUE and utterance.speaker is not None:
-        obj["speaker"] = utterance.speaker
-    return obj
-
-
-def _panel_obj(panel: PanelAnnotation) -> dict:
-    obj: dict[str, Any] = {
-        "panel_id": panel.panel_id,
-        "segment_id": panel.segment_id,
-        "page_index": panel.page_index,
-        "reading_order": panel.reading_order,
-        "shot_type": panel.shot_type.value,
-    }
-    if panel.image_path is not None:
-        obj["image_path"] = panel.image_path
-    obj["characters"] = list(panel.characters)
-    if panel.background is not None:
-        obj["background"] = panel.background
-    obj["objects"] = list(panel.objects)
-    obj["actions"] = [_action_obj(a) for a in panel.actions]
-    obj["dialogues"] = [_utterance_obj(u) for u in panel.dialogues]
-    obj["captions"] = [_utterance_obj(u) for u in panel.captions]
-    if panel.event_description is not None:
-        obj["event_description"] = panel.event_description
-    return obj
-
-
-def _segment_obj(segment: EventSegment) -> dict:
-    obj: dict[str, Any] = {"id": segment.id, "event_id": segment.event_id}
-    if segment.narrative_role is not None:
-        obj["narrative_role"] = segment.narrative_role.value
-    obj["description"] = segment.description
+def _record_obj(record: Any, kind: _RecordKind) -> dict:
+    """The JSON object of ``record``, one key per field of ``kind`` in
+    dataclass field order; an optional field that is None is left out."""
+    obj = {}
+    for name, (form, arg) in zip(kind.names, kind.forms):
+        value = getattr(record, name)
+        if form in _AS_IS:
+            pass
+        elif value is None:
+            if form in _OPTIONAL:
+                continue
+        elif form in _ENUMS:
+            value = value.value
+        elif form is _Form.RECORDS:
+            value = [_record_obj(item, arg) for item in value]
+        obj[name] = value
     return obj
 
 
 def serialize_corpus(corpus: AnnotationCorpus) -> str:
     """Render a corpus in its canonical single-document JSON form.
 
-    ``parse_corpus(serialize_corpus(c)) == c`` for every valid corpus.
+    The document is written from the field tables :func:`parse_corpus`
+    reads: keys in dataclass field order, an optional field that is None
+    left out, and a caption's speaker never written. So
+    ``parse_corpus(serialize_corpus(c)) == c`` holds for every ``c`` that
+    ``parse_corpus`` can return, valid or not: each field holds a value of
+    its form (a string, or None where optional; a non-negative int; a member
+    of its enum; a tuple of strings or of records of its list's kind), and
+    no caption has a speaker.
     """
-    obj = {
-        "story_id": corpus.story_id,
-        "macro_events": [
-            {"id": m.id, "label": m.label, "description": m.description}
-            for m in corpus.macro_events
-        ],
-        "events": [
-            {
-                "id": e.id,
-                "macro_event_id": e.macro_event_id,
-                "label": e.label,
-                "description": e.description,
-            }
-            for e in corpus.events
-        ],
-        "segments": [_segment_obj(s) for s in corpus.segments],
-        "panels": [_panel_obj(p) for p in corpus.panels],
-    }
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(_record_obj(corpus, _STORY), indent=2, ensure_ascii=False) + "\n"
 
 
 # --- validation --------------------------------------------------------

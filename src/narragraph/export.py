@@ -79,7 +79,7 @@ def induced_subgraph(graph: NarrativeGraph, kinds: Iterable[NodeKind]) -> Narrat
     sub = NarrativeGraph(graph.tier)
     for node_id, kind, attrs in graph.nodes():
         if kind in keep:
-            sub.add_node(node_id, kind, dict(attrs))
+            sub.add_node(node_id, kind, attrs)
     for src, rel, dst in graph.edges():
         if sub.has_node(src) and sub.has_node(dst):
             sub.add_edge(src, rel, dst)

@@ -19,7 +19,6 @@ from .annotations import (
     PanelAnnotation,
     ShotType,
     Utterance,
-    UtteranceKind,
     parse_corpus,
 )
 
@@ -128,7 +127,6 @@ def _random_panel(
             dialogues.append(
                 Utterance(
                     id=f"{panel_id}_d{i}",
-                    kind=UtteranceKind.DIALOGUE,
                     text=rng.choice(_PHRASES),
                     speaker=speaker,
                 )
@@ -139,7 +137,6 @@ def _random_panel(
         captions.append(
             Utterance(
                 id=f"{panel_id}_c0",
-                kind=UtteranceKind.CAPTION,
                 text=rng.choice(_CAPTION_PHRASES),
             )
         )

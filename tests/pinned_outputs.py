@@ -18,6 +18,7 @@ from narragraph import (
     build_temporal_graph,
     evaluate_all,
     integrate,
+    serialize_corpus,
     serialize_graph,
     to_dot,
 )
@@ -32,10 +33,12 @@ CORPORA = {
 
 
 def build_outputs(corpus):
-    """Each pinned build output of ``corpus`` by name; the panel tier is
-    every panel graph's JSON, joined in corpus order."""
+    """Each pinned build output of ``corpus`` by name: the corpus document
+    itself, and each graph; the panel tier is every panel graph's JSON,
+    joined in corpus order."""
     temporal, event = build_temporal_graph(corpus), build_event_graph(corpus)
     return {
+        "corpus": serialize_corpus(corpus),
         "integrate": serialize_graph(integrate(corpus).graph),
         "panel": "".join(serialize_graph(build_panel_graph(p)) for p in corpus.panels),
         "temporal": serialize_graph(temporal),
@@ -59,6 +62,7 @@ def digests(outputs):
 #: Digests of ``build_outputs`` per corpus.
 DIGESTS = {
     "paper": {
+        "corpus": "0c2b2439fbfd85ec37641feb0784c9c15e33758afa8fe49cff7ad155603284fb",
         "integrate": "09e5175a8b9d6f44f1faef5cf7ea9eae4a80dba759567ca2fb3d9dd541cadc51",
         "panel": "00692dbeb6c13d4becdaecb73fc17d7e7156895b06bd6ace940ce33b1492b17a",
         "temporal": "aacd87d58fcf23d7e8c4a6d20d9c4f2d4153499468abf8d7611e4f0c8c63d2e0",
@@ -67,6 +71,7 @@ DIGESTS = {
         "event_dot": "a3ee3fb64300694cb920a69555f1183eeda5872d8f7308a2180ec44a8b595335",
     },
     "seed0": {
+        "corpus": "46261c72a3245f4758f36b5a94b375b295abc69939b384ac47d6628bba3f84c6",
         "integrate": "360afd71f32116bf8d3d2c4cb34a3641a0305888d3b198ec11c4ad666563e27d",
         "panel": "542aaacf1d486009ddb840cee8b31d02bc9f0437f38f87dbb896a6b6e793751d",
         "temporal": "dc5584b888c4305e646a408a551b62ad1285e170d9f8e9563f2ea8476d5aa19c",
@@ -75,6 +80,7 @@ DIGESTS = {
         "event_dot": "9f1694fb4e3a10546966a4a43e6436cb701a2d0ab670db77d8e6a6637bbd158e",
     },
     "seed1": {
+        "corpus": "f0c7639fedd64515e73b8494a10f112c9b7d9b17491fd7bb6172cf120a8589ce",
         "integrate": "d6f8ecb5b118f435233cc060f47e6cc662c1a37c06ce50fc36081cc79df941d8",
         "panel": "bc49b32eb33342192762cea833ad3570b2262c3799c71ea7e8e83b72d94bd7c0",
         "temporal": "3ba8c8796fda080658253c0848f6fb58402a732a1e6c7c78949e5498490885c8",
@@ -83,6 +89,7 @@ DIGESTS = {
         "event_dot": "537d65463efa8d9895b13944cca9c6a77b5f16357b18e042e6fedc821cc31f92",
     },
     "seed2": {
+        "corpus": "5406dd3278d135a1c6dda251c433f4a65850beda1721abd5c633716d2207c790",
         "integrate": "84c26678693725314d7a31b153e77dbbf2065413a2c8fcb028c3035552663882",
         "panel": "09aabb670bd71b0f73056d486d911acce0384945ae989f149f6ee97a814d865c",
         "temporal": "64e609291499da4533f1883b8d39cd45bd782a7d687a706a14115b8e50b161dc",

@@ -21,7 +21,6 @@ from narragraph import (
     SchemaError,
     ShotType,
     Utterance,
-    UtteranceKind,
 )
 from narragraph.errors import parse_json
 
@@ -131,14 +130,13 @@ def _parse_action(value: Any, path: str) -> ActionTriple:
     )
 
 
-def _parse_utterance(value: Any, path: str, kind: UtteranceKind) -> Utterance:
+def _parse_utterance(value: Any, path: str, dialogue: bool) -> Utterance:
     obj = _as_object(value, path)
     speaker = None
-    if kind is UtteranceKind.DIALOGUE:
+    if dialogue:
         speaker = _opt_str(obj, "speaker", path)
     return Utterance(
         id=_get_str(obj, "id", path),
-        kind=kind,
         text=_get_str(obj, "text", path),
         speaker=speaker,
     )
@@ -168,11 +166,11 @@ def _parse_panel(value: Any, path: str) -> PanelAnnotation:
             for i, a in enumerate(_get_list(obj, "actions", path))
         ),
         dialogues=tuple(
-            _parse_utterance(u, f"{path}.dialogues[{i}]", UtteranceKind.DIALOGUE)
+            _parse_utterance(u, f"{path}.dialogues[{i}]", True)
             for i, u in enumerate(_get_list(obj, "dialogues", path))
         ),
         captions=tuple(
-            _parse_utterance(u, f"{path}.captions[{i}]", UtteranceKind.CAPTION)
+            _parse_utterance(u, f"{path}.captions[{i}]", False)
             for i, u in enumerate(_get_list(obj, "captions", path))
         ),
         event_description=_opt_str(obj, "event_description", path),

@@ -4,7 +4,9 @@ On the bundled story, seeded corpora and mutations of both, ``parse_corpus``
 must return the corpus the reference returns, or raise the ``SchemaError``
 the reference raises, at the same path with the same reason. The one new
 error is a key repeated within one object, which the reference, reading
-JSON as ``json.loads`` does, lets through with its last value.
+JSON as ``json.loads`` does, lets through with its last value. Every
+corpus the parser accepts must also survive ``serialize_corpus`` and a
+second parse unchanged.
 """
 
 import json
@@ -58,6 +60,7 @@ def _assert_same_as_reference(text):
     assert got == expected
     if not isinstance(expected, tuple):
         assert ng.serialize_corpus(got) == ng.serialize_corpus(expected)
+        assert parse_corpus(ng.serialize_corpus(got)) == got
 
 
 @pytest.mark.parametrize("name", BASES)

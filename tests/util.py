@@ -9,7 +9,6 @@ from narragraph import (
     PanelAnnotation,
     ShotType,
     Utterance,
-    UtteranceKind,
     cli,
 )
 
@@ -44,14 +43,13 @@ def panel(
         dialogues=tuple(
             Utterance(
                 id=d[0],
-                kind=UtteranceKind.DIALOGUE,
                 text=d[1],
                 speaker=d[2] if len(d) > 2 else None,
             )
             for d in dialogues
         ),
         captions=tuple(
-            Utterance(id=c[0], kind=UtteranceKind.CAPTION, text=c[1]) for c in captions
+            Utterance(id=c[0], text=c[1]) for c in captions
         ),
         **extra,
     )

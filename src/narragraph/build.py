@@ -42,10 +42,6 @@ def macro_node_id(macro_id: str) -> str:
     return f"macro:{macro_id}"
 
 
-def character_node_id(label: str) -> str:
-    return f"char:{normalize_token(label)}"
-
-
 #: Kinds the queries resolve by label, so no two nodes of one may share it.
 UNIT_KINDS = frozenset({NodeKind.EVENT, NodeKind.MACRO_EVENT})
 
@@ -114,9 +110,11 @@ class UnifiedGraph:
         return cls(graph=graph, index=index)
 
 
-def _write_panel(g: NarrativeGraph, panel: PanelAnnotation) -> None:
+def _write_panel(g: NarrativeGraph, panel: PanelAnnotation) -> list[tuple[str, str, str]]:
     """Write the multimodal subgraph of one panel into ``g``; a node id
-    that ``g`` already holds raises ``DuplicateNodeError``.
+    that ``g`` already holds raises ``DuplicateNodeError``. Returns the
+    panel's character mentions in write order, the order of its
+    ``has_character`` edges, as ``(mention id, normalized token, label)``.
 
     Each node is new and each edge joins two of them, so they go through the
     store's own writers, past ``add_node``'s copy and ``add_edge``'s lookups."""
@@ -143,11 +141,14 @@ def _write_panel(g: NarrativeGraph, panel: PanelAnnotation) -> None:
     # Mention and object ids this panel has written. One node per
     # normalized label; the first surface form within the panel is kept.
     written: set[str] = set()
+    mentions: list[tuple[str, str, str]] = []
 
     def mention(label: str) -> str:
-        mid = f"{pnode}/char:{normalize_token(label)}"
+        token = normalize_token(label)
+        mid = f"{pnode}/char:{token}"
         if mid not in written:
             written.add(mid)
+            mentions.append((mid, token, label))
             put(mid, _MENTION, {"label": label})
             insert(vnode, _HAS_CHARACTER, mid)
         return mid
@@ -185,6 +186,7 @@ def _write_panel(g: NarrativeGraph, panel: PanelAnnotation) -> None:
             cid = f"{uid}/text"
             put(cid, _CONTENT, {"text": utterance.text})
             insert(cid, _CONTENT_OF, uid)
+    return mentions
 
 
 def build_panel_graph(panel: PanelAnnotation) -> NarrativeGraph:
@@ -397,12 +399,14 @@ def integrate(corpus: AnnotationCorpus) -> UnifiedGraph:
     Needs no cycle check: each ``precedes`` chain is a simple path (a
     repeated id raises) within one id namespace — panels, segments, the
     events of one macro-event, macro-events — so their union is acyclic.
+
+    The character pass walks the mentions that ``_write_panel`` returns, not
+    the graph's adjacency, so ``integrate`` never builds the adjacency index.
     """
     unified = NarrativeGraph(Tier.UNIFIED)
     ordered = sorted(corpus.panels, key=lambda p: p.reading_order)
     first_order = _first_reading_orders(ordered)
-    for panel in corpus.panels:
-        _write_panel(unified, panel)
+    mentions = {panel.panel_id: _write_panel(unified, panel) for panel in corpus.panels}
     for segment in corpus.segments:
         unified._put_node(
             segment_node_id(segment.id),
@@ -421,13 +425,11 @@ def integrate(corpus: AnnotationCorpus) -> UnifiedGraph:
         )
 
     # Character identity nodes, in first-appearance (reading) order.
-    kinds, attrs, insert = unified._kinds, unified._attrs, unified._insert
+    kinds, insert = unified._kinds, unified._insert
     refers_to = RelationKind.REFERS_TO
     for panel in ordered:
-        vnode = f"{panel_node_id(panel.panel_id)}/visual"
-        for mention in unified._adjacent(vnode, _HAS_CHARACTER, "out"):
-            label = attrs[mention]["label"]
-            cnode = character_node_id(label)
+        for mention, token, label in mentions[panel.panel_id]:
+            cnode = f"char:{token}"
             if cnode not in kinds:
                 unified._put_node(cnode, NodeKind.CHARACTER, {"label": label})
             insert(mention, refers_to, cnode)

@@ -6,8 +6,13 @@ insertion order so that traversals and serialized output are
 deterministic. ``follows`` is a view, not stored: ``(a, follows, b)`` is
 stored, found and traversed as ``(b, precedes, a)``.
 
-Stored as read: node id -> kind and -> attrs, the edge set, and adjacency
-keyed by relation then node, so one traversal step reads one stored entry.
+Stored as written: node id -> kind and -> attrs, and the edge set, each
+edge once. Adjacency, keyed by direction, relation and node so that one
+traversal step reads one entry, is an index over the edge set: the first
+adjacency read builds it in one pass and publishes it by one assignment,
+and every later write keeps it current. A graph that is only written and
+serialized, as ``build`` does, never builds it.
+
 The store is laid out so that the cyclic GC can skip almost all of it: an
 edge key ``(src, relation value, dst)`` holds only strings, so the GC
 untracks it after one pass, and an adjacency entry is a bare id at degree 1,
@@ -95,7 +100,11 @@ def _ids(held: Optional[Union[str, list[str]]]) -> Sequence[str]:
 
 
 class NarrativeGraph:
-    """Single-writer graph: build it in one thread, then share it for reads."""
+    """Single-writer graph: build it in one thread, then share it for reads.
+
+    The adjacency index is built on the first read and published by a single
+    attribute assignment once complete, so threads reading a shared graph
+    may at worst each build it, and none sees half of one."""
 
     def __init__(self, tier: Tier):
         self.tier = tier
@@ -103,9 +112,9 @@ class NarrativeGraph:
         self._attrs: dict[str, dict[str, str]] = {}
         # (src, relation value, dst), in insertion order
         self._edges: dict[tuple[str, str, str], None] = {}
-        # relation -> node id -> adjacent ids, in edge insertion order
-        self._out: dict[RelationKind, _Adjacency] = {rel: {} for rel in RelationKind}
-        self._in: dict[RelationKind, _Adjacency] = {rel: {} for rel in RelationKind}
+        # "out"/"in" -> relation -> node id -> adjacent ids, in edge
+        # insertion order; None until the first adjacency read
+        self._adjacency: Optional[dict[str, dict[RelationKind, _Adjacency]]] = None
 
     # -- mutation --------------------------------------------------------
 
@@ -142,13 +151,33 @@ class NarrativeGraph:
         self._insert(src, rel, dst)
 
     def _insert(self, src: str, rel: RelationKind, dst: str) -> None:
-        """Store ``(src, rel, dst)`` between known nodes unless it is held;
-        ``rel`` is not ``follows``."""
+        """Store ``(src, rel, dst)`` between known nodes unless it is held,
+        and keep the adjacency index current once it is built; ``rel`` is
+        not ``follows``."""
         key = (src, _VALUE[rel], dst)
-        if key not in self._edges:
-            self._edges[key] = None
-            _link(self._out[rel], src, dst)
-            _link(self._in[rel], dst, src)
+        edges = self._edges
+        if key not in edges:
+            edges[key] = None
+            adjacency = self._adjacency
+            if adjacency is not None:
+                _link(adjacency["out"][rel], src, dst)
+                _link(adjacency["in"][rel], dst, src)
+
+    def _build_index(self) -> dict[str, dict[RelationKind, _Adjacency]]:
+        """Build the adjacency index from the edge set in one pass, publish
+        it and return it; reads call this while ``_adjacency`` is None."""
+        out: dict[str, _Adjacency] = {value: {} for value in _RELATION_OF}
+        into: dict[str, _Adjacency] = {value: {} for value in _RELATION_OF}
+        link = _link
+        for src, value, dst in self._edges:
+            link(out[value], src, dst)
+            link(into[value], dst, src)
+        # Keyed by relation value for the pass, by member for the reads.
+        adjacency = self._adjacency = {
+            "out": {rel: out[value] for rel, value in _VALUE.items()},
+            "in": {rel: into[value] for rel, value in _VALUE.items()},
+        }
+        return adjacency
 
     # -- queries ---------------------------------------------------------
 
@@ -195,15 +224,15 @@ class NarrativeGraph:
         return (src, _VALUE.get(rel), dst) in self._edges
 
     def _adjacent(self, node_id: str, rel: RelationKind, direction: str) -> Sequence[str]:
-        """The stored adjacency behind :meth:`neighbors`, not a copy."""
+        """The indexed adjacency behind :meth:`neighbors`, not a copy."""
         if node_id not in self._kinds:
             raise MissingNodeError(f"node {node_id!r} is not in the graph")
         if direction not in ("out", "in"):
             raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
         if rel is _FOLLOWS:
             rel, direction = _PRECEDES, "in" if direction == "out" else "out"
-        adjacency = self._out[rel] if direction == "out" else self._in[rel]
-        return _ids(adjacency.get(node_id))
+        adjacency = self._adjacency or self._build_index()
+        return _ids(adjacency[direction][rel].get(node_id))
 
     def neighbors(self, node_id: str, rel: RelationKind, direction: str = "out") -> list[str]:
         """Adjacent node ids over ``rel``, in edge insertion order.
@@ -221,10 +250,11 @@ class NarrativeGraph:
         """True iff the subgraph restricted to ``rels`` has no directed cycle.
         ``follows`` counts as ``precedes``: its cycles are theirs reversed."""
         keep = {_PRECEDES if rel is _FOLLOWS else rel for rel in rels}
+        out = (self._adjacency or self._build_index())["out"]
         # Only nodes on a kept edge can lie on a cycle.
         indegree: dict[str, int] = {}
         for rel in keep:
-            for src, held in self._out[rel].items():
+            for src, held in out[rel].items():
                 indegree.setdefault(src, 0)
                 for dst in _ids(held):
                     indegree[dst] = indegree.get(dst, 0) + 1
@@ -234,7 +264,7 @@ class NarrativeGraph:
             node_id = queue.popleft()
             visited += 1
             for rel in keep:
-                for dst in _ids(self._out[rel].get(node_id)):
+                for dst in _ids(out[rel].get(node_id)):
                     indegree[dst] -= 1
                     if indegree[dst] == 0:
                         queue.append(dst)
@@ -274,12 +304,22 @@ def serialize_graph(graph: NarrativeGraph) -> str:
     quote = encode_basestring
     kinds = {kind: quote(kind.value) for kind in NodeKind}
     rels = {value: quote(value) for value in _RELATION_OF}
+    # Attribute keys repeat across nodes: each is quoted once, with its indent.
+    keys: dict[str, str] = {}
+    quoted = keys.get
+
+    def key_text(key: str) -> str:
+        text = keys[key] = f"        {quote(key)}: "
+        return text
+
     nodes = []
-    for node_id, kind, attrs in graph.nodes():
+    attrs_of = graph._attrs
+    for node_id, kind in graph._kinds.items():
+        attrs = attrs_of[node_id]
         if attrs:
             attrs_text = (
                 "{\n"
-                + ",\n".join(f"        {quote(k)}: {quote(v)}" for k, v in attrs.items())
+                + ",\n".join([(quoted(k) or key_text(k)) + quote(v) for k, v in attrs.items()])
                 + "\n      }"
             )
         else:

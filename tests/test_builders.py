@@ -20,7 +20,6 @@ from narragraph import (
 )
 from narragraph.build import (
     _ONE_TARGET,
-    character_node_id,
     event_node_id,
     macro_node_id,
     panel_node_id,
@@ -194,7 +193,7 @@ def test_integrate_character_identity_counts():
     u = integrate(corpus)
     g = u.graph
     characters = g.nodes_of_kind(NodeKind.CHARACTER)
-    a_node = character_node_id("A")
+    a_node = "char:a"
     assert len(characters) == 2
     assert a_node in characters
     mentions = [
@@ -322,6 +321,25 @@ def test_from_graph_gives_the_index_integrate_builds_on_drawn_corpora(corpus):
     assert ng.UnifiedGraph.from_graph(unified.graph).index == unified.index
     loaded = deserialize_graph(serialize_graph(unified.graph))
     assert ng.UnifiedGraph.from_graph(loaded).index == unified.index
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus=_drawn_corpora())
+def test_character_nodes_follow_reading_order_on_drawn_corpora(corpus):
+    # One character node per normalized label, in order of first appearance
+    # in reading order, labelled with that first surface form (within a
+    # panel, characters come before action agents); each mention refers to
+    # the node of its own label.
+    expected = {}
+    for panel in sorted(corpus.panels, key=lambda p: p.reading_order):
+        for label in [*panel.characters, *(action.agent for action in panel.actions)]:
+            expected.setdefault(f"char:{normalize_token(label)}", label)
+    g = integrate(corpus).graph
+    characters = g.nodes_of_kind(NodeKind.CHARACTER)
+    assert [(node, g.node_attrs(node)["label"]) for node in characters] == list(expected.items())
+    for mention in g.nodes_of_kind(NodeKind.CHARACTER_MENTION):
+        token = mention.rsplit("/char:", 1)[1]
+        assert g.neighbors(mention, RelationKind.REFERS_TO, "out") == [f"char:{token}"]
 
 
 def _generated(seed):

@@ -572,6 +572,72 @@ def test_store_matches_edge_scan_reference(drawn):
         assert g.is_acyclic(subset) == (not _has_cycle(ids, arcs)), subset
 
 
+@st.composite
+def interleaved_scripts(draw):
+    """``add_node`` and ``add_edge`` steps with reads at drawn points.
+
+    Nodes are added in ``NODE_IDS`` order, and each edge joins two nodes
+    already added; edges repeat and ``follows`` may be drawn. At least one
+    edge is written before the first read and one after it."""
+    before = ["node", "edge"] + draw(st.lists(st.sampled_from(["node", "edge"]), max_size=20))
+    after = ["edge"] + draw(st.lists(st.sampled_from(["node", "edge", "read"]), max_size=40))
+    script, added = [], []
+    for step in before + ["read"] + draw(st.permutations(after)):
+        if step == "node":
+            if len(added) < len(NODE_IDS):
+                added.append(NODE_IDS[len(added)])
+                script.append(("node", added[-1]))
+        elif step == "edge":
+            src, rel, dst = draw(st.tuples(
+                st.sampled_from(added), st.sampled_from(list(RelationKind)), st.sampled_from(added)
+            ))
+            script.append(("edge", src, rel, dst))
+        else:
+            script.append(("read",))
+    return script
+
+
+def _assert_reads_match_edge_scan(g, stored):
+    """Every read of ``g`` answers as a scan of its edges, ``stored``."""
+    ids = g.node_ids()
+    assert list(g.edges()) == stored
+    for node in ids:
+        for rel in RelationKind:
+            for direction in ("out", "in"):
+                expected = _reference_neighbors(g, node, rel, direction)
+                assert g.neighbors(node, rel, direction) == expected
+                assert g.degree(node, rel, direction) == len(expected)
+            for other in ids:
+                assert g.has_edge(node, rel, other) == (_stored(node, rel, other) in stored)
+    for rels in [{rel} for rel in RelationKind] + [set(RelationKind)]:
+        keep = {RelationKind.PRECEDES if rel is RelationKind.FOLLOWS else rel for rel in rels}
+        arcs = [(src, dst) for src, rel, dst in stored if rel in keep]
+        assert g.is_acyclic(rels) == (not _has_cycle(ids, arcs)), rels
+
+
+@given(interleaved_scripts())
+def test_reads_match_edge_scan_across_interleaved_writes(script):
+    """The adjacency index, built on the first read and kept current by
+    later writes, answers every read as a scan of the edges; no read after
+    the first builds it again."""
+    g = NarrativeGraph(Tier.UNIFIED)
+    stored, index = [], None
+    for step in script:
+        if step[0] == "node":
+            g.add_node(step[1], NodeKind.PANEL, {})
+        elif step[0] == "edge":
+            g.add_edge(*step[1:])
+            edge = _stored(*step[1:])
+            if edge not in stored:
+                stored.append(edge)
+        else:
+            _assert_reads_match_edge_scan(g, stored)
+            index = index or g._adjacency
+            assert g._adjacency is index
+    _assert_reads_match_edge_scan(g, stored)
+    assert g._adjacency is index
+
+
 def test_edges_yield_relation_members_in_insertion_order():
     g = NarrativeGraph(Tier.EVENT)
     for node_id in ("a", "b", "c"):
@@ -600,6 +666,10 @@ def _containers(graph):
     return found
 
 
+def _lists_and_tuples(graph):
+    return [obj for obj in _containers(graph) if type(obj) in (list, tuple)]
+
+
 @pytest.mark.parametrize("load", [False, True], ids=["integrate", "deserialize_graph"])
 @pytest.mark.parametrize(
     "make", [ng.bundled_story, lambda: ng.generate(ng.GenParams(seed=0))], ids=["paper", "seed0"]
@@ -607,10 +677,20 @@ def _containers(graph):
 def test_store_is_mostly_untracked_by_the_gc(make, load):
     """The only tuples in the store are the edge keys, one per edge; they
     hold only strings, so a collection untracks them all. A node with one
-    neighbour over a relation holds a bare id, so every list has two or more."""
+    neighbour over a relation holds a bare id, so every list has two or more.
+
+    The adjacency index is built on the first read: a graph that has only
+    been written and serialized holds no list at all."""
     g = integrate(make()).graph
     if load:
         g = deserialize_graph(serialize_graph(g))
+    else:
+        fresh = _lists_and_tuples(g)
+        serialize_graph(g)
+        for held in (fresh, _lists_and_tuples(g)):
+            assert len(held) == g.edge_count > 0
+            assert all(type(obj) is tuple and obj in g._edges for obj in held)
+    assert g.is_acyclic({RelationKind.PRECEDES})
     gc.collect()
     found = _containers(g)
     keys = [obj for obj in found if type(obj) is tuple]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Optional
 
 from .annotations import AnnotationCorpus, EventSegment, PanelAnnotation, normalize_token
 from .errors import SchemaError
@@ -67,19 +66,6 @@ _HAS_CHARACTER, _HAS_ACTION, _HAS_OBJECT = (
 _AGENT_OF, _PART_OF, _CONTENT_OF = RelationKind.AGENT_OF, RelationKind.PART_OF, RelationKind.CONTENT_OF
 
 
-def _index_unit(
-    index: dict[tuple[NodeKind, str], str], kind: NodeKind, label: str, node_id: str, position: int
-) -> Optional[SchemaError]:
-    """Index a unit node (``UNIT_KINDS``) by its label. A label the index
-    already holds keeps its first node and gives the ``SchemaError`` to
-    raise, at ``nodes[position].attrs``; ``position`` is the node's place in
-    ``graph.nodes()``. Otherwise None."""
-    if (kind, label) in index:
-        return SchemaError(f"nodes[{position}].attrs", f"duplicate {kind.value} label {label!r}")
-    index[(kind, label)] = node_id
-    return None
-
-
 @dataclass
 class UnifiedGraph:
     """Integrated graph plus the unit-label index the queries start from."""
@@ -94,14 +80,17 @@ class UnifiedGraph:
         for a repeated label, at ``nodes[i]`` unless each ``_ONE_TARGET`` relation
         has exactly one edge. ``i`` is the position in ``graph.nodes()``.
 
-        For a loaded graph. :func:`integrate` indexes its units as it writes
-        them, and its writes meet the rest of the contract by construction."""
+        The one home of the unit-label rule. :func:`integrate` fills the
+        index as it writes the units and calls this only when a label repeats;
+        its writes meet the rest of the contract by construction."""
         index: dict[tuple[NodeKind, str], str] = {}
         for i, (node_id, kind, attrs) in enumerate(graph.nodes()):
             if kind in UNIT_KINDS:
-                repeated = _index_unit(index, kind, attrs["label"], node_id, i)
-                if repeated is not None:
-                    raise repeated
+                label = attrs["label"]
+                if (kind, label) in index:
+                    reason = f"duplicate {kind.value} label {label!r}"
+                    raise SchemaError(f"nodes[{i}].attrs", reason)
+                index[(kind, label)] = node_id
             for rel in _ONE_TARGET.get(kind, ()):
                 n = graph.degree(node_id, rel, "out")
                 if n != 1:
@@ -296,23 +285,17 @@ def _segment_event_attrs(segment: EventSegment) -> dict[str, str]:
     return attrs
 
 
-def _write_units(
-    g: NarrativeGraph, corpus: AnnotationCorpus
-) -> tuple[dict[tuple[NodeKind, str], str], Optional[SchemaError]]:
-    """Write the macro-event and event nodes and index them by label, as
-    ``UnifiedGraph.from_graph`` would index ``g``. Returns the index and the
-    error of the first repeated label, or None."""
+def _write_units(g: NarrativeGraph, corpus: AnnotationCorpus) -> dict[tuple[NodeKind, str], str]:
+    """Write the macro-event and event nodes. Returns the first node of each
+    ``(kind, label)``: the index ``UnifiedGraph.from_graph`` builds when no
+    label repeats. Checking that none does is left to ``from_graph``."""
     units = [(NodeKind.MACRO_EVENT, macro_node_id(m.id), m) for m in corpus.macro_events]
     units += [(NodeKind.EVENT, event_node_id(e.id), e) for e in corpus.events]
     index: dict[tuple[NodeKind, str], str] = {}
-    repeated = None
     for kind, node_id, unit in units:
-        position = g.node_count
         g._put_node(node_id, kind, {"label": unit.label, "description": unit.description})
-        error = _index_unit(index, kind, unit.label, node_id, position)
-        if repeated is None:
-            repeated = error
-    return index, repeated
+        index.setdefault((kind, unit.label), node_id)
+    return index
 
 
 def _write_hierarchy(g: NarrativeGraph, corpus: AnnotationCorpus) -> None:
@@ -337,21 +320,19 @@ def _write_hierarchy(g: NarrativeGraph, corpus: AnnotationCorpus) -> None:
     children: dict[str, list] = {}
     for event in spanned:
         children.setdefault(event.macro_event_id, []).append(event)
+    # (narrative start, id) of each macro-event with panels: the start of
+    # its first event in narrative order.
+    starts: list[tuple[int, str]] = []
     for macro in corpus.macro_events:
         # stable: ties keep list order
         siblings = sorted(children.get(macro.id, ()), key=lambda e: spans[e.id][0])
         for prev, nxt in zip(siblings, siblings[1:]):
             g.add_edge(event_node_id(prev.id), RelationKind.PRECEDES, event_node_id(nxt.id))
-
-    macro_first: dict[str, int] = {}
-    for event in spanned:
-        start = spans[event.id][0]
-        current = macro_first.get(event.macro_event_id)
-        macro_first[event.macro_event_id] = start if current is None else min(current, start)
-    macros = [m for m in corpus.macro_events if m.id in macro_first]
-    macros.sort(key=lambda m: macro_first[m.id])
-    for prev, nxt in zip(macros, macros[1:]):
-        g.add_edge(macro_node_id(prev.id), RelationKind.PRECEDES, macro_node_id(nxt.id))
+        if siblings:
+            starts.append((spans[siblings[0].id][0], macro.id))
+    starts.sort(key=lambda start: start[0])
+    for (_, prev_id), (_, next_id) in zip(starts, starts[1:]):
+        g.add_edge(macro_node_id(prev_id), RelationKind.PRECEDES, macro_node_id(next_id))
 
     for i, j in _overlapping_pairs([spans[e.id] for e in spanned]):
         a, b = event_node_id(spanned[i].id), event_node_id(spanned[j].id)
@@ -388,13 +369,14 @@ def integrate(corpus: AnnotationCorpus) -> UnifiedGraph:
     its segment), one global character node per normalized label, and one
     ``refers_to`` edge per character mention.
 
-    The unit-label index is built as the units are written. A repeated label
-    raises the ``SchemaError`` that ``UnifiedGraph.from_graph`` would, once
-    every write has succeeded, so a missing or repeated id is reported first
-    as before. The rest of ``from_graph``'s contract holds by construction:
+    The unit-label index is filled as the units are written, keeping the
+    first node of each label. ``UnifiedGraph.from_graph``, the one home of
+    the unit-label rule, runs only when the index is short of a unit, and
+    only once every write has succeeded, so a missing or repeated id is
+    reported first. By then the rest of its contract holds by construction:
     each panel writes its two hubs once, each panel, segment and event gets
     one parent edge or raises ``MissingNodeError``, and each mention gets
-    one ``refers_to`` edge.
+    one ``refers_to`` edge. So the error it raises is the repeated label's.
 
     Needs no cycle check: each ``precedes`` chain is a simple path (a
     repeated id raises) within one id namespace — panels, segments, the
@@ -414,7 +396,7 @@ def integrate(corpus: AnnotationCorpus) -> UnifiedGraph:
             {**_segment_temporal_attrs(segment, first_order), **_segment_event_attrs(segment)},
         )
     _write_reading_chains(unified, ordered, first_order)
-    index, repeated = _write_units(unified, corpus)
+    index = _write_units(unified, corpus)
     _write_hierarchy(unified, corpus)
 
     for panel in corpus.panels:
@@ -434,6 +416,6 @@ def integrate(corpus: AnnotationCorpus) -> UnifiedGraph:
                 unified._put_node(cnode, NodeKind.CHARACTER, {"label": label})
             insert(mention, refers_to, cnode)
 
-    if repeated is not None:
-        raise repeated
+    if len(index) < len(corpus.macro_events) + len(corpus.events):
+        return UnifiedGraph.from_graph(unified)  # raises the repeated label
     return UnifiedGraph(graph=unified, index=index)

@@ -1,0 +1,83 @@
+"""Seeded edits to a built graph file, each with the exact damage it does
+to the ``eval --per-unit`` report.
+
+An edit takes the corpus a graph was built from, the graph document (a
+graph file read by ``json.loads``) and a ``random.Random``. It changes the
+document in place and returns an :class:`Edit`: the change it makes to the
+``(tp, fp, fn)`` counts of each unit it touches. Every other unit and every
+other task keeps its counts. The prediction is read from the corpus alone,
+never from the graph or the package's queries.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+from dataclasses import dataclass
+from typing import Optional
+
+from narragraph import AnnotationCorpus, PanelAnnotation, normalize_token
+
+
+@dataclass(frozen=True)
+class Edit:
+    #: (task, unit label) -> change in (tp, fp, fn) for that unit.
+    damage: dict[tuple[str, str], tuple[int, int, int]]
+    #: A ``--synonyms`` map under which the edit does no damage, if any.
+    synonyms: Optional[dict[str, str]] = None
+
+
+def macro_panels(corpus: AnnotationCorpus) -> dict[str, list[PanelAnnotation]]:
+    """Each macro-event label mapped to its panels in reading order."""
+    event_macro = {e.id: e.macro_event_id for e in corpus.events}
+    segment_macro = {s.id: event_macro[s.event_id] for s in corpus.segments}
+    labels = {m.id: m.label for m in corpus.macro_events}
+    panels: dict[str, list[PanelAnnotation]] = {m.label: [] for m in corpus.macro_events}
+    for panel in sorted(corpus.panels, key=lambda p: p.reading_order):
+        panels[labels[segment_macro[panel.segment_id]]].append(panel)
+    return panels
+
+
+def _attrs(doc: dict, node_id: str) -> dict:
+    return next(node["attrs"] for node in doc["nodes"] if node["id"] == node_id)
+
+
+def swap_reading_order(corpus: AnnotationCorpus, doc: dict, rng: random.Random) -> Edit:
+    """Swap the ``reading_order`` of two neighbouring panels of one
+    macro-event's timeline, neither of them its first or last.
+
+    The timeline ``... a b c d ...`` reads ``... a c b d ...``: the three
+    gold pairs (a, b), (b, c) and (c, d) are lost and three pairs that are
+    not gold take their place."""
+    timelines = {label: panels for label, panels in macro_panels(corpus).items() if len(panels) >= 4}
+    label = rng.choice(list(timelines))
+    panels = timelines[label]
+    k = rng.randrange(1, len(panels) - 2)
+    first, second = (_attrs(doc, f"panel:{p.panel_id}") for p in panels[k : k + 2])
+    first["reading_order"], second["reading_order"] = second["reading_order"], first["reading_order"]
+    return Edit(damage={("timeline", label): (-3, 3, 3)})
+
+
+def rename_verb(
+    corpus: AnnotationCorpus, doc: dict, rng: random.Random, new_verb: str = "renamed_verb"
+) -> Edit:
+    """Rename one action whose normalized verb occurs once in its
+    macro-event to ``new_verb``, which no action of the corpus uses.
+
+    That macro-event's actions lose the old verb (one fn) and gain the new
+    one (one fp). A synonym map from the new verb to the old undoes it."""
+    assert new_verb == normalize_token(new_verb)
+    assert all(normalize_token(a.verb) != new_verb for p in corpus.panels for a in p.actions)
+    candidates = []
+    for label, panels in macro_panels(corpus).items():
+        counts = Counter(normalize_token(a.verb) for p in panels for a in p.actions)
+        candidates += [
+            (label, panel, i)
+            for panel in panels
+            for i, action in enumerate(panel.actions)
+            if counts[normalize_token(action.verb)] == 1
+        ]
+    label, panel, i = rng.choice(candidates)
+    _attrs(doc, f"panel:{panel.panel_id}/action:{i}")["verb"] = new_verb
+    old_verb = normalize_token(panel.actions[i].verb)
+    return Edit(damage={("actions", label): (-1, 1, 1)}, synonyms={new_verb: old_verb})

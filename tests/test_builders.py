@@ -554,11 +554,15 @@ def test_integrate_matches_tier_merge_on_unvalidated_corpora():
     )
     # Agent and speaker not in the panel, repeated surface forms, repeated
     # reading orders, segments sharing an event: integrate builds these.
+    # A macro-event and an event may share a label: the index keys units by kind.
+    shared_label = util.corpus([util.panel("p0", "s0", 0)], macro_label="ev_s0")
     built = [
         util.corpus([rich, util.panel("p1", "s1", 0, characters=("a",)), util.panel("p2", "s0", 7)]),
         util.corpus([util.panel("p0", "s0", 0), util.panel("p1", "s1", 1)], seg_event={"s0": "x", "s1": "x"}),
+        shared_label,
     ]
     two = util.corpus([util.panel("p0", "s0", 0), util.panel("p1", "s1", 1)])
+    three = util.corpus([util.panel(f"p{i}", f"s{i}", i) for i in range(3)])
     relabel = dataclasses.replace
     same_event_labels = relabel(two, events=tuple(relabel(e, label="x") for e in two.events))
     same_macro_labels = relabel(two, macro_events=(two.macro_events[0], relabel(two.macro_events[0], id="m1")))
@@ -584,9 +588,17 @@ def test_integrate_matches_tier_merge_on_unvalidated_corpora():
             same_event_labels, segments=(two.segments[0], relabel(two.segments[1], event_id="e3")))),
         ("node 'macro:m0' already exists", relabel(
             same_macro_labels, macro_events=same_macro_labels.macro_events + two.macro_events)),
+        # Macro-events are written before events, so theirs is the first repeat.
+        ("nodes[9].attrs: duplicate macro_event label 'arc_0'", relabel(
+            same_macro_labels, events=same_event_labels.events)),
+        ("nodes[14].attrs: duplicate event label 'x'", relabel(
+            three, events=tuple(relabel(e, label="x") for e in three.events))),
     ]
     for corpus in built:
         assert _integrated(corpus) == _reference_integrate(corpus)
+    assert set(integrate(shared_label).index) == {
+        (NodeKind.MACRO_EVENT, "ev_s0"), (NodeKind.EVENT, "ev_s0")
+    }
     for message, corpus in failing:
         outcome = _outcome(lambda: _integrated(corpus))
         assert outcome == _outcome(lambda: _reference_integrate(corpus))

@@ -11,7 +11,12 @@ edge once. Adjacency, keyed by direction, relation and node so that one
 traversal step reads one entry, is an index over the edge set: the first
 adjacency read builds it in one pass and publishes it by one assignment,
 and every later write keeps it current. A graph that is only written and
-serialized, as ``build`` does, never builds it.
+serialized, as ``build`` does, never builds it. ``deserialize_graph``
+builds it, empty, before its edge walk, so the walk's writes fill it.
+
+Graph files load the way ``parse_corpus`` reads corpora: one cheap test
+accepts each record, and only a record it refuses is checked again, in
+order, by a separate function that explains its first fault.
 
 The store is laid out so that the cyclic GC can skip almost all of it: an
 edge key ``(src, relation value, dst)`` holds only strings, so the GC
@@ -24,7 +29,7 @@ from __future__ import annotations
 from collections import deque
 from enum import Enum
 from json.encoder import encode_basestring
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DuplicateNodeError, MissingNodeError, SchemaError, parse_json
 
@@ -163,9 +168,17 @@ class NarrativeGraph:
                 _link(adjacency["out"][rel], src, dst)
                 _link(adjacency["in"][rel], dst, src)
 
+    def _one_out(self, node_id: str, rel: RelationKind) -> bool:
+        """``self.degree(node_id, rel) == 1`` for a held node and a ``rel``
+        other than ``follows``: its entry is a bare id."""
+        adjacency = self._adjacency or self._build_index()
+        return type(adjacency["out"][rel].get(node_id)) is str
+
     def _build_index(self) -> dict[str, dict[RelationKind, _Adjacency]]:
         """Build the adjacency index from the edge set in one pass, publish
-        it and return it; reads call this while ``_adjacency`` is None."""
+        it and return it. Reads call this while ``_adjacency`` is None, and
+        ``deserialize_graph`` calls it before any edge is stored, so that
+        ``_insert`` fills the index as the edges load."""
         out: dict[str, _Adjacency] = {value: {} for value in _RELATION_OF}
         into: dict[str, _Adjacency] = {value: {} for value in _RELATION_OF}
         link = _link
@@ -394,11 +407,60 @@ _ENDPOINTS: dict[RelationKind, set[tuple[NodeKind, NodeKind]]] = {
 # deserialize_graph's lookup tables, derived once from the enums,
 # _REQUIRED_ATTRS and _ENDPOINTS, which stay the one home of the rules.
 _KIND_OF = {kind.value: kind for kind in NodeKind}
-_REQUIRED = {kind: tuple(forms.items()) for kind, forms in _REQUIRED_ATTRS.items()}
-#: Allowed (relation, source kind, target kind) triples.
-_JOINS = frozenset((rel, src, dst) for rel, pairs in _ENDPOINTS.items() for src, dst in pairs)
-# isinstance(value, str) as a one-argument function, for all(map(...)).
-_is_str = str.__instancecheck__
+_REQUIRED = {kind: tuple(_REQUIRED_ATTRS.get(kind, {}).items()) for kind in NodeKind}
+#: (relation as written, source kind, target kind) of every allowed join ->
+#: (relation stored, whether the stored edge runs from target to source).
+_EDGE_OF = {
+    (rel.value, src, dst): (_PRECEDES, True) if rel is _FOLLOWS else (rel, False)
+    for rel, pairs in _ENDPOINTS.items()
+    for src, dst in pairs
+}
+
+
+def _node_fault(i: int, entry: Any, kinds: dict[str, NodeKind]) -> SchemaError:
+    """The error of the first check, in check order, that node record ``i``
+    fails; ``kinds`` holds the nodes of the records before it. Called only
+    for a record that fails one."""
+    path = f"nodes[{i}]"
+    if not isinstance(entry, dict):
+        return SchemaError(path, "expected an object")
+    node_id = entry.get("id")
+    if not isinstance(node_id, str):
+        return SchemaError(f"{path}.id", "missing or non-string id")
+    kind_raw = entry.get("kind")
+    kind = _KIND_OF.get(kind_raw) if isinstance(kind_raw, str) else None
+    if kind is None:
+        return SchemaError(f"{path}.kind", f"unknown node kind {kind_raw!r}")
+    attrs = entry.get("attrs", {})
+    if not isinstance(attrs, dict) or not all(isinstance(value, str) for value in attrs.values()):
+        return SchemaError(f"{path}.attrs", "attrs must map strings to strings")
+    for key, form in _REQUIRED[kind]:
+        if key not in attrs:
+            return SchemaError(f"{path}.attrs", f"{kind_raw} node lacks attribute {key!r}")
+        if form is not None and not form[0](attrs[key]):
+            return SchemaError(f"{path}.attrs", f"{key} must be {form[1]}, got {attrs[key]!r}")
+    # The record fails some check, and only this one is left.
+    return SchemaError(f"{path}.id", f"duplicate node id {node_id!r}")
+
+
+def _edge_fault(i: int, entry: Any, kinds: dict[str, NodeKind]) -> SchemaError:
+    """The error of the first check, in check order, that edge record ``i``
+    fails; ``kinds`` holds every node. Called only for a record that fails one."""
+    path = f"edges[{i}]"
+    if not isinstance(entry, dict):
+        return SchemaError(path, "expected an object")
+    rel_raw = entry.get("rel")
+    if not isinstance(rel_raw, str) or rel_raw not in _RELATION_OF:
+        return SchemaError(f"{path}.rel", f"unknown relation {rel_raw!r}")
+    for key in ("src", "dst"):
+        node_id = entry.get(key)
+        if not isinstance(node_id, str):
+            return SchemaError(f"{path}.{key}", "missing or non-string node id")
+        if node_id not in kinds:
+            return SchemaError(f"{path}.{key}", f"edge references unknown node {node_id!r}")
+    # The record fails some check, and only this one is left.
+    src_kind, dst_kind = kinds[entry["src"]], kinds[entry["dst"]]
+    return SchemaError(path, f"{rel_raw} cannot join {src_kind.value} to {dst_kind.value}")
 
 
 def deserialize_graph(text: str) -> NarrativeGraph:
@@ -412,9 +474,17 @@ def deserialize_graph(text: str) -> NarrativeGraph:
     checked by ``UnifiedGraph.from_graph``, so tier graphs and filtered
     exports load too.
 
-    Each record is checked once here and written through the store's own
-    writers, which ``add_node`` and ``add_edge`` also end in: a checked
-    record needs none of their checks or copies."""
+    Records are accepted and explained apart, as ``parse_corpus`` does. A
+    node is accepted by a few lookups and type tests, an edge by one lookup
+    in ``_EDGE_OF``, keyed by its relation as written and the kinds of its
+    endpoints, which also maps a ``follows`` record onto its ``precedes``
+    edge. No path is built unless a record is refused; then
+    :func:`_node_fault` or :func:`_edge_fault`, the one home of the loader's
+    messages, runs the checks in order to report its first fault. Accepted
+    nodes are stored as they are, uncopied, and edges through ``_insert``,
+    which ``add_edge`` also ends in. The adjacency index exists before the
+    first edge, so ``_insert`` fills it and the cycle check reads it with
+    no second pass over the edges."""
     doc = parse_json(text)
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected an object")
@@ -428,63 +498,46 @@ def deserialize_graph(text: str) -> NarrativeGraph:
         raise SchemaError("tier", f"unknown tier {tier_raw!r}") from None
 
     graph = NarrativeGraph(tier)
-    kinds, put = graph._kinds, graph._put_node
+    kinds, attrs_of = graph._kinds, graph._attrs
 
-    nodes = doc.get("nodes")
+    # Taken out of the document, so that the records are freed before the
+    # edge walk allocates the edge set and the index.
+    nodes = doc.pop("nodes", None)
     if not isinstance(nodes, list):
         raise SchemaError("nodes", "missing or non-list nodes")
     for i, entry in enumerate(nodes):
-        if not isinstance(entry, dict):
-            raise SchemaError(f"nodes[{i}]", "expected an object")
-        node_id = entry.get("id")
-        if not isinstance(node_id, str):
-            raise SchemaError(f"nodes[{i}].id", "missing or non-string id")
-        kind_raw = entry.get("kind")
-        kind = _KIND_OF.get(kind_raw) if isinstance(kind_raw, str) else None
-        if kind is None:
-            raise SchemaError(f"nodes[{i}].kind", f"unknown node kind {kind_raw!r}")
-        attrs = entry.get("attrs", {})
-        # JSON object keys are always strings; only the values need a look.
-        if not isinstance(attrs, dict) or not all(map(_is_str, attrs.values())):
-            raise SchemaError(f"nodes[{i}].attrs", "attrs must map strings to strings")
-        for key, form in _REQUIRED.get(kind, ()):
-            if key not in attrs:
-                raise SchemaError(f"nodes[{i}].attrs", f"{kind_raw} node lacks attribute {key!r}")
-            if form is not None and not form[0](attrs[key]):
-                raise SchemaError(f"nodes[{i}].attrs", f"{key} must be {form[1]}, got {attrs[key]!r}")
         try:
-            put(node_id, kind, attrs)
-        except DuplicateNodeError:
-            raise SchemaError(f"nodes[{i}].id", f"duplicate node id {node_id!r}") from None
+            node_id, kind, attrs = entry["id"], _KIND_OF[entry["kind"]], entry.get("attrs", {})
+        except (KeyError, TypeError):
+            raise _node_fault(i, entry, kinds) from None
+        if type(node_id) is not str or type(attrs) is not dict or node_id in kinds:
+            raise _node_fault(i, entry, kinds)
+        # JSON object keys are always strings; only the values need a look.
+        for value in attrs.values():
+            if type(value) is not str:
+                raise _node_fault(i, entry, kinds)
+        for key, form in _REQUIRED[kind]:
+            if key not in attrs or form is not None and not form[0](attrs[key]):
+                raise _node_fault(i, entry, kinds)
+        kinds[node_id] = kind
+        attrs_of[node_id] = attrs
+    del nodes
 
     edges = doc.get("edges")
     if not isinstance(edges, list):
         raise SchemaError("edges", "missing or non-list edges")
+    graph._build_index()
     insert = graph._insert
     for i, entry in enumerate(edges):
-        if not isinstance(entry, dict):
-            raise SchemaError(f"edges[{i}]", "expected an object")
-        rel_raw = entry.get("rel")
-        rel = _RELATION_OF.get(rel_raw) if isinstance(rel_raw, str) else None
-        if rel is None:
-            raise SchemaError(f"edges[{i}].rel", f"unknown relation {rel_raw!r}")
-        src, dst = entry.get("src"), entry.get("dst")
-        if not isinstance(src, str):
-            raise SchemaError(f"edges[{i}].src", "missing or non-string node id")
-        src_kind = kinds.get(src)
-        if src_kind is None:
-            raise SchemaError(f"edges[{i}].src", f"edge references unknown node {src!r}")
-        if not isinstance(dst, str):
-            raise SchemaError(f"edges[{i}].dst", "missing or non-string node id")
-        dst_kind = kinds.get(dst)
-        if dst_kind is None:
-            raise SchemaError(f"edges[{i}].dst", f"edge references unknown node {dst!r}")
-        if (rel, src_kind, dst_kind) not in _JOINS:
-            reason = f"{rel_raw} cannot join {src_kind.value} to {dst_kind.value}"
-            raise SchemaError(f"edges[{i}]", reason)
-        if rel is _FOLLOWS:
-            src, rel, dst = dst, _PRECEDES, src
-        insert(src, rel, dst)
+        try:
+            src, dst = entry["src"], entry["dst"]
+            rel, reverse = _EDGE_OF[entry["rel"], kinds[src], kinds[dst]]
+        except (KeyError, TypeError):
+            raise _edge_fault(i, entry, kinds) from None
+        if reverse:
+            insert(dst, rel, src)
+        else:
+            insert(src, rel, dst)
 
     if not graph.is_acyclic({_PRECEDES}):
         raise SchemaError("edges", "precedes edges form a cycle")

@@ -638,6 +638,33 @@ def test_reads_match_edge_scan_across_interleaved_writes(script):
     assert g._adjacency is index
 
 
+@pytest.mark.parametrize("records", ["as_written", "follows", "repeated"])
+def test_loaded_graph_holds_its_index(unified, records, monkeypatch):
+    """A graph fresh from ``deserialize_graph`` already holds the adjacency
+    index its edge walk filled, also from ``follows`` records and repeated
+    edge records: the index is built once, before any edge is stored, so no
+    pass over the edges builds it. It answers every read as a scan of the
+    edges, and no read builds it again."""
+    text = serialize_graph(unified.graph)
+    if records == "follows":
+        text = _with_follows_records(text)
+    elif records == "repeated":
+        text = _with_records(text, edges=list(unified.graph.edges())[::3])
+    build_index, built_over = NarrativeGraph._build_index, []
+
+    def counting_build_index(graph):
+        built_over.append(graph.edge_count)
+        return build_index(graph)
+
+    monkeypatch.setattr(NarrativeGraph, "_build_index", counting_build_index)
+    g = deserialize_graph(text)
+    assert built_over == [0]
+    index = g._adjacency
+    assert index is not None
+    _assert_reads_match_edge_scan(g, list(unified.graph.edges()))
+    assert g._adjacency is index
+
+
 def test_edges_yield_relation_members_in_insertion_order():
     g = NarrativeGraph(Tier.EVENT)
     for node_id in ("a", "b", "c"):

@@ -81,19 +81,25 @@ def test_loader_matches_reference_on_mutated_graphs(doc):
 
 DROP = object()
 
+#: JSON values that are not objects, for a whole node or edge record.
+NOT_AN_OBJECT = [[], "x", 3, True, None]
+#: Values the loader's table lookups cannot hash, or that a lookup keyed by
+#: strings misses although they hash: lists and objects, booleans, floats.
+NOT_A_KEY = [["p0"], {}, True, False, 1.5]
+
 #: Values a node or edge field may take instead of its own, besides DROP,
 #: the id of an earlier node (a duplicate id or another endpoint) and, for
 #: attrs, the record's own map with one value changed or one key dropped.
 FIELD_FAULTS = {
     "nodes": {
-        "id": [None, 7],
-        "kind": [None, "blob", [], {}] + [kind.value for kind in NodeKind],
+        "id": [None, 7] + NOT_A_KEY,
+        "kind": [None, "blob", [], {}] + [kind.value for kind in NodeKind] + NOT_A_KEY,
         "attrs": [None, [], {}],
     },
     "edges": {
-        "rel": [None, "blob", []] + [rel.value for rel in RelationKind],
-        "src": [None, 1, "ghost"],
-        "dst": [None, 1, "ghost"],
+        "rel": [None, "blob", []] + [rel.value for rel in RelationKind] + NOT_A_KEY,
+        "src": [None, 1, "ghost"] + NOT_A_KEY,
+        "dst": [None, 1, "ghost"] + NOT_A_KEY,
     },
 }
 
@@ -101,13 +107,18 @@ FIELD_FAULTS = {
 @st.composite
 def with_record_faults(draw, original):
     """``original`` with one to three fields of one node or edge record made
-    faulty, so that the order of the checks shows, or with a ``precedes`` or
-    ``follows`` record added reversed, which closes a cycle."""
+    faulty, so that the order of the checks shows, with a ``precedes`` or
+    ``follows`` record added reversed, which closes a cycle, or with one node
+    or edge record replaced by a value that is not an object."""
     doc = copy.deepcopy(original)
-    key = draw(st.sampled_from(["nodes", "edges", "reverse"]))
+    key = draw(st.sampled_from(["nodes", "edges", "reverse", "record"]))
     if key == "reverse":
         edge = draw(st.sampled_from([e for e in doc["edges"] if e["rel"] in ("precedes", "follows")]))
         doc["edges"].append({"src": edge["dst"], "rel": edge["rel"], "dst": edge["src"]})
+        return doc
+    if key == "record":
+        records = doc[draw(st.sampled_from(["nodes", "edges"]))]
+        records[draw(st.integers(0, len(records) - 1))] = draw(st.sampled_from(NOT_AN_OBJECT))
         return doc
     i = draw(st.integers(0, len(doc[key]) - 1))
     record = doc[key][i]
@@ -134,3 +145,40 @@ def with_record_faults(draw, original):
 @given(doc=st.sampled_from(list(BASES.values())).flatmap(with_record_faults))
 def test_loader_matches_reference_on_faulty_records(doc):
     _assert_same_as_reference(json.dumps(doc))
+
+
+def _with_fault(key, i, field, value):
+    doc = copy.deepcopy(GRAPH)
+    if field is None:
+        doc[key][i] = value
+    elif value is DROP:
+        del doc[key][i][field]
+    else:
+        doc[key][i][field] = value
+    return doc
+
+
+def _fault_id(key, field, value):
+    text = "missing" if value is DROP else json.dumps(value)
+    return f"{key}[i]={text}" if field is None else f"{key}[i].{field}={text}"
+
+
+#: Each fault of ``FIELD_FAULTS`` and each non-object record, once, by id.
+EACH_FAULT = {
+    _fault_id(*fault): fault
+    for fault in [
+        (key, field, value)
+        for key, fields in FIELD_FAULTS.items()
+        for field, values in fields.items()
+        for value in values + [DROP]
+    ]
+    + [(key, None, value) for key in FIELD_FAULTS for value in NOT_AN_OBJECT]
+}
+
+
+@pytest.mark.parametrize("key, field, value", EACH_FAULT.values(), ids=EACH_FAULT)
+def test_loader_matches_reference_on_each_fault_at_first_and_last_record(key, field, value):
+    """Every fault of ``FIELD_FAULTS`` and every non-object record, at the
+    first and at the last record of its list."""
+    for i in (0, len(GRAPH[key]) - 1):
+        _assert_same_as_reference(json.dumps(_with_fault(key, i, field, value)))

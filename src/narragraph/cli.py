@@ -7,6 +7,7 @@ unit), 2 usage or parse failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import Callable, Optional, TypeVar
 
@@ -212,12 +213,30 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command; returns its exit code.
+
+    The process's cyclic garbage collector is paused for the whole call,
+    argument parsing included, and re-enabled on the way out only if it
+    was enabled on entry, whichever way the call ends. A command runs
+    once in a one-shot, single-threaded process, so ``main`` owns that
+    process-wide switch. Collections there do no useful work: a command
+    leaves a fixed amount of cyclic garbage, mostly argparse's, whatever
+    the story's size, yet the collector's passes over the growing corpus
+    and graph cost about 8% of a ``build`` of a 5k-panel story. The
+    library functions never touch the collector.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
-    except _CliError as exc:
-        print(exc.message, file=sys.stderr)
-        return exc.code
+        args = _parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except _CliError as exc:
+            print(exc.message, file=sys.stderr)
+            return exc.code
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def run() -> None:

@@ -4,18 +4,25 @@ recomputes them.
 Each digest was recorded from the code before a refactor, so a change
 that alters one output byte fails ``test_output_digests.py`` and
 ``scripts/check_output_digests.py``. A deliberate format change updates
-the digests in the same commit. This module imports nothing outside the
-standard library and the package, so that the script runs it under every
-supported interpreter, with or without pytest.
+the digests in the same commit. The CLI's graph file and eval reports are
+checked against the same digests, so the command-line path must write the
+library's bytes. This module imports nothing outside the standard library
+and the package, so that the script runs it under every supported
+interpreter, with or without pytest.
 """
 
 import hashlib
+import io
+import os
+import tempfile
+from contextlib import redirect_stdout
 
 import narragraph as ng
 from narragraph import (
     build_event_graph,
     build_panel_graph,
     build_temporal_graph,
+    cli,
     evaluate_all,
     integrate,
     serialize_corpus,
@@ -52,6 +59,32 @@ def eval_outputs(corpus):
     """The per-unit JSON report and the table of ``evaluate_all(integrate(c), c)``."""
     report = evaluate_all(integrate(corpus), corpus)
     return {"per_unit": report.to_json(per_unit=True), "table": report.to_table()}
+
+
+def cli_outputs(corpus):
+    """The CLI's bytes for ``corpus`` written to a temporary directory: the
+    graph file of ``build`` and the stdout of ``eval --per-unit`` and
+    ``eval --table``, under the names of the library outputs they equal."""
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus_path, graph_path = os.path.join(tmp, "corpus.json"), os.path.join(tmp, "graph.json")
+        with open(corpus_path, "w", encoding="utf-8") as handle:
+            handle.write(serialize_corpus(corpus))
+        _run_cli(["build", corpus_path, graph_path])
+        with open(graph_path, "rb") as handle:
+            outputs = {"integrate": handle.read().decode("utf-8")}
+        outputs["per_unit"] = _run_cli(["eval", corpus_path, "--per-unit"])
+        outputs["table"] = _run_cli(["eval", corpus_path, "--table"])
+    return outputs
+
+
+def _run_cli(argv):
+    """Stdout of ``narragraph argv``, which must exit 0."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(argv)
+    if code != 0:
+        raise RuntimeError(f"narragraph {' '.join(argv)} exited {code}")
+    return out.getvalue()
 
 
 def digests(outputs):
@@ -118,4 +151,16 @@ EVAL_DIGESTS = {
         "per_unit": "8a4a2661d498bb2bd7295fd089ea603b802fec4ac8b120dc1295aed2fbf78635",
         "table": "ee3fa93ad130547d2325379b73e6ecaa9ef66898cb060e0aca99126b28906328",
     },
+}
+
+
+#: Digests of ``cli_outputs`` per corpus: the same bytes as the library's, so
+#: they are taken from the two tables above, not recorded again.
+CLI_DIGESTS = {
+    name: {
+        "integrate": DIGESTS[name]["integrate"],
+        "per_unit": EVAL_DIGESTS[name]["per_unit"],
+        "table": EVAL_DIGESTS[name]["table"],
+    }
+    for name in CORPORA
 }

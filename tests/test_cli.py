@@ -1,9 +1,11 @@
+import gc
 import json
 from pathlib import Path
 
 import pytest
 
 import narragraph as ng
+from narragraph import cli
 
 import util
 from util import run_cli
@@ -605,3 +607,100 @@ def test_gen_fixture_underscore_alias(capsys):
     code, out, _ = run_cli(["gen_fixture", "--paper"], capsys)
     assert code == 0
     assert out == ng.bundled_story_text()
+
+
+@pytest.fixture()
+def restore_gc():
+    """Leaves the collector switched as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+@pytest.mark.parametrize(
+    "path, want", [("exit_0", 0), ("exit_1", 1), ("exit_2", 2), ("usage_error", 2), ("raises", None)]
+)
+def test_main_leaves_the_collector_as_it_found_it(
+    tmp_path, story_file, graph_file, capsys, monkeypatch, restore_gc, path, want, enabled
+):
+    corrupt = tmp_path / "corrupt.json"
+    corrupt.write_text("[", encoding="utf-8")
+    argv = {
+        "exit_0": ["build", story_file, str(tmp_path / "out.json")],
+        "exit_1": ["query", graph_file, "timeline", "--unit", "nope"],
+        "exit_2": ["query", str(corrupt), "characters"],
+        "usage_error": ["query", graph_file],
+        "raises": ["build", story_file, str(tmp_path / "out.json")],
+    }[path]
+    seen = []
+
+    def watched(func):
+        def call(*args):
+            seen.append(gc.isenabled())
+            return func(*args)
+
+        return call
+
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_parser", watched(cli._parser))
+    monkeypatch.setattr(cli, "cmd_query", watched(cli.cmd_query))
+    monkeypatch.setattr(cli, "cmd_build", watched(boom if path == "raises" else cli.cmd_build))
+
+    (gc.enable if enabled else gc.disable)()
+    if path == "raises":
+        with pytest.raises(RuntimeError, match="boom"):
+            cli.main(argv)
+        code = None
+    else:
+        code = run_cli(argv, capsys)[0]
+    assert gc.isenabled() is enabled
+    assert code == want
+    # The parser is built, and the command (if parsing gets that far) runs, with the collector off.
+    assert seen == [False] * (1 if path == "usage_error" else 2)
+
+
+@pytest.fixture(scope="module")
+def story_files(tmp_path_factory):
+    """(corpus path, graph path) of a small and a six-times larger generated story."""
+    files = []
+    for n_macro in (2, 12):
+        root = tmp_path_factory.mktemp(f"macro{n_macro}")
+        corpus, graph = root / "corpus.json", root / "graph.json"
+        corpus.write_text(ng.serialize_corpus(ng.generate(ng.GenParams(seed=1, n_macro=n_macro))), encoding="utf-8")
+        assert cli.main(["build", str(corpus), str(graph)]) == 0
+        files.append((str(corpus), str(graph)))
+    return files
+
+
+_COMMANDS = {
+    "build": lambda corpus, graph: ["build", corpus, graph],
+    "eval": lambda corpus, graph: ["eval", corpus],
+    "query_actions": lambda corpus, graph: ["query", graph, "actions", "--unit", "arc_0"],
+    "query_dialogue": lambda corpus, graph: ["query", graph, "dialogue", "--unit", "scene_0"],
+    "query_characters": lambda corpus, graph: ["query", graph, "characters"],
+    "query_timeline": lambda corpus, graph: ["query", graph, "timeline", "--unit", "arc_0"],
+    "export_dot": lambda corpus, graph: ["export", graph, "--format", "dot"],
+    "validate": lambda corpus, graph: ["validate", corpus],
+}
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_paused_collector_leaves_garbage_that_does_not_grow_with_the_story(
+    story_files, capsys, restore_gc, command
+):
+    """With the collector off while ``main`` runs, its cyclic garbage waits
+    for the next collection; that must be a fixed amount per command, not
+    an amount per panel. The counts are compared across sizes, not pinned,
+    because argparse's share differs between Python versions."""
+    garbage = []
+    for corpus, graph in story_files:
+        argv = _COMMANDS[command](corpus, graph)
+        gc.disable()  # no automatic collection between main's return and the count
+        gc.collect()
+        assert cli.main(argv) == 0
+        garbage.append(gc.collect())
+        capsys.readouterr()
+    assert garbage[0] == garbage[1]

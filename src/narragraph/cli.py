@@ -96,17 +96,14 @@ def cmd_query(args: argparse.Namespace) -> int:
         raise _CliError(2, f"the {task.value} task requires --unit")
 
     unified = _load(args.graph, _parse_unified)
-    try:
-        if task is ReasoningTask.ACTIONS:
-            result = actions_by_macro_event(unified, args.unit)
-        elif task is ReasoningTask.DIALOGUE:
-            result = dialogue_by_event(unified, args.unit)
-        elif task is ReasoningTask.CHARACTERS:
-            result = character_appearances(unified)
-        else:
-            result = panel_timeline(unified, args.unit)
-    except UnknownUnitError as exc:
-        raise _CliError(1, str(exc)) from None
+    if task is ReasoningTask.ACTIONS:
+        result = actions_by_macro_event(unified, args.unit)
+    elif task is ReasoningTask.DIALOGUE:
+        result = dialogue_by_event(unified, args.unit)
+    elif task is ReasoningTask.CHARACTERS:
+        result = character_appearances(unified)
+    else:
+        result = panel_timeline(unified, args.unit)
     sys.stdout.write(result.to_json())
     return 0
 
@@ -123,10 +120,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             synonyms = load_synonym_map(_read_text(args.synonyms))
         except SchemaError as exc:
             raise _CliError(2, f"{args.synonyms}: {exc}") from None
-    try:
-        evaluation = evaluate_all(unified, corpus, synonyms=synonyms)
-    except UnknownUnitError as exc:
-        raise _CliError(1, str(exc)) from None
+    evaluation = evaluate_all(unified, corpus, synonyms=synonyms)
     if args.table:
         sys.stdout.write(evaluation.to_table())
     else:
@@ -234,12 +228,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         except _CliError as exc:
             print(exc.message, file=sys.stderr)
             return exc.code
+        except UnknownUnitError as exc:  # a query or eval unit the graph lacks
+            print(exc, file=sys.stderr)
+            return 1
     finally:
         if was_enabled:
             gc.enable()
 
 
 def run() -> None:
+    """Console-script and ``python -m`` entry: ``main``, stdout in UTF-8 whatever the locale."""
+    if sys.stdout is not None:  # None when the process starts with no fd 1
+        sys.stdout.reconfigure(encoding="utf-8")
     raise SystemExit(main())
 
 

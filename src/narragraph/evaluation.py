@@ -21,8 +21,9 @@ from .annotations import AnnotationCorpus, normalize_token, normalize_utterance
 from .build import UnifiedGraph
 from .errors import SchemaError, parse_json
 from .gold import GoldIndex
-# The per-unit functions stay importable from here: the benchmark's tracer
-# (bench/tracing.py) wraps them by this module's attribute names.
+# The per-unit functions stay importable from here, and evaluate_all calls
+# the four queries through this module's globals at call time: the
+# benchmark's tracer (bench/tracing.py) wraps them by these attribute names.
 from .gold import gold_actions, gold_characters, gold_dialogue, gold_timeline  # noqa: F401
 from .reasoning import (
     actions_by_macro_event,
@@ -171,23 +172,6 @@ def load_synonym_map(text: str) -> dict[str, str]:
     return synonyms
 
 
-def _unique(labels) -> list[str]:
-    return list(dict.fromkeys(labels))
-
-
-def _micro(task: str, name: str, focus: str, units: list[UnitScore]) -> TaskReport:
-    tp = sum(score.metrics.tp for score in units)
-    fp = sum(score.metrics.fp for score in units)
-    fn = sum(score.metrics.fn for score in units)
-    return TaskReport(
-        task=task,
-        name=name,
-        focus=focus,
-        metrics=Metrics.from_counts(tp, fp, fn),
-        units=tuple(units),
-    )
-
-
 def evaluate_all(
     unified: UnifiedGraph,
     corpus: AnnotationCorpus,
@@ -201,52 +185,38 @@ def evaluate_all(
     corpus; label mismatches surface as ``UnknownUnitError``.
     """
     canon = (lambda verb: synonyms.get(verb, verb)) if synonyms else (lambda verb: verb)
-    names = {task: (name, focus) for task, name, focus in TASK_ROWS}
-    macro_labels = _unique(m.label for m in corpus.macro_events)
-    event_labels = _unique(e.label for e in corpus.events)
+    macro_labels = list(dict.fromkeys(m.label for m in corpus.macro_events))
+    event_labels = list(dict.fromkeys(e.label for e in corpus.events))
     gold_index = GoldIndex(corpus)
 
-    action_units = []
-    for label in macro_labels:
-        predicted = {
-            canon(normalize_token(verb))
-            for verb in actions_by_macro_event(unified, label).items
-        }
-        gold = {canon(verb) for verb in gold_index.actions(label).items}
-        action_units.append(UnitScore(unit=label, metrics=set_prf(predicted, gold)))
+    # One scorer per task: its query's answer for one unit against the gold.
+    def actions(label: str) -> Metrics:
+        verbs = actions_by_macro_event(unified, label).items
+        gold = gold_index.actions(label).items
+        return set_prf({canon(normalize_token(v)) for v in verbs}, {canon(v) for v in gold})
 
-    dialogue_units = []
-    for label in event_labels:
-        predicted = {
-            normalize_utterance(text) for text in dialogue_by_event(unified, label).items
-        }
-        gold = set(gold_index.dialogue(label).items)
-        dialogue_units.append(UnitScore(unit=label, metrics=set_prf(predicted, gold)))
+    def dialogue(label: str) -> Metrics:
+        predicted = {normalize_utterance(text) for text in dialogue_by_event(unified, label).items}
+        return set_prf(predicted, set(gold_index.dialogue(label).items))
 
-    appearances = character_appearances(unified).appearances
-    predicted_pairs = {
-        (normalize_token(label), panel_id)
-        for label, panel_ids in appearances.items()
-        for panel_id in panel_ids
+    def characters(story_id: str) -> Metrics:
+        appearances = character_appearances(unified).appearances.items()
+        predicted = {(normalize_token(label), pid) for label, pids in appearances for pid in pids}
+        return set_prf(predicted, set(gold_index.characters().items))
+
+    def timeline(label: str) -> Metrics:
+        return ordering_prf(panel_timeline(unified, label).items, gold_index.timeline(label).items)
+
+    plan = {  # task key -> (its scorer, its units)
+        "actions": (actions, macro_labels),
+        "dialogue": (dialogue, event_labels),
+        "characters": (characters, [corpus.story_id]),
+        "timeline": (timeline, macro_labels),
     }
-    character_units = [
-        UnitScore(
-            unit=corpus.story_id,
-            metrics=set_prf(predicted_pairs, set(gold_index.characters().items)),
-        )
-    ]
-
-    timeline_units = []
-    for label in macro_labels:
-        predicted = panel_timeline(unified, label).items
-        gold = gold_index.timeline(label).items
-        timeline_units.append(UnitScore(unit=label, metrics=ordering_prf(predicted, gold)))
-
-    return EvaluationReport(
-        tasks=(
-            _micro("actions", *names["actions"], action_units),
-            _micro("dialogue", *names["dialogue"], dialogue_units),
-            _micro("characters", *names["characters"], character_units),
-            _micro("timeline", *names["timeline"], timeline_units),
-        )
-    )
+    reports = []
+    for task, name, focus in TASK_ROWS:
+        score, labels = plan[task]
+        units = tuple(UnitScore(unit=label, metrics=score(label)) for label in labels)
+        tp, fp, fn = (sum(getattr(u.metrics, count) for u in units) for count in ("tp", "fp", "fn"))
+        reports.append(TaskReport(task, name, focus, Metrics.from_counts(tp, fp, fn), units))
+    return EvaluationReport(tasks=tuple(reports))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .annotations import normalize_token, normalize_utterance
 from .build import UnifiedGraph, panel_id_of
@@ -64,10 +64,9 @@ def _reading_order(unified: UnifiedGraph, panel_node: str) -> int:
     return int(unified.graph.node_attrs(panel_node)["reading_order"])
 
 
-def _panels_below(unified: UnifiedGraph, unit_node: str, is_macro: bool) -> list[str]:
-    """Panel nodes under a macro-event or event, sorted by reading order."""
+def _panels_below(unified: UnifiedGraph, events: list[str]) -> list[str]:
+    """Panel nodes under the event nodes ``events``, sorted by reading order."""
     g = unified.graph
-    events = g.neighbors(unit_node, RelationKind.SUBEVENT_OF, "in") if is_macro else [unit_node]
     panels: list[str] = []
     for event in events:
         for segment in g.neighbors(event, RelationKind.SUBEVENT_OF, "in"):
@@ -76,9 +75,23 @@ def _panels_below(unified: UnifiedGraph, unit_node: str, is_macro: bool) -> list
     return panels
 
 
-def _hub(unified: UnifiedGraph, panel_node: str, rel: RelationKind) -> str:
-    """The panel's visual (``has_visual``) or textual (``has_textual``) hub."""
-    return unified.graph.neighbors(panel_node, rel, "out")[0]
+def _macro_panels(unified: UnifiedGraph, macro_label: str) -> list[str]:
+    """Panel nodes under the labelled macro-event's events, by reading order."""
+    macro = _resolve(unified, NodeKind.MACRO_EVENT, macro_label, "macro-event")
+    return _panels_below(unified, unified.graph.neighbors(macro, RelationKind.SUBEVENT_OF, "in"))
+
+
+def _first_forms(texts: Iterable[str], normalize: Callable[[str], str]) -> list[str]:
+    """The first of ``texts`` under each normalized key, in order."""
+    first: dict[str, str] = {}
+    for text in texts:
+        first.setdefault(normalize(text), text)
+    return list(first.values())
+
+
+def _hubs(unified: UnifiedGraph, panels: list[str], rel: RelationKind) -> Iterator[str]:
+    """Each panel's visual (``has_visual``) or textual (``has_textual``) hub."""
+    return (unified.graph.neighbors(panel, rel, "out")[0] for panel in panels)
 
 
 def actions_by_macro_event(unified: UnifiedGraph, macro_label: str) -> QueryResult:
@@ -89,17 +102,12 @@ def actions_by_macro_event(unified: UnifiedGraph, macro_label: str) -> QueryResu
     order.
     """
     g = unified.graph
-    macro = _resolve(unified, NodeKind.MACRO_EVENT, macro_label, "macro-event")
-    seen: set[str] = set()
-    items: list[str] = []
-    for panel in _panels_below(unified, macro, is_macro=True):
-        visual = _hub(unified, panel, RelationKind.HAS_VISUAL)
-        for action in g.neighbors(visual, RelationKind.HAS_ACTION, "out"):
-            verb = g.node_attrs(action)["verb"]
-            key = normalize_token(verb)
-            if key not in seen:
-                seen.add(key)
-                items.append(verb)
+    verbs = (
+        g.node_attrs(action)["verb"]
+        for visual in _hubs(unified, _macro_panels(unified, macro_label), RelationKind.HAS_VISUAL)
+        for action in g.neighbors(visual, RelationKind.HAS_ACTION, "out")
+    )
+    items = _first_forms(verbs, normalize_token)
     return QueryResult(task=ReasoningTask.ACTIONS, source_unit=macro_label, items=items)
 
 
@@ -111,19 +119,14 @@ def dialogue_by_event(unified: UnifiedGraph, event_label: str) -> QueryResult:
     """
     g = unified.graph
     event = _resolve(unified, NodeKind.EVENT, event_label, "event")
-    seen: set[str] = set()
-    items: list[str] = []
-    for panel in _panels_below(unified, event, is_macro=False):
-        textual = _hub(unified, panel, RelationKind.HAS_TEXTUAL)
-        for utterance in g.neighbors(textual, RelationKind.PART_OF, "in"):
-            if g.node_kind(utterance) is not NodeKind.DIALOGUE:
-                continue
-            for content in g.neighbors(utterance, RelationKind.CONTENT_OF, "in"):
-                text = g.node_attrs(content)["text"]
-                key = normalize_utterance(text)
-                if key not in seen:
-                    seen.add(key)
-                    items.append(text)
+    texts = (
+        g.node_attrs(content)["text"]
+        for textual in _hubs(unified, _panels_below(unified, [event]), RelationKind.HAS_TEXTUAL)
+        for utterance in g.neighbors(textual, RelationKind.PART_OF, "in")
+        if g.node_kind(utterance) is NodeKind.DIALOGUE
+        for content in g.neighbors(utterance, RelationKind.CONTENT_OF, "in")
+    )
+    items = _first_forms(texts, normalize_utterance)
     return QueryResult(task=ReasoningTask.DIALOGUE, source_unit=event_label, items=items)
 
 
@@ -136,9 +139,8 @@ def character_appearances(unified: UnifiedGraph) -> QueryResult:
     g = unified.graph
     panels = sorted(g.nodes_of_kind(NodeKind.PANEL), key=lambda p: _reading_order(unified, p))
     appearances: dict[str, list[str]] = {}
-    for panel in panels:
+    for panel, visual in zip(panels, _hubs(unified, panels, RelationKind.HAS_VISUAL)):
         pid = panel_id_of(panel)
-        visual = _hub(unified, panel, RelationKind.HAS_VISUAL)
         for mention in g.neighbors(visual, RelationKind.HAS_CHARACTER, "out"):
             identity = g.neighbors(mention, RelationKind.REFERS_TO, "out")[0]
             label = g.node_attrs(identity)["label"]
@@ -150,8 +152,7 @@ def character_appearances(unified: UnifiedGraph) -> QueryResult:
 
 def panel_timeline(unified: UnifiedGraph, macro_label: str) -> QueryResult:
     """All panel ids under a macro-event, ascending by reading order."""
-    macro = _resolve(unified, NodeKind.MACRO_EVENT, macro_label, "macro-event")
-    panels = _panels_below(unified, macro, is_macro=True)
+    panels = _macro_panels(unified, macro_label)
     return QueryResult(
         task=ReasoningTask.TIMELINE,
         source_unit=macro_label,

@@ -238,6 +238,15 @@ def test_validate_speaker_must_be_present():
     assert any(v.path == "panels[0].dialogues[0].speaker" for v in report.violations)
 
 
+@pytest.mark.parametrize("verb", ["", "  ", "\t"])
+def test_validate_empty_verb(verb):
+    corpus = util.corpus([util.panel("a", "s0", 0, characters=("A",), actions=[("A", verb)])])
+    report = validate_corpus(corpus)
+    assert [(v.path, v.message) for v in report.violations] == [
+        ("panels[0].actions[0].verb", "verb is empty")
+    ]
+
+
 def test_validate_empty_utterance_text():
     corpus = util.corpus([util.panel("a", "s0", 0, captions=[("c0", "   ")])])
     report = validate_corpus(corpus)

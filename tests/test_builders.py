@@ -582,6 +582,9 @@ def test_integrate_matches_tier_merge_on_unvalidated_corpora():
         ("node 'seg:s0' already exists", relabel(two, segments=two.segments + two.segments[:1])),
         ("node 'macro:m0' already exists", relabel(two, macro_events=two.macro_events * 2)),
         ("node 'seg:s1' is not in the graph", relabel(two, segments=two.segments[:1])),
+        # The only panel's segment names nothing, so no segment chain reaches
+        # it first: the event tier skips the panel and its link raises.
+        ("node 'seg:ghost' is not in the graph", relabel(two, panels=(util.panel("p0", "ghost", 0),))),
         ("nodes[10].attrs: duplicate event label 'x'", same_event_labels),
         ("nodes[9].attrs: duplicate macro_event label 'arc_0'", same_macro_labels),
         ("node 'event:e3' is not in the graph", relabel(

@@ -1,5 +1,9 @@
+import dataclasses
 import gc
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -226,6 +230,38 @@ def test_build_invalid_corpus_writes_nothing(tmp_path, capsys):
     assert code == 1
     assert not out.exists()
     assert "not a permutation" in err
+
+
+def test_build_to_a_path_it_cannot_write_exits_2(tmp_path, story_file, capsys):
+    out = tmp_path / "no_such_dir" / "graph.json"
+    code, stdout, err = run_cli(["build", story_file, str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"cannot write {out}: ")
+    assert not out.exists()
+
+
+def test_units_without_panels_through_the_cli(tmp_path, capsys):
+    src = tmp_path / "story.json"
+    src.write_text(ng.serialize_corpus(util.with_panelless_units(ng.bundled_story())), encoding="utf-8")
+    graph = tmp_path / "graph.json"
+    assert run_cli(["validate", str(src)], capsys) == (0, "", "")
+    assert run_cli(["build", str(src), str(graph)], capsys) == (0, "", "")
+    doc = json.loads(graph.read_text(encoding="utf-8"))
+    attrs = {node["id"]: node["attrs"] for node in doc["nodes"]}
+    assert "first_reading_order" not in attrs["seg:idle"]
+    assert "first_reading_order" not in attrs["seg:empty"]
+    panelless = {"seg:idle", "seg:empty", "event:e_empty", "macro:m_empty"}
+    assert not [
+        edge for edge in doc["edges"]
+        if edge["rel"] in ("precedes", "co_occurs") and {edge["src"], edge["dst"]} & panelless
+    ]
+    for task, unit in (("actions", "empty arc"), ("timeline", "empty arc"), ("dialogue", "empty event")):
+        code, out, _ = run_cli(["query", str(graph), task, "--unit", unit], capsys)
+        assert code == 0
+        assert json.loads(out)["items"] == []
+    code, out, _ = run_cli(["eval", str(src), "--graph", str(graph), "--table"], capsys)
+    assert code == 0
+    assert [row.split()[-1] for row in out.splitlines()[2:]] == ["1.00"] * 4
 
 
 def test_query_actions(graph_file, capsys):
@@ -704,3 +740,59 @@ def test_paused_collector_leaves_garbage_that_does_not_grow_with_the_story(
         garbage.append(gc.collect())
         capsys.readouterr()
     assert garbage[0] == garbage[1]
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _utf8_stories(tmp_path):
+    """The bundled story with a non-ASCII macro-event label and dialogue
+    line, its graph file, and a copy whose line has a speaker not in the
+    panel, so that ``validate`` quotes a non-ASCII name."""
+    story = ng.bundled_story()
+    panel = story.panels[0]
+    line = dataclasses.replace(panel.dialogues[0], text="Ça commence en mai — 五月。")
+    macro = dataclasses.replace(story.macro_events[0], label="Thïnk of family")
+    good = dataclasses.replace(
+        story,
+        macro_events=(macro,),
+        panels=(dataclasses.replace(panel, dialogues=(line,)),) + story.panels[1:],
+    )
+    bad_line = dataclasses.replace(line, speaker="Ä")
+    bad = dataclasses.replace(
+        good, panels=(dataclasses.replace(panel, dialogues=(bad_line,)),) + story.panels[1:]
+    )
+    paths = {}
+    for name, corpus in (("good", good), ("bad", bad)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(ng.serialize_corpus(corpus), encoding="utf-8")
+    paths["graph"] = tmp_path / "graph.json"
+    assert cli.main(["build", str(paths["good"]), str(paths["graph"])]) == 0
+    return story.events[0].label, {name: str(path) for name, path in paths.items()}
+
+
+def test_cli_stdout_is_utf8_whatever_the_locale(tmp_path, capsys):
+    event, path = _utf8_stories(tmp_path)
+    capsys.readouterr()
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONIOENCODING": "ascii"}
+    for argv in (
+        ["query", path["graph"], "actions", "--unit", "Thïnk of family"],
+        ["query", path["graph"], "dialogue", "--unit", event],
+        ["validate", path["bad"]],
+    ):
+        code, out, _ = run_cli(argv, capsys)
+        assert not out.isascii()
+        # The console script's entry point, in a process whose stdout
+        # encoding is ASCII.
+        script = subprocess.run(
+            [sys.executable, "-m", "narragraph.cli", *argv], capture_output=True, env=env
+        )
+        assert script.returncode == code, script.stderr
+        assert script.stdout.decode("utf-8") == out
+    # A process started with no fd 1 has no stdout to reconfigure; a
+    # command that prints nothing still succeeds there.
+    closed = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m narragraph.cli validate "$1" >&-', sys.executable, path["good"]],
+        env=env,
+    )
+    assert closed.returncode == 0

@@ -109,6 +109,8 @@ def test_evaluate_story_is_perfect(story, unified):
         "Entity Recall",
         "Sequence Ordering",
     ]
+    with pytest.raises(KeyError):
+        report.task("summaries")
 
 
 def test_micro_average_equals_single_unit(story, unified):
@@ -116,6 +118,25 @@ def test_micro_average_equals_single_unit(story, unified):
     actions = report.task("actions")
     assert len(actions.units) == 1
     assert actions.metrics == actions.units[0].metrics
+
+
+def test_task_counts_keep_fp_and_fn_apart(story):
+    # Panel 0 of the scored graph gains a verb and loses its dialogue line:
+    # one false positive for actions, one false negative for dialogue.
+    first = dataclasses.replace(
+        story.panels[0], actions=(ng.ActionTriple("A", "wave", None),), dialogues=()
+    )
+    damaged = integrate(dataclasses.replace(story, panels=(first,) + story.panels[1:]))
+    report = evaluate_all(damaged, story)
+    counts = {t.task: (t.metrics.tp, t.metrics.fp, t.metrics.fn) for t in report.tasks}
+    assert counts == {
+        "actions": (4, 1, 0), "dialogue": (1, 0, 1), "characters": (11, 0, 0), "timeline": (8, 0, 0)
+    }
+    dialogue = report.task("dialogue")
+    assert [(u.unit, u.metrics.tp, u.metrics.fp, u.metrics.fn) for u in dialogue.units] == [
+        ("Intro_1", 1, 0, 1), ("Intro_2", 0, 0, 0)
+    ]
+    assert dialogue.metrics == Metrics.from_counts(1, 0, 1)
 
 
 def test_empty_corpus_scores_by_convention():

@@ -1,5 +1,7 @@
 from collections import Counter
 
+import pytest
+
 import narragraph as ng
 from narragraph import GenParams, SplitMix64, generate, serialize_corpus, validate_corpus
 
@@ -84,6 +86,8 @@ def test_splitmix64_helpers_stay_in_bounds():
     floats = [rng.random() for _ in range(200)]
     assert all(0.0 <= x < 1.0 for x in floats)
     assert sorted(rng.shuffled([1, 2, 3, 4])) == [1, 2, 3, 4]
+    with pytest.raises(ValueError, match="empty range"):
+        rng.randint(5, 4)
 
 
 def test_bundled_story_matches_checked_in_file(story):

@@ -62,6 +62,22 @@ def test_add_node_twice_raises():
     assert g.node_count == 1
 
 
+@pytest.mark.parametrize("attrs", [{"reading_order": 0}, {"label": None}, {1: "one"}])
+def test_add_node_with_a_non_string_attribute_raises(attrs):
+    g = NarrativeGraph(Tier.PANEL)
+    with pytest.raises(TypeError, match="node attributes must map strings to strings"):
+        g.add_node("x", NodeKind.PANEL, attrs)
+    assert g.node_count == 0
+
+
+def test_node_kind_and_attrs_of_a_missing_node_raise():
+    g = graph_with_nodes(ids=["a"])
+    for read in (g.node_kind, g.node_attrs):
+        with pytest.raises(MissingNodeError) as err:
+            read("ghost")
+        assert str(err.value) == "node 'ghost' is not in the graph"
+
+
 def test_precedes_adds_follows_inverse():
     g = graph_with_nodes(ids=["seg:a", "seg:b"], kind=NodeKind.EVENT_SEGMENT)
     g.add_edge("seg:a", RelationKind.PRECEDES, "seg:b")
@@ -158,6 +174,9 @@ def test_serialize_unified_story_roundtrip(unified):
     assert back.edge_count == unified.graph.edge_count
     assert back == unified.graph
     assert serialize_graph(back) == text
+    # A graph equals no other type, and its repr gives its size.
+    assert back != text
+    assert repr(back) == f"NarrativeGraph(tier='unified', nodes={back.node_count}, edges={back.edge_count})"
 
 
 def test_deserialize_edge_to_unknown_node():

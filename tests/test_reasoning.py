@@ -5,15 +5,19 @@ import pytest
 import narragraph as ng
 from narragraph import (
     ReasoningTask,
+    RelationKind,
     UnknownUnitError,
     actions_by_macro_event,
     character_appearances,
     dialogue_by_event,
+    evaluate_all,
     integrate,
     normalize_token,
     normalize_utterance,
     panel_timeline,
+    validate_corpus,
 )
+from narragraph.build import event_node_id, macro_node_id, segment_node_id
 
 import util
 
@@ -134,6 +138,31 @@ def test_timeline_single_panel():
 def test_timeline_unknown_unit(unified):
     with pytest.raises(UnknownUnitError):
         panel_timeline(unified, "missing")
+
+
+def test_units_without_panels_get_no_order_edges_and_empty_answers(story, unified):
+    corpus = util.with_panelless_units(story)
+    assert validate_corpus(corpus).ok
+    bare = integrate(corpus)
+    g = bare.graph
+    order_rels = (RelationKind.PRECEDES, RelationKind.CO_OCCURS)
+    segments = [segment_node_id("idle"), segment_node_id("empty")]
+    for node in segments:
+        assert "first_reading_order" not in g.node_attrs(node)
+    for node in segments + [event_node_id("e_empty"), macro_node_id("m_empty")]:
+        assert all(g.degree(node, rel, side) == 0 for rel in order_rels for side in ("out", "in"))
+    # The units with panels keep their chains and overlaps.
+    assert [e for e in g.edges() if e[1] in order_rels] == [
+        e for e in unified.graph.edges() if e[1] in order_rels
+    ]
+    assert actions_by_macro_event(bare, "empty arc").items == []
+    assert panel_timeline(bare, "empty arc").items == []
+    assert dialogue_by_event(bare, "empty event").items == []
+    report = evaluate_all(bare, corpus)
+    assert [task.metrics.f1 for task in report.tasks] == [1.0] * 4
+    empty = {(task.task, score.unit): score.metrics for task in report.tasks for score in task.units}
+    for key in (("actions", "empty arc"), ("dialogue", "empty event"), ("timeline", "empty arc")):
+        assert (empty[key].tp, empty[key].fp, empty[key].fn, empty[key].f1) == (0, 0, 0, 1.0)
 
 
 def test_shuffled_annotation_order_leaves_answers_unchanged(story, unified):

@@ -1,5 +1,7 @@
 """Compact factories shared by the test modules."""
 
+import dataclasses
+
 from narragraph import (
     ActionTriple,
     AnnotationCorpus,
@@ -80,6 +82,23 @@ def corpus(panels, *, seg_event=None, story_id="t", macro_label="arc_0"):
             for s in seg_ids
         ),
         panels=panels,
+    )
+
+
+def with_panelless_units(base):
+    """``base`` plus units that no panel instantiates: segment ``idle``
+    under its first event, and segment ``empty`` under event ``empty
+    event`` under macro-event ``empty arc``."""
+    return dataclasses.replace(
+        base,
+        macro_events=base.macro_events + (MacroEvent(id="m_empty", label="empty arc", description=""),),
+        events=base.events
+        + (Event(id="e_empty", macro_event_id="m_empty", label="empty event", description=""),),
+        segments=base.segments
+        + (
+            EventSegment(id="idle", event_id=base.events[0].id, description=""),
+            EventSegment(id="empty", event_id="e_empty", description=""),
+        ),
     )
 
 

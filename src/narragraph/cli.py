@@ -130,7 +130,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     graph = _load(args.graph, deserialize_graph)
-    kinds = None
     if args.kinds is not None:
         kinds = []
         for name in args.kinds.split(","):
@@ -139,12 +138,8 @@ def cmd_export(args: argparse.Namespace) -> int:
                 kinds.append(NodeKind(name))
             except ValueError:
                 raise _CliError(2, f"unknown node kind {name!r}") from None
-    if args.format == "dot":
-        sys.stdout.write(to_dot(graph, kinds))
-    else:
-        if kinds is not None:
-            graph = induced_subgraph(graph, kinds)
-        sys.stdout.write(serialize_graph(graph))
+        graph = induced_subgraph(graph, kinds)
+    sys.stdout.write(to_dot(graph) if args.format == "dot" else serialize_graph(graph))
     return 0
 
 
@@ -237,9 +232,11 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def run() -> None:
-    """Console-script and ``python -m`` entry: ``main``, stdout in UTF-8 whatever the locale."""
+    """Console-script and ``python -m`` entry: ``main``, stdout and stderr in UTF-8 whatever the locale."""
     if sys.stdout is not None:  # None when the process starts with no fd 1
         sys.stdout.reconfigure(encoding="utf-8")
+    if sys.stderr is not None:  # escaped, as a file name may hold a lone surrogate
+        sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     raise SystemExit(main())
 
 

@@ -7,7 +7,7 @@ edges (they are the inverse view of ``precedes``), so DOT draws none.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .build import panel_id_of, segment_id_of
 from .graph import NarrativeGraph, NodeKind, RelationKind
@@ -86,13 +86,11 @@ def induced_subgraph(graph: NarrativeGraph, kinds: Iterable[NodeKind]) -> Narrat
     return sub
 
 
-def to_dot(graph: NarrativeGraph, kinds: Optional[Iterable[NodeKind]] = None) -> str:
-    """Graphviz DOT rendering of the graph, optionally restricted to the
-    induced subgraph on ``kinds``. Statement order follows insertion order,
-    so output is deterministic for a fixed input."""
-    g = induced_subgraph(graph, kinds) if kinds is not None else graph
+def to_dot(graph: NarrativeGraph) -> str:
+    """Graphviz DOT rendering of exactly ``graph``, statements in insertion
+    order, so output is deterministic for a fixed input."""
     lines = [
-        f"// narrative graph export, tier={g.tier.value}",
+        f"// narrative graph export, tier={graph.tier.value}",
         "// follows edges are implied inverses of precedes and are not drawn",
         "// legend:",
     ]
@@ -100,10 +98,10 @@ def to_dot(graph: NarrativeGraph, kinds: Optional[Iterable[NodeKind]] = None) ->
         lines.append(f"//   kind={kind.value} shape={shape} fillcolor={color}")
     lines.append("digraph {")
     lines.append("  node [style=filled];")
-    for node_id, kind, attrs in g.nodes():
+    for node_id, kind, attrs in graph.nodes():
         label = _quote(_node_label(node_id, kind, attrs))
         lines.append(f"  {_quote(node_id)} [label={label}, {_NODE_TAIL[kind]}")
-    for src, rel, dst in g.edges():
+    for src, rel, dst in graph.edges():
         lines.append(f"  {_quote(src)} -> {_quote(dst)}{_EDGE_TAIL[rel]}")
     lines.append("}")
     return "\n".join(lines) + "\n"

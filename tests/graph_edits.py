@@ -12,11 +12,11 @@ never from the graph or the package's queries.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from narragraph import AnnotationCorpus, PanelAnnotation, normalize_token
+from narragraph import AnnotationCorpus, PanelAnnotation, normalize_token, normalize_utterance
 
 
 @dataclass(frozen=True)
@@ -81,3 +81,48 @@ def rename_verb(
     _attrs(doc, f"panel:{panel.panel_id}/action:{i}")["verb"] = new_verb
     old_verb = normalize_token(panel.actions[i].verb)
     return Edit(damage={("actions", label): (-1, 1, 1)}, synonyms={new_verb: old_verb})
+
+
+def retarget_mention(corpus: AnnotationCorpus, doc: dict, rng: random.Random) -> Edit:
+    """Point one mention's ``refers_to`` at a character of the corpus that
+    is not in the mention's panel.
+
+    The characters task loses the pair (old character, panel) (one fn) and
+    gains the pair (new character, panel) (one fp)."""
+    characters = list(dict.fromkeys(normalize_token(c) for p in corpus.panels for c in p.characters))
+    candidates = []
+    for panel in corpus.panels:
+        present = list(dict.fromkeys(normalize_token(c) for c in panel.characters))
+        absent = [c for c in characters if c not in present]
+        if absent:
+            candidates += [(panel, token, absent) for token in present]
+    panel, token, absent = rng.choice(candidates)
+    mention = f"panel:{panel.panel_id}/char:{token}"
+    (edge,) = (e for e in doc["edges"] if e["src"] == mention and e["rel"] == "refers_to")
+    edge["dst"] = f"char:{rng.choice(absent)}"
+    return Edit(damage={("characters", corpus.story_id): (-1, 1, 1)})
+
+
+def drop_dialogue(corpus: AnnotationCorpus, doc: dict, rng: random.Random) -> Edit:
+    """Remove one dialogue line whose normalized text occurs once in its
+    event: its dialogue node, its content node and their two edges.
+
+    That event's dialogue loses the line (one fn) and gains nothing."""
+    event_labels = {e.id: e.label for e in corpus.events}
+    segment_event = {s.id: event_labels[s.event_id] for s in corpus.segments}
+    lines: dict[str, list[tuple[PanelAnnotation, int, str]]] = defaultdict(list)
+    for panel in corpus.panels:
+        for i, line in enumerate(panel.dialogues):
+            lines[segment_event[panel.segment_id]].append((panel, i, normalize_utterance(line.text)))
+    candidates = []
+    for label, event_lines in lines.items():
+        counts = Counter(text for _, _, text in event_lines)
+        candidates += [(label, panel, i) for panel, i, text in event_lines if counts[text] == 1]
+    label, panel, i = rng.choice(candidates)
+    utterance = f"panel:{panel.panel_id}/dlg:{i}"
+    dropped = {utterance, f"{utterance}/text"}
+    nodes = [node for node in doc["nodes"] if node["id"] not in dropped]
+    edges = [edge for edge in doc["edges"] if not dropped & {edge["src"], edge["dst"]}]
+    assert (len(doc["nodes"]) - len(nodes), len(doc["edges"]) - len(edges)) == (2, 2)
+    doc["nodes"], doc["edges"] = nodes, edges
+    return Edit(damage={("dialogue", label): (-1, 0, 1)})

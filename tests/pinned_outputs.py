@@ -1,14 +1,15 @@
-"""Pinned sha256 digests of build and eval outputs, and the code that
-recomputes them.
+"""Pinned sha256 digests of build and eval outputs and of the CLI's bytes,
+and the code that recomputes them.
 
 Each digest was recorded from the code before a refactor, so a change
 that alters one output byte fails ``test_output_digests.py`` and
 ``scripts/check_output_digests.py``. A deliberate format change updates
 the digests in the same commit. The CLI's graph file and eval reports are
 checked against the same digests, so the command-line path must write the
-library's bytes. This module imports nothing outside the standard library
-and the package, so that the script runs it under every supported
-interpreter, with or without pytest.
+library's bytes; its ``export`` and ``query`` output has digests of its
+own. This module imports nothing outside the standard library and the
+package, so that the script runs it under every supported interpreter,
+with or without pytest.
 """
 
 import hashlib
@@ -61,10 +62,17 @@ def eval_outputs(corpus):
     return {"per_unit": report.to_json(per_unit=True), "table": report.to_table()}
 
 
+#: The node kinds of the event hierarchy, as ``export --kinds`` takes them.
+EVENT_KINDS = "event,macro_event,event_segment"
+
+
 def cli_outputs(corpus):
     """The CLI's bytes for ``corpus`` written to a temporary directory: the
     graph file of ``build`` and the stdout of ``eval --per-unit`` and
-    ``eval --table``, under the names of the library outputs they equal."""
+    ``eval --table``, under the names of the library outputs they equal;
+    then the stdout of the commands that read that graph file: ``export``
+    whole and cut to the event hierarchy, and each ``query`` task on the
+    corpus's first macro-event or event label."""
     with tempfile.TemporaryDirectory() as tmp:
         corpus_path, graph_path = os.path.join(tmp, "corpus.json"), os.path.join(tmp, "graph.json")
         with open(corpus_path, "w", encoding="utf-8") as handle:
@@ -74,6 +82,13 @@ def cli_outputs(corpus):
             outputs = {"integrate": handle.read().decode("utf-8")}
         outputs["per_unit"] = _run_cli(["eval", corpus_path, "--per-unit"])
         outputs["table"] = _run_cli(["eval", corpus_path, "--table"])
+        export = ["export", graph_path, "--format"]
+        outputs["export_dot"] = _run_cli(export + ["dot"])
+        outputs["export_dot_events"] = _run_cli(export + ["dot", "--kinds", EVENT_KINDS])
+        outputs["export_json_events"] = _run_cli(export + ["json", "--kinds", EVENT_KINDS])
+        macro, event = ["--unit", corpus.macro_events[0].label], ["--unit", corpus.events[0].label]
+        for task, unit in (("actions", macro), ("dialogue", event), ("characters", []), ("timeline", macro)):
+            outputs[f"query_{task}"] = _run_cli(["query", graph_path, task] + unit)
     return outputs
 
 
@@ -154,13 +169,57 @@ EVAL_DIGESTS = {
 }
 
 
-#: Digests of ``cli_outputs`` per corpus: the same bytes as the library's, so
-#: they are taken from the two tables above, not recorded again.
+#: Digests of the read commands in ``cli_outputs`` per corpus, which no library
+#: output equals: ``export`` and the four ``query`` tasks on the built graph file.
+READ_DIGESTS = {
+    "paper": {
+        "export_dot": "052bf4a5a03c55a7c33f495d2897bccaf819b8f819a11622fcb6a9bcf5d03131",
+        "export_dot_events": "d53e247cb8c8576e253ee671707d0bb5b5f479f2b45c944539cd55f8cb4acbc2",
+        "export_json_events": "b5bae8025a30dc8f7b5c5cfcfa181ffe4ec1378985d618018ff9614903739b8a",
+        "query_actions": "6196829f65d34fc788f9c4bcb189d375fa21c27af32985dbd7b56e9464f4148e",
+        "query_dialogue": "65470e791a0d49db38dd58f29968f505c6bcfc6c04be5dd4012c8b5c4bb44479",
+        "query_characters": "fb2f2990ff71c8cea6e08a9a629039f115f7150cc98b27f389cefae8ba7b22a7",
+        "query_timeline": "01b126976a4e7ba902baea752b04a52b8e3704e57d0d50619f3b94ac7d3bc974",
+    },
+    "seed0": {
+        "export_dot": "57596315e3ac0511277d123f19e842bf157e5494a26927119bd3d6e1af3b2802",
+        "export_dot_events": "ca2edec3eb1234068bda1ddbd5fa8b99deb16f6f9adf566a72b031043e623fdc",
+        "export_json_events": "2f949dfe4ccf4fd8dbdcc4eec7f9c50677ff6e52644e5d16f26f81e243c23c06",
+        "query_actions": "dba89f7e76e0f13e58bf020367108fca93af10c6002e6041c9671180e9afefe3",
+        "query_dialogue": "00ba8b0f22825061f0e47339ce8e9395992aa20240df34722472a0a65692020e",
+        "query_characters": "a5e32b4cb9efc76cc5685a6450da19d971a6e78a255d1687cde3cda9ddde43bc",
+        "query_timeline": "bb45c9f3cefd68e4a83fc0ddc68e3d0768345dacb9b8d900472063eb76fc98ce",
+    },
+    "seed1": {
+        "export_dot": "299498887de0a2528ca828ac69530e9ef34c2b991572789acbddb24eae594215",
+        "export_dot_events": "f9d32aceec4ab200eeb6a639e7e4d8f12daa6216d97994ed2d3f8366fa5819cf",
+        "export_json_events": "7844cc49ed0bacfeebe8b59f5537e8173bf93948ef2320f707f50be94c52d876",
+        "query_actions": "d4d285ecac5e810f020965453d03a421e055ad8337bf0735d915b2904ad23e2a",
+        "query_dialogue": "28d497ac4f7c0aa33c66772074fe11eaeccbcdb8bb46923f46bc76a2588627dc",
+        "query_characters": "8baaadd0b39e7fb873431da59bc1d2180b0721e9dc34f42fb38f189b5616347b",
+        "query_timeline": "3c09318c4fa42da78f507ee0be5986edb7084ab1528ed8a7297e560e53174f10",
+    },
+    "seed2": {
+        "export_dot": "7df33b3f6642dc408bf192f3fccf02c87107f7847c3419315ddc58263cae2e24",
+        "export_dot_events": "f195d3b3593d6c8fb1384b764b4ae82cb342ede3d3e26f5ef490238435fc4e1c",
+        "export_json_events": "031bb6544535a99a112e52478eec01f642e731bec2732defb2fef58704484cd2",
+        "query_actions": "77da1a6cb66bd83b7a4094a7f4d401b09c8c5bcfee9c9295b604ec71a3994842",
+        "query_dialogue": "00ba8b0f22825061f0e47339ce8e9395992aa20240df34722472a0a65692020e",
+        "query_characters": "514bd268c6d8825614890356547597b765080377fea64f4ca13551fbc039b99d",
+        "query_timeline": "d61bd820f15551f69f8507c62e965cb871a8ece83acdf94afe4e1fb88793850e",
+    },
+}
+
+
+#: Digests of ``cli_outputs`` per corpus. ``build`` and ``eval`` write the
+#: library's bytes, so theirs are taken from the two tables above, not
+#: recorded again.
 CLI_DIGESTS = {
     name: {
         "integrate": DIGESTS[name]["integrate"],
         "per_unit": EVAL_DIGESTS[name]["per_unit"],
         "table": EVAL_DIGESTS[name]["table"],
+        **READ_DIGESTS[name],
     }
     for name in CORPORA
 }

@@ -257,9 +257,9 @@ def test_criterion_7_dot_exports_parse(story, unified):
             {NodeKind.EVENT_SEGMENT, NodeKind.EVENT, NodeKind.MACRO_EVENT},
         )
         for kinds in filters:
-            dot = ng.to_dot(unified.graph, kinds=kinds)
-            nodes, _ = parse_dot(dot)
-            assert nodes == len(ng.induced_subgraph(unified.graph, kinds).node_ids())
+            sub = ng.induced_subgraph(unified.graph, kinds)
+            nodes, _ = parse_dot(ng.to_dot(sub))
+            assert nodes == len(sub.node_ids())
         for tier_graph in (
             ng.build_panel_graph(story.panels[0]),
             ng.build_temporal_graph(story),

@@ -607,6 +607,17 @@ def test_export_json_with_kinds(graph_file, capsys):
     assert kinds <= {"event", "macro_event", "event_segment"}
 
 
+@pytest.mark.parametrize("kinds", ["event,macro_event,event_segment", "panel,event_segment,event,macro_event"])
+def test_filtered_dot_is_the_dot_of_the_filtered_graph_file(graph_file, tmp_path, capsys, kinds):
+    code, sub, _ = run_cli(["export", graph_file, "--format", "json", "--kinds", kinds], capsys)
+    assert code == 0
+    sub_file = tmp_path / "sub.json"
+    sub_file.write_text(sub, encoding="utf-8")
+    filtered = run_cli(["export", graph_file, "--format", "dot", "--kinds", kinds], capsys)
+    assert filtered == run_cli(["export", str(sub_file), "--format", "dot"], capsys)
+    assert filtered[0] == 0
+
+
 def test_export_unknown_kind(graph_file, capsys):
     code, _, err = run_cli(
         ["export", graph_file, "--format", "dot", "--kinds", "wibble"], capsys
@@ -796,3 +807,25 @@ def test_cli_stdout_is_utf8_whatever_the_locale(tmp_path, capsys):
         env=env,
     )
     assert closed.returncode == 0
+
+
+def test_cli_stderr_is_utf8_whatever_the_locale(tmp_path, capsys):
+    _, path = _utf8_stories(tmp_path)
+    capsys.readouterr()
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONIOENCODING": "ascii"}
+    argv = ["query", path["graph"], "actions", "--unit", "Thïnk"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    script = subprocess.run([sys.executable, "-m", "narragraph.cli", *argv], capture_output=True, env=env)
+    assert (script.returncode, script.stdout) == (1, b"")
+    assert script.stderr == err.encode("utf-8")
+    # A file name that UTF-8 cannot encode prints escaped, not as a traceback.
+    script = subprocess.run(
+        [sys.executable, "-m", "narragraph.cli", "validate", b"no\xffsuch.json"],
+        capture_output=True,
+        env=env,
+        cwd=tmp_path,
+    )
+    assert script.returncode == 2
+    assert script.stderr.startswith(b"cannot read no\\udcffsuch.json: ")
+    assert b"Traceback" not in script.stderr

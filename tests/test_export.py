@@ -41,16 +41,16 @@ def test_panel_graph_dot_contains_has_action(story):
 
 
 def test_event_filter_shows_only_hierarchy_relations(unified):
-    dot = to_dot(unified.graph, kinds=EVENT_KINDS)
+    dot = to_dot(induced_subgraph(unified.graph, EVENT_KINDS))
     assert _edge_labels(dot) == {"subevent_of", "precedes"}
     parse_dot(dot)
 
 
 def test_filtered_dot_has_no_foreign_nodes(unified):
-    dot = to_dot(unified.graph, kinds=EVENT_KINDS)
+    sub = induced_subgraph(unified.graph, EVENT_KINDS)
+    dot = to_dot(sub)
     assert '"panel:' not in dot
     assert '"char:' not in dot
-    sub = induced_subgraph(unified.graph, EVENT_KINDS)
     expected_nodes = {
         node_id
         for node_id, kind, _ in unified.graph.nodes()

@@ -13,7 +13,12 @@ import graph_edits
 from util import run_cli
 
 CORPORA = ["story", 0, 1, 2]
-EDITS = [graph_edits.swap_reading_order, graph_edits.rename_verb]
+EDITS = [
+    graph_edits.swap_reading_order,
+    graph_edits.rename_verb,
+    graph_edits.retarget_mention,
+    graph_edits.drop_dialogue,
+]
 
 
 def _corpus(which):
@@ -39,6 +44,16 @@ def _entries(report):
 
 def _counts(entry):
     return entry["tp"], entry["fp"], entry["fn"]
+
+
+def _scores(tp, fp, fn):
+    """Precision, recall and F1 of the counts under the evaluation module's
+    zero-division rule: with nothing predicted, precision is 1 when the gold
+    set is empty too and 0 otherwise; recall symmetrically."""
+    precision = tp / (tp + fp) if tp + fp else float(fn == 0)
+    recall = tp / (tp + fn) if tp + fn else float(fp == 0)
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -68,10 +83,9 @@ def test_seeded_edit_gives_exact_per_unit_damage(which, edit, seed, tmp_path, ca
     touched = {key for task_unit in applied.damage for key in (task_unit[0], task_unit)}
     for key, entry in after.items():
         if key in touched:
-            # fp equals fn, so precision, recall and F1 all read tp / (tp + fp).
-            tp, fp, _ = _counts(entry)
-            assert entry["precision"] == entry["recall"] == tp / (tp + fp)
-            assert entry["f1"] == pytest.approx(tp / (tp + fp))
+            precision, recall, f1 = _scores(*_counts(entry))
+            assert (entry["precision"], entry["recall"]) == (precision, recall)
+            assert entry["f1"] == pytest.approx(f1)
         else:
             assert entry == before[key]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import pairwise
 
 from .annotations import AnnotationCorpus, EventSegment, PanelAnnotation, normalize_token
 from .errors import SchemaError
@@ -192,13 +193,33 @@ def build_panel_graph(panel: PanelAnnotation) -> NarrativeGraph:
     return g
 
 
-def _first_reading_orders(ordered: list[PanelAnnotation]) -> dict[str, int]:
-    """Reading order of each segment's first panel, keyed in order of first
-    appearance; ``ordered`` holds the panels in reading order."""
+def _narrative_order(
+    corpus: AnnotationCorpus,
+) -> tuple[list[PanelAnnotation], dict[str, int], dict[str, tuple[int, int]]]:
+    """The one home of narrative order: ascending reading order, ties kept
+    in list order. Sorts the panels once and walks them in that order.
+
+    Returns the panels in reading order; the reading order of each
+    segment's first panel, keyed in order of first appearance; and each
+    event's ``(first, last)`` reading-order span."""
+    ordered = sorted(corpus.panels, key=lambda p: p.reading_order)
+    segment_event = {s.id: s.event_id for s in corpus.segments}
     first: dict[str, int] = {}
+    spans: dict[str, tuple[int, int]] = {}
     for panel in ordered:
-        first.setdefault(panel.segment_id, panel.reading_order)
-    return first
+        order = panel.reading_order
+        first.setdefault(panel.segment_id, order)
+        event_id = segment_event.get(panel.segment_id)
+        if event_id is not None:
+            # The walk ascends: an event's first panel seen is its least.
+            spans[event_id] = (spans.get(event_id, (order,))[0], order)
+    return ordered, first, spans
+
+
+def _chain(g: NarrativeGraph, node_ids) -> None:
+    """Chain ``node_ids`` by ``precedes``, one edge per adjacent pair."""
+    for prev, nxt in pairwise(node_ids):
+        g.add_edge(prev, RelationKind.PRECEDES, nxt)
 
 
 def _segment_temporal_attrs(segment: EventSegment, first_order: dict[str, int]) -> dict[str, str]:
@@ -208,28 +229,16 @@ def _segment_temporal_attrs(segment: EventSegment, first_order: dict[str, int]) 
     return {"first_reading_order": str(first_order[segment.id])}
 
 
-def _write_reading_chains(
-    g: NarrativeGraph, ordered: list[PanelAnnotation], first_order: dict[str, int]
-) -> None:
-    """Chain the panels by ``precedes`` in reading order, and the segments
-    that have panels in order of their first panel."""
-    for prev, nxt in zip(ordered, ordered[1:]):
-        g.add_edge(panel_node_id(prev.panel_id), RelationKind.PRECEDES, panel_node_id(nxt.panel_id))
-    chained = list(first_order)
-    for prev_id, next_id in zip(chained, chained[1:]):
-        g.add_edge(segment_node_id(prev_id), RelationKind.PRECEDES, segment_node_id(next_id))
-
-
 def build_temporal_graph(corpus: AnnotationCorpus) -> NarrativeGraph:
     """Reading-order DAG over panels and event segments.
 
     Panels are chained by ``precedes`` in ascending reading order, one edge
     per adjacent pair; segments are chained in order of their first panel's
-    reading order. Segments with no panels become isolated nodes.
+    reading order. Segments with no panels become isolated nodes. Both
+    orders come from ``_narrative_order``, the one home of the rule.
     """
     g = NarrativeGraph(Tier.TEMPORAL)
-    ordered = sorted(corpus.panels, key=lambda p: p.reading_order)
-    first_order = _first_reading_orders(ordered)
+    ordered, first_order, _ = _narrative_order(corpus)
     for panel in ordered:
         g.add_node(
             panel_node_id(panel.panel_id),
@@ -242,21 +251,9 @@ def build_temporal_graph(corpus: AnnotationCorpus) -> NarrativeGraph:
             NodeKind.EVENT_SEGMENT,
             _segment_temporal_attrs(segment, first_order),
         )
-    _write_reading_chains(g, ordered, first_order)
+    _chain(g, [panel_node_id(p.panel_id) for p in ordered])
+    _chain(g, [segment_node_id(s) for s in first_order])
     return g
-
-
-def _event_spans(corpus: AnnotationCorpus) -> dict[str, tuple[int, int]]:
-    """Reading-order interval covered by each event's panels."""
-    segment_event = {s.id: s.event_id for s in corpus.segments}
-    spans: dict[str, tuple[int, int]] = {}
-    for panel in corpus.panels:
-        event_id = segment_event.get(panel.segment_id)
-        if event_id is None:
-            continue
-        lo, hi = spans.get(event_id, (panel.reading_order, panel.reading_order))
-        spans[event_id] = (min(lo, panel.reading_order), max(hi, panel.reading_order))
-    return spans
 
 
 def _overlapping_pairs(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -298,9 +295,12 @@ def _write_units(g: NarrativeGraph, corpus: AnnotationCorpus) -> dict[tuple[Node
     return index
 
 
-def _write_hierarchy(g: NarrativeGraph, corpus: AnnotationCorpus) -> None:
+def _write_hierarchy(
+    g: NarrativeGraph, corpus: AnnotationCorpus, spans: dict[str, tuple[int, int]]
+) -> None:
     """Write the ``subevent_of`` edges, the ``precedes`` chains of sibling
-    events and of macro-events, and the ``co_occurs`` pairs."""
+    events and of macro-events, and the ``co_occurs`` pairs of the events
+    whose ``spans`` overlap."""
     for segment in corpus.segments:
         g.add_edge(
             segment_node_id(segment.id),
@@ -314,25 +314,18 @@ def _write_hierarchy(g: NarrativeGraph, corpus: AnnotationCorpus) -> None:
             macro_node_id(event.macro_event_id),
         )
 
-    spans = _event_spans(corpus)
     spanned = [e for e in corpus.events if e.id in spans]
-
-    children: dict[str, list] = {}
-    for event in spanned:
-        children.setdefault(event.macro_event_id, []).append(event)
-    # (narrative start, id) of each macro-event with panels: the start of
-    # its first event in narrative order.
-    starts: list[tuple[int, str]] = []
+    # One stable sort by start, then macro-event list rank (each event's
+    # macro-event has one, or its edge above raised). Sibling events whose
+    # starts tie keep event list order; macro-events, taken in order of
+    # first appearance, keep macro-event list order when their starts tie.
+    rank = {m.id: i for i, m in enumerate(corpus.macro_events)}
+    siblings: dict[str, list[str]] = {}
+    for event in sorted(spanned, key=lambda e: (spans[e.id][0], rank[e.macro_event_id])):
+        siblings.setdefault(event.macro_event_id, []).append(event_node_id(event.id))
     for macro in corpus.macro_events:
-        # stable: ties keep list order
-        siblings = sorted(children.get(macro.id, ()), key=lambda e: spans[e.id][0])
-        for prev, nxt in zip(siblings, siblings[1:]):
-            g.add_edge(event_node_id(prev.id), RelationKind.PRECEDES, event_node_id(nxt.id))
-        if siblings:
-            starts.append((spans[siblings[0].id][0], macro.id))
-    starts.sort(key=lambda start: start[0])
-    for (_, prev_id), (_, next_id) in zip(starts, starts[1:]):
-        g.add_edge(macro_node_id(prev_id), RelationKind.PRECEDES, macro_node_id(next_id))
+        _chain(g, siblings.get(macro.id, ()))
+    _chain(g, [macro_node_id(m) for m in siblings])
 
     for i, j in _overlapping_pairs([spans[e.id] for e in spanned]):
         a, b = event_node_id(spanned[i].id), event_node_id(spanned[j].id)
@@ -347,7 +340,8 @@ def build_event_graph(corpus: AnnotationCorpus) -> NarrativeGraph:
     macro-events) with panels are chained by ``precedes`` in narrative
     order: ascending first-panel reading order, ties broken by annotation
     list order. Two events ``co_occur`` when their reading-order intervals
-    overlap.
+    overlap. The spans come from ``_narrative_order``, the one home of the
+    rule.
     """
     g = NarrativeGraph(Tier.EVENT)
     _write_units(g, corpus)
@@ -355,7 +349,7 @@ def build_event_graph(corpus: AnnotationCorpus) -> NarrativeGraph:
         g.add_node(
             segment_node_id(segment.id), NodeKind.EVENT_SEGMENT, _segment_event_attrs(segment)
         )
-    _write_hierarchy(g, corpus)
+    _write_hierarchy(g, corpus, _narrative_order(corpus)[2])
     return g
 
 
@@ -367,7 +361,9 @@ def integrate(corpus: AnnotationCorpus) -> UnifiedGraph:
     attributes), the reading-order chains, the macro-events and events, and
     the event hierarchy. Adds one ``instantiates`` edge per panel (panel to
     its segment), one global character node per normalized label, and one
-    ``refers_to`` edge per character mention.
+    ``refers_to`` edge per character mention. The chains, segment attributes
+    and event spans all come from one ``_narrative_order`` walk, the one
+    home of the narrative-order rule.
 
     The unit-label index is filled as the units are written, keeping the
     first node of each label. ``UnifiedGraph.from_graph``, the one home of
@@ -386,8 +382,7 @@ def integrate(corpus: AnnotationCorpus) -> UnifiedGraph:
     the graph's adjacency, so ``integrate`` never builds the adjacency index.
     """
     unified = NarrativeGraph(Tier.UNIFIED)
-    ordered = sorted(corpus.panels, key=lambda p: p.reading_order)
-    first_order = _first_reading_orders(ordered)
+    ordered, first_order, spans = _narrative_order(corpus)
     mentions = {panel.panel_id: _write_panel(unified, panel) for panel in corpus.panels}
     for segment in corpus.segments:
         unified._put_node(
@@ -395,9 +390,10 @@ def integrate(corpus: AnnotationCorpus) -> UnifiedGraph:
             NodeKind.EVENT_SEGMENT,
             {**_segment_temporal_attrs(segment, first_order), **_segment_event_attrs(segment)},
         )
-    _write_reading_chains(unified, ordered, first_order)
+    _chain(unified, [panel_node_id(p.panel_id) for p in ordered])
+    _chain(unified, [segment_node_id(s) for s in first_order])
     index = _write_units(unified, corpus)
-    _write_hierarchy(unified, corpus)
+    _write_hierarchy(unified, corpus, spans)
 
     for panel in corpus.panels:
         unified.add_edge(

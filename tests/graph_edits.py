@@ -42,6 +42,14 @@ def _attrs(doc: dict, node_id: str) -> dict:
     return next(node["attrs"] for node in doc["nodes"] if node["id"] == node_id)
 
 
+def _drop(doc: dict, node_ids: set[str], edges: int) -> None:
+    """Remove the nodes ``node_ids`` and their ``edges`` edges from ``doc``."""
+    nodes = [node for node in doc["nodes"] if node["id"] not in node_ids]
+    kept = [edge for edge in doc["edges"] if not node_ids & {edge["src"], edge["dst"]}]
+    assert (len(doc["nodes"]) - len(nodes), len(doc["edges"]) - len(kept)) == (len(node_ids), edges)
+    doc["nodes"], doc["edges"] = nodes, kept
+
+
 def swap_reading_order(corpus: AnnotationCorpus, doc: dict, rng: random.Random) -> Edit:
     """Swap the ``reading_order`` of two neighbouring panels of one
     macro-event's timeline, neither of them its first or last.
@@ -58,6 +66,21 @@ def swap_reading_order(corpus: AnnotationCorpus, doc: dict, rng: random.Random) 
     return Edit(damage={("timeline", label): (-3, 3, 3)})
 
 
+def _unique_verb(corpus: AnnotationCorpus, rng: random.Random) -> tuple[str, PanelAnnotation, int]:
+    """One action whose normalized verb occurs once in its macro-event, as
+    (macro-event label, panel, action index)."""
+    candidates = []
+    for label, panels in macro_panels(corpus).items():
+        counts = Counter(normalize_token(a.verb) for p in panels for a in p.actions)
+        candidates += [
+            (label, panel, i)
+            for panel in panels
+            for i, action in enumerate(panel.actions)
+            if counts[normalize_token(action.verb)] == 1
+        ]
+    return rng.choice(candidates)
+
+
 def rename_verb(
     corpus: AnnotationCorpus, doc: dict, rng: random.Random, new_verb: str = "renamed_verb"
 ) -> Edit:
@@ -68,16 +91,7 @@ def rename_verb(
     one (one fp). A synonym map from the new verb to the old undoes it."""
     assert new_verb == normalize_token(new_verb)
     assert all(normalize_token(a.verb) != new_verb for p in corpus.panels for a in p.actions)
-    candidates = []
-    for label, panels in macro_panels(corpus).items():
-        counts = Counter(normalize_token(a.verb) for p in panels for a in p.actions)
-        candidates += [
-            (label, panel, i)
-            for panel in panels
-            for i, action in enumerate(panel.actions)
-            if counts[normalize_token(action.verb)] == 1
-        ]
-    label, panel, i = rng.choice(candidates)
+    label, panel, i = _unique_verb(corpus, rng)
     _attrs(doc, f"panel:{panel.panel_id}/action:{i}")["verb"] = new_verb
     old_verb = normalize_token(panel.actions[i].verb)
     return Edit(damage={("actions", label): (-1, 1, 1)}, synonyms={new_verb: old_verb})
@@ -120,9 +134,59 @@ def drop_dialogue(corpus: AnnotationCorpus, doc: dict, rng: random.Random) -> Ed
         candidates += [(label, panel, i) for panel, i, text in event_lines if counts[text] == 1]
     label, panel, i = rng.choice(candidates)
     utterance = f"panel:{panel.panel_id}/dlg:{i}"
-    dropped = {utterance, f"{utterance}/text"}
-    nodes = [node for node in doc["nodes"] if node["id"] not in dropped]
-    edges = [edge for edge in doc["edges"] if not dropped & {edge["src"], edge["dst"]}]
-    assert (len(doc["nodes"]) - len(nodes), len(doc["edges"]) - len(edges)) == (2, 2)
-    doc["nodes"], doc["edges"] = nodes, edges
+    _drop(doc, {utterance, f"{utterance}/text"}, edges=2)
     return Edit(damage={("dialogue", label): (-1, 0, 1)})
+
+
+def drop_action(corpus: AnnotationCorpus, doc: dict, rng: random.Random) -> Edit:
+    """Remove one action whose normalized verb occurs once in its
+    macro-event: its action node and its ``has_action`` and ``agent_of``
+    edges. The agent's mention stays, as it is among the panel's characters.
+
+    That macro-event's actions lose the verb (one fn) and gain nothing."""
+    label, panel, i = _unique_verb(corpus, rng)
+    _drop(doc, {f"panel:{panel.panel_id}/action:{i}"}, edges=2)
+    return Edit(damage={("actions", label): (-1, 0, 1)})
+
+
+def move_panel(corpus: AnnotationCorpus, doc: dict, rng: random.Random) -> Edit:
+    """Point the ``instantiates`` edge of one panel with dialogue at a
+    segment of another event under the same macro-event.
+
+    Per distinct normalized line of the panel's dialogue: the panel's event
+    loses it (one fn) unless another of its panels has the line, and the
+    other event gains it (one fp) unless one of its panels has it. The
+    panel stays under its macro-event, so the actions, timeline and
+    characters tasks keep their counts."""
+    event_of = {s.id: s.event_id for s in corpus.segments}
+    macro_of = {e.id: e.macro_event_id for e in corpus.events}
+    candidates = [
+        (panel, segment)
+        for panel in corpus.panels
+        if panel.dialogues
+        for segment in corpus.segments
+        if event_of[segment.id] != event_of[panel.segment_id]
+        and macro_of[event_of[segment.id]] == macro_of[event_of[panel.segment_id]]
+    ]
+    assert candidates
+    panel, segment = rng.choice(candidates)
+    pnode = f"panel:{panel.panel_id}"
+    (edge,) = (e for e in doc["edges"] if e["src"] == pnode and e["rel"] == "instantiates")
+    edge["dst"] = f"seg:{segment.id}"
+
+    def lines(event_id: str, moved: Optional[PanelAnnotation] = None) -> set[str]:
+        """Normalized dialogue lines of the event's panels, less ``moved``."""
+        return {
+            normalize_utterance(d.text)
+            for p in corpus.panels
+            if event_of[p.segment_id] == event_id and p is not moved
+            for d in p.dialogues
+        }
+
+    source, target = event_of[panel.segment_id], event_of[segment.id]
+    moved = {normalize_utterance(d.text) for d in panel.dialogues}
+    lost, gained = len(moved - lines(source, panel)), len(moved - lines(target))
+    labels = {e.id: e.label for e in corpus.events}
+    return Edit(
+        damage={("dialogue", labels[source]): (-lost, 0, lost), ("dialogue", labels[target]): (0, gained, 0)}
+    )

@@ -7,9 +7,9 @@ that alters one output byte fails ``test_output_digests.py`` and
 the digests in the same commit. The CLI's graph file and eval reports are
 checked against the same digests, so the command-line path must write the
 library's bytes; its ``export`` and ``query`` output has digests of its
-own. This module imports nothing outside the standard library and the
-package, so that the script runs it under every supported interpreter,
-with or without pytest.
+own. This module imports nothing outside the standard library, the
+package and the tests' ``util`` factories, so that the script runs it
+under every supported interpreter, with or without pytest.
 """
 
 import hashlib
@@ -31,12 +31,15 @@ from narragraph import (
     to_dot,
 )
 
+import util
+
 CORPORA = {
     "paper": ng.bundled_story,
     **{
         f"seed{seed}": (lambda seed=seed: ng.generate(ng.GenParams(seed=seed)))
         for seed in range(3)
     },
+    "interleaved": util.interleaved_story,
 }
 
 
@@ -145,6 +148,15 @@ DIGESTS = {
         "temporal_dot": "bc86297f7913254128d053755b6a30aa3d574ad6ae927f87435fa464479f489b",
         "event_dot": "1fd72ccc5bed9ac2720da299bdd8f2bb6cc618c4ea842c4d40302fc217697366",
     },
+    "interleaved": {
+        "corpus": "6463231b2bf77f996b674f2af7454f2458d78a27789a3df11bfb924efea1022c",
+        "integrate": "fb622ef744123b8bccfe450c9c6799348e47d4f0a99bfa073f29e26eece35b61",
+        "panel": "84ee41f6fa6e5a698f02105434596620da3327aa5fcdae1fbb71bed9b2ac6f7d",
+        "temporal": "972f8e64d9d1e72a6a7b6bc477a1e9e5f0dc6828e7999df8b4d2d5091d6aa655",
+        "event": "08d4badc352830531bbdb0edde9d4741e9ef8e21abbf60445723a7f9246892d6",
+        "temporal_dot": "9b36c9681084877412fa6b14901e38010dd5256d1696a01f112ff13f2ccf623b",
+        "event_dot": "518c3e4bb5baf2cbc2d5653480729258db14cdfe3e77b469546efd6696ef6dde",
+    },
 }
 
 
@@ -164,6 +176,10 @@ EVAL_DIGESTS = {
     },
     "seed2": {
         "per_unit": "8a4a2661d498bb2bd7295fd089ea603b802fec4ac8b120dc1295aed2fbf78635",
+        "table": "ee3fa93ad130547d2325379b73e6ecaa9ef66898cb060e0aca99126b28906328",
+    },
+    "interleaved": {
+        "per_unit": "10064593bb83ea0cc0aeed87518dab67563d3a00eef077700b5e33f94d25f854",
         "table": "ee3fa93ad130547d2325379b73e6ecaa9ef66898cb060e0aca99126b28906328",
     },
 }
@@ -207,6 +223,15 @@ READ_DIGESTS = {
         "query_dialogue": "00ba8b0f22825061f0e47339ce8e9395992aa20240df34722472a0a65692020e",
         "query_characters": "514bd268c6d8825614890356547597b765080377fea64f4ca13551fbc039b99d",
         "query_timeline": "d61bd820f15551f69f8507c62e965cb871a8ece83acdf94afe4e1fb88793850e",
+    },
+    "interleaved": {
+        "export_dot": "b503fa2b04799b8b84ed9999b0563f9456f0b3357ac023bc88cbc8b69ce4e07f",
+        "export_dot_events": "374b2b8d213b23f7264a90ab54fbccd6dc9940d219f33eff0a19f3335fe27052",
+        "export_json_events": "26417e2b92b5d0100d09c02036f93387d53460b3a83faf9a07fd4b9f8d65e36b",
+        "query_actions": "ce2e43afb60661606adfcffac341c3d0795ff5c3d2799a268841bf3dc32f3277",
+        "query_dialogue": "de13f36e983d778772b467b37357528158a1ad95c5918b5e9b8db2587bfdae0b",
+        "query_characters": "97ed30014f665959ad647725a7680c57ab28d3dd99de4de5212b34fd8053d496",
+        "query_timeline": "7f2699b7eedbda3b4cc6f95371041565ed9df296ed484fdf5e5c66a882b962e1",
     },
 }
 

@@ -172,6 +172,30 @@ def test_event_graph_disjoint_events_do_not_co_occur():
     assert not [rel for _, rel, _ in g.edges() if rel is RelationKind.CO_OCCURS]
 
 
+def _precedes(g):
+    return [(src, dst) for src, rel, dst in g.edges() if rel is RelationKind.PRECEDES]
+
+
+def test_narrative_order_ties_keep_list_order():
+    # Unvalidated: every panel sits at reading order 0, and the corpus
+    # panel order, the event, macro-event and segment list orders disagree.
+    corpus = ng.AnnotationCorpus(
+        story_id="ties",
+        macro_events=(ng.MacroEvent("mB", "b"), ng.MacroEvent("mA", "a")),
+        events=(ng.Event("eX", "mA", "X"), ng.Event("eY", "mA", "Y"), ng.Event("eB", "mB", "B")),
+        segments=(ng.EventSegment("s0", "eX"), ng.EventSegment("s1", "eY"), ng.EventSegment("s2", "eB")),
+        panels=(util.panel("pa", "s1", 0), util.panel("pb", "s0", 0), util.panel("pc", "s2", 0)),
+    )
+    # Panels and segments whose first panels tie keep corpus panel order;
+    # sibling events and macro-events whose starts tie keep list order.
+    panels = [("panel:pa", "panel:pb"), ("panel:pb", "panel:pc")]
+    segments = [("seg:s1", "seg:s0"), ("seg:s0", "seg:s2")]
+    units = [("event:eX", "event:eY"), ("macro:mB", "macro:mA")]
+    assert _precedes(build_temporal_graph(corpus)) == panels + segments
+    assert _precedes(build_event_graph(corpus)) == units
+    assert _precedes(integrate(corpus).graph) == panels + segments + units
+
+
 def test_integrate_every_panel_instantiates_once(unified, story):
     for p in story.panels:
         targets = unified.graph.neighbors(

@@ -18,6 +18,8 @@ EDITS = [
     graph_edits.rename_verb,
     graph_edits.retarget_mention,
     graph_edits.drop_dialogue,
+    graph_edits.drop_action,
+    graph_edits.move_panel,
 ]
 
 

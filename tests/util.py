@@ -102,6 +102,52 @@ def with_panelless_units(base):
     )
 
 
+def interleaved_story():
+    """A valid story whose narrative order is not its list order.
+
+    Macro-event ``m_late`` is listed before ``m_early``, and each lists its
+    later event first: ``e_last`` (reading order 5) before ``e_follow`` (4),
+    ``e_second`` before ``e_first``. The spans of ``e_first`` (reading
+    orders 0 and 2) and ``e_second`` (1 and 3) overlap, so the two co-occur.
+    Segments and panels are listed out of reading order too."""
+    panels = (
+        panel("p3", "s_second", 3, page=1, characters=("Ana", "Ben"),
+              actions=[("Ben", "hand", "key")], dialogues=[("d3", "Take it.", "Ben")]),
+        panel("p0", "s_first", 0, characters=("Ana",), objects=("door",),
+              actions=[("Ana", "open", "door")], dialogues=[("d0", "Anyone home?", "Ana")],
+              captions=[("c0", "Night.")], shot=ShotType.LONG_SHOT, background="porch"),
+        panel("p5", "s_last", 5, page=1, characters=("Ben",),
+              actions=[("Ben", "leave")], dialogues=[("d5", "Goodbye.", "Ben")]),
+        panel("p1", "s_second", 1, characters=("Ben",),
+              actions=[("Ben", "wave")], dialogues=[("d1", "Over here!", "Ben")]),
+        panel("p2", "s_first_end", 2, characters=("Ana", "Ben"), objects=("key",),
+              actions=[("Ana", "take", "key")], dialogues=[("d2", "Thanks.", "Ana")]),
+        panel("p4", "s_follow", 4, page=1, characters=("Ana",),
+              actions=[("Ana", "follow", "Ben")], dialogues=[("d4", "Wait for me!", "Ana")]),
+    )
+    return AnnotationCorpus(
+        story_id="interleaved",
+        macro_events=(
+            MacroEvent(id="m_late", label="Leaving", description="They part."),
+            MacroEvent(id="m_early", label="The key", description="A key changes hands."),
+        ),
+        events=(
+            Event(id="e_last", macro_event_id="m_late", label="Farewell"),
+            Event(id="e_second", macro_event_id="m_early", label="Ben calls"),
+            Event(id="e_first", macro_event_id="m_early", label="Ana arrives"),
+            Event(id="e_follow", macro_event_id="m_late", label="Ana follows"),
+        ),
+        segments=(
+            EventSegment(id="s_last", event_id="e_last", description="Ben leaves."),
+            EventSegment(id="s_second", event_id="e_second", description="Ben waves."),
+            EventSegment(id="s_first_end", event_id="e_first", description="Ana takes the key."),
+            EventSegment(id="s_first", event_id="e_first", description="Ana at the door."),
+            EventSegment(id="s_follow", event_id="e_follow", description="Ana runs after Ben."),
+        ),
+        panels=panels,
+    )
+
+
 def run_cli(argv, capsys):
     """Invoke the CLI in-process; returns (exit_code, stdout, stderr)."""
     try:

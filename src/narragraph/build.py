@@ -94,7 +94,7 @@ class UnifiedGraph:
                 index[(kind, label)] = node_id
             for rel in _ONE_TARGET.get(kind, ()):
                 if not graph._one_out(node_id, rel):
-                    n = graph.degree(node_id, rel, "out")
+                    n = len(graph.neighbors(node_id, rel, "out"))
                     reason = f"{kind.value} {node_id!r} has {n} {rel.value} edges, not 1"
                     raise SchemaError(f"nodes[{i}]", reason)
         return cls(graph=graph, index=index)

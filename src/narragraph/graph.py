@@ -8,11 +8,13 @@ stored, found and traversed as ``(b, precedes, a)``.
 
 Stored as written: node id -> kind and -> attrs, and the edge set, each
 edge once. Adjacency, keyed by direction, relation and node so that one
-traversal step reads one entry, is an index over the edge set: the first
-adjacency read builds it in one pass and publishes it by one assignment,
-and every later write keeps it current. A graph that is only written and
-serialized, as ``build`` does, never builds it. ``deserialize_graph``
-builds it, empty, before its edge walk, so the walk's writes fill it.
+traversal step reads one entry, is an index over the edge set. Its public
+readers are ``neighbors``, the one traversal step, and ``is_acyclic``, the
+load's check that ``precedes`` has no cycle. The first read builds it in
+one pass and publishes it by one assignment, and every later write keeps
+it current. A graph that is only written and serialized, as ``build``
+does, never builds it. ``deserialize_graph`` builds it, empty, before its
+edge walk, so the walk's writes fill it.
 
 Graph files load the way ``parse_corpus`` reads corpora: one cheap test
 accepts each record, and only a record it refuses is checked again, in
@@ -29,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from enum import Enum
 from json.encoder import encode_basestring
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from .errors import DuplicateNodeError, MissingNodeError, SchemaError, parse_json
 
@@ -169,8 +171,9 @@ class NarrativeGraph:
                 _link(adjacency["in"][rel], dst, src)
 
     def _one_out(self, node_id: str, rel: RelationKind) -> bool:
-        """``self.degree(node_id, rel) == 1`` for a held node and a ``rel``
-        other than ``follows``: its entry is a bare id."""
+        """``len(self.neighbors(node_id, rel)) == 1`` for a held node and a
+        ``rel`` other than ``follows``, without the checks or the copy: its
+        entry is a bare id."""
         adjacency = self._adjacency or self._build_index()
         return type(adjacency["out"][rel].get(node_id)) is str
 
@@ -218,9 +221,6 @@ class NarrativeGraph:
         except KeyError:
             raise MissingNodeError(f"node {node_id!r} is not in the graph") from None
 
-    def node_ids(self) -> list[str]:
-        return list(self._kinds)
-
     def nodes(self) -> Iterator[tuple[str, NodeKind, dict[str, str]]]:
         for node_id, kind in self._kinds.items():
             yield node_id, kind, self._attrs[node_id]
@@ -231,13 +231,13 @@ class NarrativeGraph:
     def edges(self) -> Iterator[tuple[str, RelationKind, str]]:
         return ((src, _RELATION_OF[value], dst) for src, value, dst in self._edges)
 
-    def has_edge(self, src: str, rel: RelationKind, dst: str) -> bool:
-        if rel is _FOLLOWS:
-            src, rel, dst = dst, _PRECEDES, src
-        return (src, _VALUE.get(rel), dst) in self._edges
+    def neighbors(self, node_id: str, rel: RelationKind, direction: str = "out") -> list[str]:
+        """Adjacent node ids over ``rel``, in edge insertion order, as a new list.
 
-    def _adjacent(self, node_id: str, rel: RelationKind, direction: str) -> Sequence[str]:
-        """The indexed adjacency behind :meth:`neighbors`, not a copy."""
+        ``direction="out"`` follows edges from the node, ``"in"`` follows
+        edges into it. ``follows`` answers from ``precedes`` the other way.
+        A degree is ``len`` of this, and an edge test ``dst in`` it.
+        """
         if node_id not in self._kinds:
             raise MissingNodeError(f"node {node_id!r} is not in the graph")
         if direction not in ("out", "in"):
@@ -245,42 +245,27 @@ class NarrativeGraph:
         if rel is _FOLLOWS:
             rel, direction = _PRECEDES, "in" if direction == "out" else "out"
         adjacency = self._adjacency or self._build_index()
-        return _ids(adjacency[direction][rel].get(node_id))
+        return list(_ids(adjacency[direction][rel].get(node_id)))
 
-    def neighbors(self, node_id: str, rel: RelationKind, direction: str = "out") -> list[str]:
-        """Adjacent node ids over ``rel``, in edge insertion order.
-
-        ``direction="out"`` follows edges from the node, ``"in"`` follows
-        edges into it. ``follows`` answers from ``precedes`` the other way.
-        """
-        return list(self._adjacent(node_id, rel, direction))
-
-    def degree(self, node_id: str, rel: RelationKind, direction: str = "out") -> int:
-        """``len(self.neighbors(node_id, rel, direction))``, without the copy."""
-        return len(self._adjacent(node_id, rel, direction))
-
-    def is_acyclic(self, rels: Iterable[RelationKind]) -> bool:
-        """True iff the subgraph restricted to ``rels`` has no directed cycle.
-        ``follows`` counts as ``precedes``: its cycles are theirs reversed."""
-        keep = {_PRECEDES if rel is _FOLLOWS else rel for rel in rels}
-        out = (self._adjacency or self._build_index())["out"]
-        # Only nodes on a kept edge can lie on a cycle.
+    def is_acyclic(self) -> bool:
+        """True iff the ``precedes`` edges form no directed cycle, and so the
+        ``follows`` view none either: its cycles are theirs reversed."""
+        out = (self._adjacency or self._build_index())["out"][_PRECEDES]
+        # Only nodes on a precedes edge can lie on a cycle.
         indegree: dict[str, int] = {}
-        for rel in keep:
-            for src, held in out[rel].items():
-                indegree.setdefault(src, 0)
-                for dst in _ids(held):
-                    indegree[dst] = indegree.get(dst, 0) + 1
+        for src, held in out.items():
+            indegree.setdefault(src, 0)
+            for dst in _ids(held):
+                indegree[dst] = indegree.get(dst, 0) + 1
         queue = deque(node_id for node_id, deg in indegree.items() if deg == 0)
         visited = 0
         while queue:
             node_id = queue.popleft()
             visited += 1
-            for rel in keep:
-                for dst in _ids(out[rel].get(node_id)):
-                    indegree[dst] -= 1
-                    if indegree[dst] == 0:
-                        queue.append(dst)
+            for dst in _ids(out.get(node_id)):
+                indegree[dst] -= 1
+                if indegree[dst] == 0:
+                    queue.append(dst)
         return visited == len(indegree)
 
     def __eq__(self, other: object) -> bool:
@@ -539,6 +524,6 @@ def deserialize_graph(text: str) -> NarrativeGraph:
         else:
             insert(src, rel, dst)
 
-    if not graph.is_acyclic({_PRECEDES}):
+    if not graph.is_acyclic():
         raise SchemaError("edges", "precedes edges form a cycle")
     return graph

@@ -87,6 +87,6 @@ def deserialize_graph(text: str) -> NarrativeGraph:
             raise SchemaError(path, f"{rel.value} cannot join {src_kind.value} to {dst_kind.value}")
         graph.add_edge(src, rel, dst)
 
-    if not graph.is_acyclic({RelationKind.PRECEDES}):
+    if not graph.is_acyclic():
         raise SchemaError("edges", "precedes edges form a cycle")
     return graph

@@ -56,7 +56,7 @@ def test_filtered_dot_has_no_foreign_nodes(unified):
         for node_id, kind, _ in unified.graph.nodes()
         if kind in EVENT_KINDS
     }
-    assert set(sub.node_ids()) == expected_nodes
+    assert {node_id for node_id, _, _ in sub.nodes()} == expected_nodes
     nodes, _ = parse_dot(dot)
     assert nodes == len(expected_nodes)
 

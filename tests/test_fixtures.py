@@ -3,7 +3,8 @@ from collections import Counter
 import pytest
 
 import narragraph as ng
-from narragraph import GenParams, SplitMix64, generate, serialize_corpus, validate_corpus
+from narragraph import GenParams, generate, serialize_corpus, validate_corpus
+from narragraph.fixtures import SplitMix64
 
 
 def test_same_seed_same_corpus():

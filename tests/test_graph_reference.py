@@ -53,7 +53,7 @@ def _assert_same_as_reference(text):
     assert isinstance(got, ng.NarrativeGraph), got
     assert got == expected
     assert serialize_graph(got) == serialize_graph(expected)
-    for node_id in expected.node_ids():
+    for node_id, _, _ in expected.nodes():
         for rel in RelationKind:
             for direction in ("out", "in"):
                 assert got.neighbors(node_id, rel, direction) == expected.neighbors(node_id, rel, direction)

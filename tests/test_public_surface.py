@@ -15,6 +15,49 @@ def test_exports_are_unique_and_sorted():
     assert ng.__all__ == sorted(ng.__all__)
 
 
+# The whole public surface, pinned so that any addition or removal is a
+# deliberate diff. ``set_prf`` and ``ordering_prf`` stay because the
+# acceptance suite defines its metrics through them; the tier builders and
+# ``gold_*`` stay because the benchmark looks them up by name, and the
+# builders are the reference that ``integrate`` is checked against.
+EXPORTS = [
+    "ActionTriple", "AnnotationCorpus", "DuplicateNodeError", "EvaluationReport",
+    "Event", "EventSegment", "GenParams", "GoldSet", "MacroEvent", "Metrics",
+    "MissingNodeError", "NarragraphError", "NarrativeGraph", "NarrativeRole",
+    "NodeKind", "PanelAnnotation", "QueryResult", "ReasoningTask", "RelationKind",
+    "SchemaError", "ShotType", "Tier", "UnifiedGraph", "UnknownUnitError",
+    "Utterance", "ValidationReport", "Violation", "actions_by_macro_event",
+    "build_event_graph", "build_panel_graph", "build_temporal_graph",
+    "bundled_story", "bundled_story_text", "character_appearances",
+    "deserialize_graph", "dialogue_by_event", "evaluate_all", "generate",
+    "gold_actions", "gold_characters", "gold_dialogue", "gold_timeline",
+    "induced_subgraph", "integrate", "load_synonym_map", "normalize_token",
+    "normalize_utterance", "ordering_prf", "panel_timeline", "parse_corpus",
+    "serialize_corpus", "serialize_graph", "set_prf", "to_dot", "validate_corpus",
+]
+
+
+def test_exports_are_pinned():
+    assert ng.__all__ == EXPORTS
+
+
+def test_graph_members_are_pinned():
+    # ``neighbors`` is the one adjacency read and ``is_acyclic`` the load's
+    # precedes check; a degree is ``len(neighbors(...))``.
+    public = {name for name in vars(ng.NarrativeGraph) if not name.startswith("_")}
+    assert public == {
+        "add_node", "add_edge", "node_count", "edge_count", "has_node", "node_kind",
+        "node_attrs", "nodes", "nodes_of_kind", "edges", "neighbors", "is_acyclic",
+    }
+
+
+def test_split_mix_is_reached_through_fixtures():
+    from narragraph.fixtures import SplitMix64
+
+    assert "SplitMix64" not in ng.__all__
+    assert SplitMix64(1).next_u64() == SplitMix64(1).next_u64()
+
+
 def test_package_imports_only_the_standard_library():
     # The package keeps zero runtime dependencies. ``-I`` ignores
     # PYTHONPATH and the user site, so the import sees src/ and the stdlib.

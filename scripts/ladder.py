@@ -20,9 +20,10 @@ rows, and a row with the same ``--label`` is replaced, so one file holds
 the rows of two checkouts: run the script from each with its own label.
 
 ``--check`` exits 1 when a stage's minimum per-panel cost at the largest
-size exceeds ``FACTOR`` times its cost at the smallest, per GC mode.
-``KNOWN_FAILURES`` are reported but do not fail the check. Needs only the
-standard library and the package's ``src/`` next to this script.
+size exceeds its ceiling times its cost at the smallest, per GC mode. The
+ceiling is ``FACTOR`` for every cell but the known failures in
+``CEILINGS``. Needs only the standard library and the package's ``src/``
+next to this script.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ PARAMS = {
     "panels_per_segment": (2, 4),
 }
 SIZES, QUICK_SIZES = (16, 64, 250, 1000), (16, 64)
-RUNS, QUICK_RUNS = 5, 3
+RUNS, QUICK_RUNS = 9, 3
 STAGES = (
     "parse", "validate", "integrate", "serialize", "deserialize",
     "from_graph", "gold_index", "eval_built", "eval_loaded",
@@ -71,17 +72,18 @@ STAGES = (
 #: leaves room for timing noise and for a working set that outgrows the
 #: caches.
 FACTOR = 2.0
-#: (stage, GC mode) cells whose per-panel cost grows beyond ``FACTOR``
-#: today: deserialize, and parse with the GC on, as on the 2k-to-30k ladder
-#: of the ROADMAP baseline, and every cell over it in either row of
-#: BENCH_21.json. They stay on the ladder, and the factor stays as it is,
-#: until the growth is fixed.
-KNOWN_FAILURES = {
-    ("parse", "gc_on"),
-    ("deserialize", "gc_on"), ("deserialize", "gc_off"),
-    ("integrate", "gc_on"), ("integrate", "gc_off"),
-    ("from_graph", "gc_on"), ("from_graph", "gc_off"),
-    ("eval_built", "gc_on"),
+#: The known failures: (stage, GC mode) cells whose per-panel cost grew
+#: past ``FACTOR`` in six full runs of this script on Python 3.11.7 and a
+#: 2-vCPU host (three on the package at 530fdae, three at 10b69c1), each
+#: held to the highest growth measured for it there, rounded up to the
+#: next 0.1x, so a cell that gets worse still fails the check. A cell
+#: leaves the table when its growth is fixed; ``FACTOR`` stays.
+CEILINGS = {
+    ("integrate", "gc_on"): 2.6, ("integrate", "gc_off"): 2.3,
+    ("deserialize", "gc_on"): 2.5,
+    ("from_graph", "gc_on"): 2.6, ("from_graph", "gc_off"): 2.8,
+    ("eval_built", "gc_on"): 2.4, ("eval_built", "gc_off"): 2.1,
+    ("eval_loaded", "gc_on"): 2.3, ("eval_loaded", "gc_off"): 2.3,
 }
 
 
@@ -176,19 +178,16 @@ def ladder(sizes, runs: int, label: str) -> dict:
 
 
 def check(row: dict) -> list[str]:
-    """Each stage and GC mode whose growth exceeds ``FACTOR`` and is not
-    a known failure; prints every stage's verdict."""
+    """Each stage and GC mode whose growth exceeds its ceiling; prints
+    every stage's verdict."""
     failures = []
     for mode, by_stage in row["growth"].items():
         for stage, ratio in by_stage.items():
-            over = ratio > FACTOR
-            known = (stage, mode) in KNOWN_FAILURES
-            if over:
-                verdict = "known failure" if known else "FAIL"
-            else:
-                verdict = "ok (listed as a known failure)" if known else "ok"
-            print(f"{stage:12} {mode:7} {ratio:6.2f}x  {verdict}")
-            if over and not known:
+            ceiling = CEILINGS.get((stage, mode), FACTOR)
+            known = ", known failure" if (stage, mode) in CEILINGS else ""
+            verdict = "FAIL" if ratio > ceiling else "ok"
+            print(f"{stage:12} {mode:7} {ratio:6.2f}x  {verdict} (ceiling {ceiling}x{known})")
+            if ratio > ceiling:
                 failures.append(f"{stage} {mode}")
     return failures
 
@@ -198,7 +197,7 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true", help="N = 16 and 64, 3 runs")
     parser.add_argument("--label", default="change", help="row label in the output file")
     parser.add_argument("--out", type=Path, help="JSON file to write the row into")
-    parser.add_argument("--check", action="store_true", help="exit 1 on growth beyond FACTOR")
+    parser.add_argument("--check", action="store_true", help="exit 1 on growth beyond a ceiling")
     args = parser.parse_args(argv)
 
     sizes, runs = (QUICK_SIZES, QUICK_RUNS) if args.quick else (SIZES, RUNS)
@@ -210,7 +209,7 @@ def main(argv=None) -> int:
             "params": PARAMS,
             "stages": list(STAGES),
             "factor": FACTOR,
-            "known_failures": sorted(f"{stage} {mode}" for stage, mode in KNOWN_FAILURES),
+            "ceilings": {f"{stage} {mode}": ceiling for (stage, mode), ceiling in sorted(CEILINGS.items())},
         })
         doc["rows"] = [held for held in doc.get("rows", []) if held["label"] != args.label] + [row]
         args.out.write_text(json.dumps(doc, indent=2) + "\n")
@@ -220,7 +219,7 @@ def main(argv=None) -> int:
         )
     failures = check(row)
     if args.check and failures:
-        print("growth beyond the factor: " + ", ".join(failures), file=sys.stderr)
+        print("growth beyond the ceiling: " + ", ".join(failures), file=sys.stderr)
         return 1
     return 0
 

@@ -28,7 +28,8 @@ def test_quick_ladder_adds_its_row_and_keeps_the_others(tmp_path):
         "seed": 1, "events_per_macro": [3, 5], "segments_per_event": [2, 3], "panels_per_segment": [2, 4],
     }
     assert doc["factor"] > 1
-    assert {"deserialize gc_on", "deserialize gc_off", "parse gc_on"} <= set(doc["known_failures"])
+    assert "deserialize gc_on" in doc["ceilings"]
+    assert all(ceiling > doc["factor"] for ceiling in doc["ceilings"].values())
     parent, row = doc["rows"]
     assert parent == {"label": "parent"}
     assert row["label"] == "quick" and row["runs"] == 3

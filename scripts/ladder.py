@@ -67,8 +67,8 @@ STAGES = (
     "parse", "validate", "integrate", "serialize", "deserialize",
     "from_graph", "gold_index", "eval_built", "eval_loaded",
 )
-#: Largest-over-smallest bound on the minimum per-panel cost, every stage
-#: and GC mode. Per-panel cost should stay flat as the corpus grows; 2x
+#: Largest-over-smallest bound on the minimum per-panel cost of every
+#: stage and GC mode outside ``CEILINGS``. Per-panel cost should stay flat as the corpus grows; 2x
 #: leaves room for timing noise and for a working set that outgrows the
 #: caches.
 FACTOR = 2.0

@@ -1,13 +1,14 @@
 """Command-line pipeline: validate, build, query, eval, export, gen-fixture.
 
 Exit codes: 0 success, 1 domain failure (validation violations, unknown
-unit), 2 usage or parse failure.
+unit), 2 usage or parse failure, or output that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from typing import Callable, Optional, TypeVar
 
@@ -237,7 +238,15 @@ def run() -> None:
         sys.stdout.reconfigure(encoding="utf-8")
     if sys.stderr is not None:  # escaped, as a file name may hold a lone surrogate
         sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
-    raise SystemExit(main())
+    try:
+        code = main()
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early, as `| head` does: exit 2, no traceback
+        # The interpreter flushes stdout again on exit; what is left goes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

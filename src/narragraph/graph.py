@@ -16,9 +16,9 @@ it current. A graph that is only written and serialized, as ``build``
 does, never builds it. ``deserialize_graph`` builds it, empty, before its
 edge walk, so the walk's writes fill it.
 
-Graph files load the way ``parse_corpus`` reads corpora: one cheap test
-accepts each record, and only a record it refuses is checked again, in
-order, by a separate function that explains its first fault.
+Graph files load in one walk: each check of a node record runs once and
+raises its own fault, while an edge record is accepted by one table lookup,
+as ``parse_corpus`` accepts records, and only a refused one is explained.
 
 The store is laid out so that the cyclic GC can skip almost all of it: an
 edge key ``(src, relation value, dst)`` holds only strings, so the GC
@@ -402,32 +402,6 @@ _EDGE_OF = {
 }
 
 
-def _node_fault(i: int, entry: Any, kinds: dict[str, NodeKind]) -> SchemaError:
-    """The error of the first check, in check order, that node record ``i``
-    fails; ``kinds`` holds the nodes of the records before it. Called only
-    for a record that fails one."""
-    path = f"nodes[{i}]"
-    if not isinstance(entry, dict):
-        return SchemaError(path, "expected an object")
-    node_id = entry.get("id")
-    if not isinstance(node_id, str):
-        return SchemaError(f"{path}.id", "missing or non-string id")
-    kind_raw = entry.get("kind")
-    kind = _KIND_OF.get(kind_raw) if isinstance(kind_raw, str) else None
-    if kind is None:
-        return SchemaError(f"{path}.kind", f"unknown node kind {kind_raw!r}")
-    attrs = entry.get("attrs", {})
-    if not isinstance(attrs, dict) or not all(isinstance(value, str) for value in attrs.values()):
-        return SchemaError(f"{path}.attrs", "attrs must map strings to strings")
-    for key, form in _REQUIRED[kind]:
-        if key not in attrs:
-            return SchemaError(f"{path}.attrs", f"{kind_raw} node lacks attribute {key!r}")
-        if form is not None and not form[0](attrs[key]):
-            return SchemaError(f"{path}.attrs", f"{key} must be {form[1]}, got {attrs[key]!r}")
-    # The record fails some check, and only this one is left.
-    return SchemaError(f"{path}.id", f"duplicate node id {node_id!r}")
-
-
 def _edge_fault(i: int, entry: Any, kinds: dict[str, NodeKind]) -> SchemaError:
     """The error of the first check, in check order, that edge record ``i``
     fails; ``kinds`` holds every node. Called only for a record that fails one."""
@@ -459,17 +433,17 @@ def deserialize_graph(text: str) -> NarrativeGraph:
     checked by ``UnifiedGraph.from_graph``, so tier graphs and filtered
     exports load too.
 
-    Records are accepted and explained apart, as ``parse_corpus`` does. A
-    node is accepted by a few lookups and type tests, an edge by one lookup
-    in ``_EDGE_OF``, keyed by its relation as written and the kinds of its
-    endpoints, which also maps a ``follows`` record onto its ``precedes``
-    edge. No path is built unless a record is refused; then
-    :func:`_node_fault` or :func:`_edge_fault`, the one home of the loader's
-    messages, runs the checks in order to report its first fault. Accepted
-    nodes are stored as they are, uncopied, and edges through ``_insert``,
-    which ``add_edge`` also ends in. The adjacency index exists before the
-    first edge, so ``_insert`` fills it and the cycle check reads it with
-    no second pass over the edges."""
+    The node walk holds the node messages: it checks the object, ``id``,
+    ``kind``, the ``attrs`` map, the required attributes and their format,
+    then the duplicate id, raising at the first that fails. An edge is
+    accepted by one lookup in ``_EDGE_OF``, keyed by its relation as written
+    and its endpoints' kinds, which also maps a ``follows`` record onto its
+    ``precedes`` edge; :func:`_edge_fault`, the home of the edge messages,
+    explains a refused one. No path is built for a record that passes.
+    Accepted nodes are stored as they are, uncopied, and edges through
+    ``_insert``, which ``add_edge`` also ends in. The adjacency index exists
+    before the first edge, so ``_insert`` fills it and the cycle check reads
+    it with no second pass over the edges."""
     doc = parse_json(text)
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected an object")
@@ -491,19 +465,33 @@ def deserialize_graph(text: str) -> NarrativeGraph:
     if not isinstance(nodes, list):
         raise SchemaError("nodes", "missing or non-list nodes")
     for i, entry in enumerate(nodes):
+        # Of the JSON values, only a non-object refuses a string subscript by type.
         try:
-            node_id, kind, attrs = entry["id"], _KIND_OF[entry["kind"]], entry.get("attrs", {})
+            node_id = entry["id"]
+        except TypeError:
+            raise SchemaError(f"nodes[{i}]", "expected an object") from None
+        except KeyError:
+            node_id = None
+        if type(node_id) is not str:
+            raise SchemaError(f"nodes[{i}].id", "missing or non-string id")
+        try:
+            kind = _KIND_OF[entry["kind"]]
         except (KeyError, TypeError):
-            raise _node_fault(i, entry, kinds) from None
-        if type(node_id) is not str or type(attrs) is not dict or node_id in kinds:
-            raise _node_fault(i, entry, kinds)
+            raise SchemaError(f"nodes[{i}].kind", f"unknown node kind {entry.get('kind')!r}") from None
+        attrs = entry.get("attrs", {})
+        if type(attrs) is not dict:
+            raise SchemaError(f"nodes[{i}].attrs", "attrs must map strings to strings")
         # JSON object keys are always strings; only the values need a look.
         for value in attrs.values():
             if type(value) is not str:
-                raise _node_fault(i, entry, kinds)
+                raise SchemaError(f"nodes[{i}].attrs", "attrs must map strings to strings")
         for key, form in _REQUIRED[kind]:
-            if key not in attrs or form is not None and not form[0](attrs[key]):
-                raise _node_fault(i, entry, kinds)
+            if key not in attrs:
+                raise SchemaError(f"nodes[{i}].attrs", f"{kind.value} node lacks attribute {key!r}")
+            if form is not None and not form[0](attrs[key]):
+                raise SchemaError(f"nodes[{i}].attrs", f"{key} must be {form[1]}, got {attrs[key]!r}")
+        if node_id in kinds:
+            raise SchemaError(f"nodes[{i}].id", f"duplicate node id {node_id!r}")
         kinds[node_id] = kind
         attrs_of[node_id] = attrs
     del nodes

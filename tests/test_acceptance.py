@@ -95,26 +95,14 @@ def test_criterion_2_perfect_scores_on_consistent_build(tmp_path, capsys):
             assert abs(task["f1"] - 1.0) < EPS, task
 
 
-def _verb_corpus(verbs):
-    panels = [
-        util.panel(f"p{i}", f"s{i}", i, characters=("c",), actions=[("c", verb)])
-        for i, verb in enumerate(verbs)
-    ]
-    return util.corpus(
-        panels,
-        seg_event={f"s{i}": "main" for i in range(len(verbs))},
-        macro_label="arc_main",
-    )
-
-
 def test_criterion_3_lexical_variant_mechanism(tmp_path, capsys):
     with criterion(3, "one variant verb in 25 drives action F1 to 0.96; synonyms restore 1.00"):
         verbs = ["insert"] + [f"act_{i:02d}" for i in range(1, 25)]
         gold_path = tmp_path / "gold.json"
-        gold_path.write_text(ng.serialize_corpus(_verb_corpus(verbs)), encoding="utf-8")
+        gold_path.write_text(ng.serialize_corpus(util.verb_corpus(verbs)), encoding="utf-8")
         variant_path = tmp_path / "variant.json"
         variant_path.write_text(
-            ng.serialize_corpus(_verb_corpus(["insert_into"] + verbs[1:])),
+            ng.serialize_corpus(util.verb_corpus(["insert_into"] + verbs[1:])),
             encoding="utf-8",
         )
         graph_path = tmp_path / "variant_graph.json"

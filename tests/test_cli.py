@@ -531,25 +531,13 @@ def test_eval_table_with_per_unit_is_a_usage_error(story_file, capsys):
     assert "not allowed with argument" in err
 
 
-def _verb_corpus(verbs):
-    panels = [
-        util.panel(f"p{i}", f"s{i}", i, characters=("c",), actions=[("c", verb)])
-        for i, verb in enumerate(verbs)
-    ]
-    return util.corpus(
-        panels,
-        seg_event={f"s{i}": "main" for i in range(len(verbs))},
-        macro_label="arc_main",
-    )
-
-
 def test_eval_with_variant_graph_and_synonyms(tmp_path, capsys):
     verbs = ["insert"] + [f"act_{i:02d}" for i in range(1, 25)]
     gold_path = tmp_path / "gold.json"
-    gold_path.write_text(ng.serialize_corpus(_verb_corpus(verbs)), encoding="utf-8")
+    gold_path.write_text(ng.serialize_corpus(util.verb_corpus(verbs)), encoding="utf-8")
     variant_path = tmp_path / "variant.json"
     variant_path.write_text(
-        ng.serialize_corpus(_verb_corpus(["insert_into"] + verbs[1:])), encoding="utf-8"
+        ng.serialize_corpus(util.verb_corpus(["insert_into"] + verbs[1:])), encoding="utf-8"
     )
     graph_path = tmp_path / "variant_graph.json"
     assert run_cli(["build", str(variant_path), str(graph_path)], capsys)[0] == 0
@@ -829,3 +817,27 @@ def test_cli_stderr_is_utf8_whatever_the_locale(tmp_path, capsys):
     assert script.returncode == 2
     assert script.stderr.startswith(b"cannot read no\\udcffsuch.json: ")
     assert b"Traceback" not in script.stderr
+
+
+def test_reader_closing_stdout_early_exits_2_without_a_traceback(tmp_path):
+    story = tmp_path / "story.json"
+    story.write_text(ng.serialize_corpus(ng.generate(ng.GenParams(seed=1, n_macro=20))), encoding="utf-8")
+    graph = tmp_path / "graph.json"
+    assert cli.main(["build", str(story), str(graph)]) == 0
+    # Its DOT (about 180 KB) is more than a pipe holds, so the export is
+    # still writing when the reader goes away, as under `| head -c 100`.
+    # Stdout is buffered, as by default: unbuffered, the text layer drops
+    # the rest of a write the reader cut short, and no error is raised.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    with subprocess.Popen(
+        [sys.executable, "-m", "narragraph.cli", "export", str(graph), "--format", "dot"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**env, "PYTHONPATH": SRC},
+    ) as script:
+        assert len(script.stdout.read(100)) == 100
+        script.stdout.close()
+        err = script.stderr.read()
+    assert script.returncode == 2
+    assert b"Traceback" not in err
+    assert b"Exception ignored" not in err

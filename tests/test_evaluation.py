@@ -178,21 +178,13 @@ def test_evaluate_all_reads_each_corpus_list_a_fixed_number_of_times():
     many_macros = _corpus_iterations(ng.generate(ng.GenParams(seed=1, n_macro=200)))
     assert one_macro == many_macros
 
-def _verb_corpus(verbs):
-    panels = [
-        util.panel(f"p{i}", f"s{i}", i, characters=("c",), actions=[("c", verb)])
-        for i, verb in enumerate(verbs)
-    ]
-    seg_event = {f"s{i}": "main" for i in range(len(verbs))}
-    return util.corpus(panels, seg_event=seg_event, macro_label="arc_main")
-
 
 VERBS = ["insert"] + [f"act_{i:02d}" for i in range(1, 25)]
 
 
 def test_single_lexical_variant_gives_096():
-    gold_corpus = _verb_corpus(VERBS)
-    variant_corpus = _verb_corpus(["insert_into"] + VERBS[1:])
+    gold_corpus = util.verb_corpus(VERBS)
+    variant_corpus = util.verb_corpus(["insert_into"] + VERBS[1:])
     report = evaluate_all(integrate(variant_corpus), gold_corpus)
     actions = report.task("actions").metrics
     assert (actions.tp, actions.fp, actions.fn) == (24, 1, 1)
@@ -204,8 +196,8 @@ def test_single_lexical_variant_gives_096():
 
 
 def test_synonym_map_restores_perfect_score():
-    gold_corpus = _verb_corpus(VERBS)
-    variant_corpus = _verb_corpus(["insert_into"] + VERBS[1:])
+    gold_corpus = util.verb_corpus(VERBS)
+    variant_corpus = util.verb_corpus(["insert_into"] + VERBS[1:])
     synonyms = load_synonym_map('{"insert_into": "insert"}')
     report = evaluate_all(integrate(variant_corpus), gold_corpus, synonyms=synonyms)
     assert report.task("actions").metrics.f1 == 1.0

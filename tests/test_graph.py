@@ -240,6 +240,7 @@ LOADER_ERRORS = {
     "kind_list": (_node([], {}), "nodes[0].kind", "unknown node kind []"),
     "kind_object": (_node({}, {}), "nodes[0].kind", "unknown node kind {}"),
     "kind_missing": (_graph_doc([{"id": "n"}]), "nodes[0].kind", "unknown node kind None"),
+    "kind_before_attrs": (_node("blob", None), "nodes[0].kind", "unknown node kind 'blob'"),
     "attrs_null": (_node("panel", None), *NOT_STR_MAP),
     "attrs_list": (_node("scene_object", []), *NOT_STR_MAP),
     "attrs_value_not_a_string": (_node("panel", {"reading_order": 0}), *NOT_STR_MAP),
@@ -265,6 +266,11 @@ LOADER_ERRORS = {
         _graph_doc([P0, {**EV, "id": "p0", "attrs": {}}]),
         "nodes[1].attrs",
         "event node lacks attribute 'label'",
+    ),
+    "reading_order_before_duplicate": (
+        _graph_doc([P0, {"id": "p0", "kind": "panel", "attrs": {"reading_order": "-1"}}]),
+        "nodes[1].attrs",
+        "reading_order must be a non-negative decimal integer, got '-1'",
     ),
     "node_fault_before_edge_fault": (
         _graph_doc([P0, {"id": "x", "kind": "blob"}], [{"rel": "blob"}]),

@@ -85,6 +85,17 @@ def corpus(panels, *, seg_event=None, story_id="t", macro_label="arc_0"):
     )
 
 
+def verb_corpus(verbs):
+    """One character doing one action per panel, ``verbs[i]`` in panel
+    ``p{i}``, with every segment under event ``main`` of macro-event
+    ``arc_main``."""
+    panels = [
+        panel(f"p{i}", f"s{i}", i, characters=("c",), actions=[("c", verb)])
+        for i, verb in enumerate(verbs)
+    ]
+    seg_event = {f"s{i}": "main" for i in range(len(verbs))}
+    return corpus(panels, seg_event=seg_event, macro_label="arc_main")
+
 def with_panelless_units(base):
     """``base`` plus units that no panel instantiates: segment ``idle``
     under its first event, and segment ``empty`` under event ``empty

@@ -828,12 +828,13 @@ def test_reader_closing_stdout_early_exits_2_without_a_traceback(tmp_path):
     # still writing when the reader goes away, as under `| head -c 100`.
     # Stdout is buffered, as by default: unbuffered, the text layer drops
     # the rest of a write the reader cut short, and no error is raised.
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("PYTHONUNBUFFERED", None)
     with subprocess.Popen(
         [sys.executable, "-m", "narragraph.cli", "export", str(graph), "--format", "dot"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={**env, "PYTHONPATH": SRC},
+        env=env,
     ) as script:
         assert len(script.stdout.read(100)) == 100
         script.stdout.close()

@@ -96,6 +96,7 @@ def verb_corpus(verbs):
     seg_event = {f"s{i}": "main" for i in range(len(verbs))}
     return corpus(panels, seg_event=seg_event, macro_label="arc_main")
 
+
 def with_panelless_units(base):
     """``base`` plus units that no panel instantiates: segment ``idle``
     under its first event, and segment ``empty`` under event ``empty

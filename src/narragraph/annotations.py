@@ -10,7 +10,6 @@ panel ids are opaque strings and are never compared lexicographically.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum, auto
@@ -158,180 +157,137 @@ class _Form(Enum):
     RECORDS = auto()  # a list of records of the field's kind, read as a tuple
 
 
-_OPTIONAL = (_Form.OPT_STR, _Form.OPT_ENUM)
-_ENUMS = (_Form.ENUM, _Form.OPT_ENUM)
+# The forms as module globals: the parser's per-field loop reads them.
+_STR, _OPT_STR, _NAT = _Form.STR, _Form.OPT_STR, _Form.NAT
+_ENUM, _OPT_ENUM, _STR_LIST, _RECORDS = _Form.ENUM, _Form.OPT_ENUM, _Form.STR_LIST, _Form.RECORDS
+_OPTIONAL = (_OPT_STR, _OPT_ENUM)
+_ENUMS = (_ENUM, _OPT_ENUM)
 #: Forms whose values ``json.dumps`` writes as they are, None included; it
 #: writes a tuple as a list.
-_AS_IS = (_Form.STR, _Form.NAT, _Form.STR_LIST)
-#: JSON value types each form admits before its value is looked at.
-_TYPES = {
-    _Form.STR: (str,),
-    _Form.OPT_STR: (str, type(None)),
-    _Form.NAT: (int,),
-    _Form.ENUM: (str,),
-    _Form.OPT_ENUM: (str, type(None)),
-    _Form.STR_LIST: (list,),
-    _Form.RECORDS: (list,),
-}
-# isinstance(value, str) as a one-argument function, for all(map(...)).
-_is_str = str.__instancecheck__
-
-
-class _Fault(Exception):
-    """Some check of the document failed; :func:`_first_fault` says which."""
+_AS_IS = (_STR, _NAT, _STR_LIST)
 
 
 class _RecordKind:
-    """The field table of one record kind, and the lookups derived from it.
+    """The field table of one record kind.
 
-    ``fields`` lists ``(name, form, arg)`` in check order, where ``arg`` is
-    the enum of an ``ENUM`` field and the record kind of a ``RECORDS`` field.
-    The JSON key of a field is its dataclass field name; a dataclass field
-    not in the table is not read or written and keeps its default.
-    ``names`` and ``forms`` hold the fields in dataclass field order, which
-    is the order the fast path reads them and the key order of the JSON
-    that :func:`serialize_corpus` writes.
+    ``fields`` is given as ``(name, form, arg)`` in check order, where
+    ``arg`` is the enum of an ``ENUM`` field and the record kind of a
+    ``RECORDS`` field. The JSON key of a field is its dataclass field name;
+    a dataclass field not in the table is not read or written and keeps
+    its default. ``names`` and ``forms`` hold the fields in dataclass field
+    order, which is the order of the record's constructor arguments and the
+    key order of the JSON that :func:`serialize_corpus` writes. The stored
+    ``fields`` add each field's index in ``names`` and read an enum's
+    ``arg`` as a map from value to member, for :func:`_record`.
     """
 
     def __init__(self, cls: type, fields: tuple[tuple[str, _Form, Any], ...]):
         self.cls = cls
-        self.fields = fields
         table = {name: (form, arg) for name, form, arg in fields}
         self.names = tuple(f.name for f in dataclasses.fields(cls) if f.name in table)
-        self.forms = forms = tuple(table[name] for name in self.names)
-        self.types = frozenset(itertools.product(*(_TYPES[form] for form, _ in forms)))
-        self.nats = tuple(j for j, (form, _) in enumerate(forms) if form is _Form.NAT)
-        self.enums = tuple(
-            (j, {member.value: member for member in arg})
-            for j, (form, arg) in enumerate(forms)
-            if form in _ENUMS
+        self.forms = tuple(table[name] for name in self.names)
+        self.fields = tuple(
+            (name, form, {m.value: m for m in arg} if form in _ENUMS else arg, self.names.index(name))
+            for name, form, arg in fields
         )
-        self.str_lists = tuple(j for j, (form, _) in enumerate(forms) if form is _Form.STR_LIST)
-        self.records = tuple((j, arg) for j, (form, arg) in enumerate(forms) if form is _Form.RECORDS)
 
 
-_S, _O = _Form.STR, _Form.OPT_STR
-_MACRO = _RecordKind(MacroEvent, (("id", _S, None), ("label", _S, None), ("description", _S, None)))
+_MACRO = _RecordKind(MacroEvent, (("id", _STR, None), ("label", _STR, None), ("description", _STR, None)))
 _EVENT = _RecordKind(
     Event,
-    (("id", _S, None), ("macro_event_id", _S, None), ("label", _S, None), ("description", _S, None)),
+    (("id", _STR, None), ("macro_event_id", _STR, None), ("label", _STR, None), ("description", _STR, None)),
 )
 _SEGMENT = _RecordKind(
     EventSegment,
     (
-        ("narrative_role", _Form.OPT_ENUM, NarrativeRole),
-        ("id", _S, None),
-        ("event_id", _S, None),
-        ("description", _S, None),
+        ("narrative_role", _OPT_ENUM, NarrativeRole),
+        ("id", _STR, None),
+        ("event_id", _STR, None),
+        ("description", _STR, None),
     ),
 )
-_ACTION = _RecordKind(ActionTriple, (("agent", _S, None), ("verb", _S, None), ("object", _O, None)))
-_DIALOGUE = _RecordKind(Utterance, (("speaker", _O, None), ("id", _S, None), ("text", _S, None)))
+_ACTION = _RecordKind(ActionTriple, (("agent", _STR, None), ("verb", _STR, None), ("object", _OPT_STR, None)))
+_DIALOGUE = _RecordKind(Utterance, (("speaker", _OPT_STR, None), ("id", _STR, None), ("text", _STR, None)))
 # A caption has no speaker; a "speaker" key in one is not read or written.
-_CAPTION = _RecordKind(Utterance, (("id", _S, None), ("text", _S, None)))
+_CAPTION = _RecordKind(Utterance, (("id", _STR, None), ("text", _STR, None)))
 _PANEL = _RecordKind(
     PanelAnnotation,
     (
-        ("shot_type", _Form.ENUM, ShotType),
-        ("panel_id", _S, None),
-        ("segment_id", _S, None),
-        ("page_index", _Form.NAT, None),
-        ("reading_order", _Form.NAT, None),
-        ("image_path", _O, None),
-        ("characters", _Form.STR_LIST, None),
-        ("background", _O, None),
-        ("objects", _Form.STR_LIST, None),
-        ("actions", _Form.RECORDS, _ACTION),
-        ("dialogues", _Form.RECORDS, _DIALOGUE),
-        ("captions", _Form.RECORDS, _CAPTION),
-        ("event_description", _O, None),
+        ("shot_type", _ENUM, ShotType),
+        ("panel_id", _STR, None),
+        ("segment_id", _STR, None),
+        ("page_index", _NAT, None),
+        ("reading_order", _NAT, None),
+        ("image_path", _OPT_STR, None),
+        ("characters", _STR_LIST, None),
+        ("background", _OPT_STR, None),
+        ("objects", _STR_LIST, None),
+        ("actions", _RECORDS, _ACTION),
+        ("dialogues", _RECORDS, _DIALOGUE),
+        ("captions", _RECORDS, _CAPTION),
+        ("event_description", _OPT_STR, None),
     ),
 )
 _STORY = _RecordKind(
     AnnotationCorpus,
     (
-        ("story_id", _S, None),
-        ("macro_events", _Form.RECORDS, _MACRO),
-        ("events", _Form.RECORDS, _EVENT),
-        ("segments", _Form.RECORDS, _SEGMENT),
-        ("panels", _Form.RECORDS, _PANEL),
+        ("story_id", _STR, None),
+        ("macro_events", _RECORDS, _MACRO),
+        ("events", _RECORDS, _EVENT),
+        ("segments", _RECORDS, _SEGMENT),
+        ("panels", _RECORDS, _PANEL),
     ),
 )
-del _S, _O
 
 
-def _records(items: list, kind: _RecordKind) -> tuple:
-    """The records of ``kind`` that ``items`` holds, each checked in one
-    pass; raises ``_Fault`` as soon as some check fails."""
-    cls, names, types = kind.cls, kind.names, kind.types
-    nats, enums, str_lists, records = kind.nats, kind.enums, kind.str_lists, kind.records
-    flat = not (nats or enums or str_lists or records)
-    out = []
-    for obj in items:
-        if type(obj) is not dict:
-            raise _Fault
-        # An absent field reads as None, which no required form admits.
-        values = list(map(obj.get, names))
-        if tuple(map(type, values)) not in types:
-            raise _Fault
-        if not flat:
-            for j in nats:
-                if values[j] < 0:
-                    raise _Fault
-            for j, members in enums:
-                raw = values[j]
-                if raw is not None:
-                    if raw not in members:
-                        raise _Fault
-                    values[j] = members[raw]
-            for j in str_lists:
-                if not all(map(_is_str, values[j])):
-                    raise _Fault
-                values[j] = tuple(values[j])
-            for j, sub in records:
-                values[j] = _records(values[j], sub) if values[j] else ()
-        out.append(cls(*values))
-    return tuple(out)
-
-
-def _first_fault(obj: Any, kind: _RecordKind, path: str) -> Optional[SchemaError]:
-    """The error of the first check that record ``obj`` of ``kind`` fails,
-    walking its fields and their items in table order, or None. ``path``
-    addresses the record; the root's is empty."""
+def _record(obj: Any, kind: _RecordKind) -> Any:
+    """The record of ``kind`` that ``obj`` holds, each field checked once,
+    in table order. The first check that fails raises its ``SchemaError``,
+    with a path relative to ``obj``: empty for ``obj`` itself."""
     if type(obj) is not dict:
-        return SchemaError(path or "$", "expected an object")
-    for name, form, arg in kind.fields:
-        at = f"{path}.{name}" if path else name
+        raise SchemaError("", "expected an object")
+    values = [None] * len(kind.names)
+    for name, form, arg, slot in kind.fields:
         value = obj.get(name)
-        if form in _OPTIONAL:
-            if value is None:
-                continue
+        if form is _STR:
             if type(value) is not str:
-                return SchemaError(at, "expected a string or null")
-        elif name not in obj:
-            return SchemaError(at, "missing required field")
-        elif form is _Form.NAT:
-            if type(value) is not int:
-                return SchemaError(at, "expected an integer")
-            if value < 0:
-                return SchemaError(at, "expected a non-negative integer")
-        elif form in (_Form.STR, _Form.ENUM):
-            if type(value) is not str:
-                return SchemaError(at, "expected a string")
-        elif type(value) is not list:
-            return SchemaError(at, "expected a list")
-        elif form is _Form.STR_LIST:
+                raise SchemaError(name, "expected a string" if name in obj else "missing required field")
+        elif form is _OPT_STR:
+            if value is not None and type(value) is not str:
+                raise SchemaError(name, "expected a string or null")
+        elif form is _RECORDS:
+            if type(value) is not list:
+                raise SchemaError(name, "expected a list" if name in obj else "missing required field")
+            items = []
+            for j, item in enumerate(value):
+                try:
+                    items.append(_record(item, arg))
+                except SchemaError as exc:
+                    at = f"{name}[{j}]"
+                    raise SchemaError(f"{at}.{exc.path}" if exc.path else at, exc.reason) from None
+            value = tuple(items)
+        elif form is _STR_LIST:
+            if type(value) is not list:
+                raise SchemaError(name, "expected a list" if name in obj else "missing required field")
             for j, item in enumerate(value):
                 if type(item) is not str:
-                    return SchemaError(f"{at}[{j}]", "expected a string")
-        else:
-            for j, item in enumerate(value):
-                fault = _first_fault(item, arg, f"{at}[{j}]")
-                if fault is not None:
-                    return fault
-        if form in _ENUMS and value not in {member.value for member in arg}:
-            return SchemaError(at, f"unknown {name} {value!r}")
-    return None
+                    raise SchemaError(f"{name}[{j}]", "expected a string")
+            value = tuple(value)
+        elif form is _NAT:
+            if type(value) is not int:
+                raise SchemaError(name, "expected an integer" if name in obj else "missing required field")
+            if value < 0:
+                raise SchemaError(name, "expected a non-negative integer")
+        elif value is not None or form is _ENUM:  # an enum; an optional one may be null
+            if type(value) is not str:
+                if form is _OPT_ENUM:
+                    raise SchemaError(name, "expected a string or null")
+                raise SchemaError(name, "expected a string" if name in obj else "missing required field")
+            if value not in arg:
+                raise SchemaError(name, f"unknown {name} {value!r}")
+            value = arg[value]
+        values[slot] = value
+    return kind.cls(*values)
 
 
 def parse_corpus(text: str) -> AnnotationCorpus:
@@ -343,15 +299,16 @@ def parse_corpus(text: str) -> AnnotationCorpus:
     checked here: that is :func:`validate_corpus`'s job. List order from the
     file is preserved.
 
-    Each record is checked against its kind's field table in one pass, and
-    no path is built unless a check fails; then the document is walked
-    again in check order to report the first failing field.
+    One walk checks each field of each record once, against its kind's
+    field table and in table order, and raises at the first check that
+    fails. No path is built unless a check fails; then each record list on
+    the way up prefixes its item's path.
     """
     doc = parse_json(text, unique_keys=True)
     try:
-        return _records([doc], _STORY)[0]
-    except _Fault:
-        raise _first_fault(doc, _STORY, "") from None
+        return _record(doc, _STORY)
+    except SchemaError as exc:
+        raise SchemaError(exc.path or "$", exc.reason) from None
 
 
 # --- serialization -----------------------------------------------------
@@ -369,7 +326,7 @@ def _record_obj(record: Any, kind: _RecordKind) -> dict:
                 continue
         elif form in _ENUMS:
             value = value.value
-        elif form is _Form.RECORDS:
+        elif form is _RECORDS:
             value = [_record_obj(item, arg) for item in value]
         obj[name] = value
     return obj

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import os
 import sys
 from typing import Callable, Optional, TypeVar
@@ -46,6 +47,13 @@ def _read_text(path: str) -> str:
         raise _CliError(2, f"cannot read {path}: {exc}") from None
 
 
+def _write(text: str) -> None:
+    """``text`` on stdout; a process started with fd 1 closed has none: exit 2."""
+    if sys.stdout is None:
+        raise _CliError(2, "cannot write output: stdout is closed")
+    sys.stdout.write(text)
+
+
 def _load(path: str, parse: Callable[[str], T]) -> T:
     """``parse`` of the file's text; a ``SchemaError`` exits 2."""
     text = _read_text(path)
@@ -72,7 +80,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     corpus = _load(args.corpus, parse_corpus)
     report = validate_corpus(corpus)
     for violation in report.violations:
-        print(violation)
+        _write(f"{violation}\n")
     return 0 if report.ok else 1
 
 
@@ -105,7 +113,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         result = character_appearances(unified)
     else:
         result = panel_timeline(unified, args.unit)
-    sys.stdout.write(result.to_json())
+    _write(result.to_json())
     return 0
 
 
@@ -123,9 +131,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise _CliError(2, f"{args.synonyms}: {exc}") from None
     evaluation = evaluate_all(unified, corpus, synonyms=synonyms)
     if args.table:
-        sys.stdout.write(evaluation.to_table())
+        _write(evaluation.to_table())
     else:
-        sys.stdout.write(evaluation.to_json(per_unit=args.per_unit))
+        _write(evaluation.to_json(per_unit=args.per_unit))
     return 0
 
 
@@ -140,15 +148,15 @@ def cmd_export(args: argparse.Namespace) -> int:
             except ValueError:
                 raise _CliError(2, f"unknown node kind {name!r}") from None
         graph = induced_subgraph(graph, kinds)
-    sys.stdout.write(to_dot(graph) if args.format == "dot" else serialize_graph(graph))
+    _write(to_dot(graph) if args.format == "dot" else serialize_graph(graph))
     return 0
 
 
 def cmd_gen_fixture(args: argparse.Namespace) -> int:
     if args.paper:
-        sys.stdout.write(bundled_story_text())
+        _write(bundled_story_text())
     else:
-        sys.stdout.write(serialize_corpus(generate(GenParams(seed=args.seed))))
+        _write(serialize_corpus(generate(GenParams(seed=args.seed))))
     return 0
 
 
@@ -235,7 +243,14 @@ def main(argv: Optional[list[str]] = None) -> int:
 def run() -> None:
     """Console-script and ``python -m`` entry: ``main``, stdout and stderr in UTF-8 whatever the locale."""
     if sys.stdout is not None:  # None when the process starts with no fd 1
-        sys.stdout.reconfigure(encoding="utf-8")
+        if isinstance(sys.stdout.buffer, io.RawIOBase):
+            # Unbuffered (`python -u`, PYTHONUNBUFFERED): the text layer would
+            # write straight to the file and drop the tail of a write that a
+            # leaving reader cut short. A buffered writer writes the rest, or
+            # raises BrokenPipeError once the reader is gone.
+            sys.stdout = io.TextIOWrapper(io.BufferedWriter(sys.stdout.buffer), encoding="utf-8")
+        else:
+            sys.stdout.reconfigure(encoding="utf-8")
     if sys.stderr is not None:  # escaped, as a file name may hold a lone surrogate
         sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     try:

@@ -16,9 +16,9 @@ it current. A graph that is only written and serialized, as ``build``
 does, never builds it. ``deserialize_graph`` builds it, empty, before its
 edge walk, so the walk's writes fill it.
 
-Graph files load in one walk: each check of a node record runs once and
-raises its own fault, while an edge record is accepted by one table lookup,
-as ``parse_corpus`` accepts records, and only a refused one is explained.
+Graph files load in one walk: each node check runs once and raises its own
+fault, as each field check of ``parse_corpus`` does; an edge record is
+accepted by one table lookup, and only a refused one is explained.
 
 The store is laid out so that the cyclic GC can skip almost all of it: an
 edge key ``(src, relation value, dst)`` holds only strings, so the GC

@@ -417,6 +417,13 @@ _ORDER_CASES = {
     "reading_order_sign_before_image_path": (
         {**_FULL, "panels": [{**_FULL["panels"][0], "reading_order": -3, "image_path": 4}]},
         "panels[0].reading_order", "expected a non-negative integer"),
+    "last_field_of_an_item_before_the_next_item": (
+        {**_FULL, "panels": [{**_FULL["panels"][0], "event_description": 2}, {**_FULL["panels"][1], "shot_type": 3}]},
+        "panels[0].event_description", "expected a string or null"),
+    "segments_before_panels": (
+        {**_FULL, "segments": [{**_FULL["segments"][0], "description": 1}],
+         "panels": [{**_FULL["panels"][0], "shot_type": 3}]},
+        "segments[0].description", "expected a string"),
 }
 
 

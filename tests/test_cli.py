@@ -789,12 +789,37 @@ def test_cli_stdout_is_utf8_whatever_the_locale(tmp_path, capsys):
         assert script.returncode == code, script.stderr
         assert script.stdout.decode("utf-8") == out
     # A process started with no fd 1 has no stdout to reconfigure; a
-    # command that prints nothing still succeeds there.
-    closed = subprocess.run(
-        ["sh", "-c", 'exec "$0" -m narragraph.cli validate "$1" >&-', sys.executable, path["good"]],
-        env=env,
-    )
-    assert closed.returncode == 0
+    # command that prints nothing still succeeds there, and one that has
+    # output to write exits 2, as for any output that cannot be written.
+    for argv, code, err in (
+        (["validate", path["good"]], 0, b""),
+        (["gen-fixture", "--paper"], 2, b"cannot write output: stdout is closed\n"),
+    ):
+        closed = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m narragraph.cli "$@" >&-', sys.executable, *argv],
+            capture_output=True,
+            env=env,
+        )
+        assert (closed.returncode, closed.stderr) == (code, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["query", "{graph}", "characters"],
+    ["eval", "{story}"],
+    ["export", "{graph}", "--format", "dot"],
+    ["gen-fixture", "--seed", "0"],
+])
+def test_command_with_no_stdout_exits_2(argv, tmp_path, capsys, monkeypatch):
+    story = tmp_path / "story.json"
+    story.write_text(ng.bundled_story_text(), encoding="utf-8")
+    graph = tmp_path / "graph.json"
+    assert cli.main(["build", str(story), str(graph)]) == 0
+    argv = [arg.format(story=story, graph=graph) for arg in argv]
+    # sys.stdout is None in a process started with fd 1 closed.
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli.main(argv) == 2
+    monkeypatch.undo()
+    assert capsys.readouterr() == ("", "cannot write output: stdout is closed\n")
 
 
 def test_cli_stderr_is_utf8_whatever_the_locale(tmp_path, capsys):
@@ -819,17 +844,18 @@ def test_cli_stderr_is_utf8_whatever_the_locale(tmp_path, capsys):
     assert b"Traceback" not in script.stderr
 
 
-def test_reader_closing_stdout_early_exits_2_without_a_traceback(tmp_path):
+# Python reads an empty PYTHONUNBUFFERED as unset.
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_reader_closing_stdout_early_exits_2_without_a_traceback(tmp_path, unbuffered):
     story = tmp_path / "story.json"
     story.write_text(ng.serialize_corpus(ng.generate(ng.GenParams(seed=1, n_macro=20))), encoding="utf-8")
     graph = tmp_path / "graph.json"
     assert cli.main(["build", str(story), str(graph)]) == 0
     # Its DOT (about 180 KB) is more than a pipe holds, so the export is
     # still writing when the reader goes away, as under `| head -c 100`.
-    # Stdout is buffered, as by default: unbuffered, the text layer drops
-    # the rest of a write the reader cut short, and no error is raised.
-    env = {**os.environ, "PYTHONPATH": SRC}
-    env.pop("PYTHONUNBUFFERED", None)
+    # Unbuffered stdout's text layer would drop the rest of the write the
+    # reader cut short, with no error, were it left as it is.
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered}
     with subprocess.Popen(
         [sys.executable, "-m", "narragraph.cli", "export", str(graph), "--format", "dot"],
         stdout=subprocess.PIPE,

@@ -157,7 +157,7 @@ class _Form(Enum):
     RECORDS = auto()  # a list of records of the field's kind, read as a tuple
 
 
-# The forms as module globals: the parser's per-field loop reads them.
+# Module globals for the parser's per-field loop; reading ``_Form.X`` there is slower.
 _STR, _OPT_STR, _NAT = _Form.STR, _Form.OPT_STR, _Form.NAT
 _ENUM, _OPT_ENUM, _STR_LIST, _RECORDS = _Form.ENUM, _Form.OPT_ENUM, _Form.STR_LIST, _Form.RECORDS
 _OPTIONAL = (_OPT_STR, _OPT_ENUM)

@@ -818,7 +818,6 @@ def test_command_with_no_stdout_exits_2(argv, tmp_path, capsys, monkeypatch):
     # sys.stdout is None in a process started with fd 1 closed.
     monkeypatch.setattr(sys, "stdout", None)
     assert cli.main(argv) == 2
-    monkeypatch.undo()
     assert capsys.readouterr() == ("", "cannot write output: stdout is closed\n")
 
 

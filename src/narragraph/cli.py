@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import io
 import os
 import sys
 from typing import Callable, Optional, TypeVar
@@ -243,16 +242,15 @@ def main(argv: Optional[list[str]] = None) -> int:
 def run() -> None:
     """Console-script and ``python -m`` entry: ``main``, stdout and stderr in UTF-8 whatever the locale."""
     if sys.stdout is not None:  # None when the process starts with no fd 1
-        if isinstance(sys.stdout.buffer, io.RawIOBase):
-            # Unbuffered (`python -u`, PYTHONUNBUFFERED): the text layer would
-            # write straight to the file and drop the tail of a write that a
-            # leaving reader cut short. A buffered writer writes the rest, or
-            # raises BrokenPipeError once the reader is gone.
-            sys.stdout = io.TextIOWrapper(io.BufferedWriter(sys.stdout.buffer), encoding="utf-8")
-        else:
-            sys.stdout.reconfigure(encoding="utf-8")
-    if sys.stderr is not None:  # escaped, as a file name may hold a lone surrogate
-        sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
+        # Buffered even when stdout is not (`python -u`, PYTHONUNBUFFERED),
+        # whose text layer would drop the tail of a write that a leaving
+        # reader cut short: a buffered writer writes the rest, or raises
+        # BrokenPipeError once the reader is gone.
+        sys.stdout = open(sys.stdout.fileno(), "w", encoding="utf-8", closefd=False)
+    if sys.stderr is None:  # no fd 2: the exit code is the only report
+        sys.stderr = open(os.devnull, "w")
+    # Escaped, as a file name may hold a lone surrogate.
+    sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     try:
         code = main()
         if sys.stdout is not None:

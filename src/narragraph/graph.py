@@ -16,9 +16,8 @@ it current. A graph that is only written and serialized, as ``build``
 does, never builds it. ``deserialize_graph`` builds it, empty, before its
 edge walk, so the walk's writes fill it.
 
-Graph files load in one walk: each node check runs once and raises its own
-fault, as each field check of ``parse_corpus`` does; an edge record is
-accepted by one table lookup, and only a refused one is explained.
+Graph files load in one walk: each node and edge check runs once, in order,
+and raises its own fault, as each field check of ``parse_corpus`` does.
 
 The store is laid out so that the cyclic GC can skip almost all of it: an
 edge key ``(src, relation value, dst)`` holds only strings, so the GC
@@ -393,57 +392,38 @@ _ENDPOINTS: dict[RelationKind, set[tuple[NodeKind, NodeKind]]] = {
 # _REQUIRED_ATTRS and _ENDPOINTS, which stay the one home of the rules.
 _KIND_OF = {kind.value: kind for kind in NodeKind}
 _REQUIRED = {kind: tuple(_REQUIRED_ATTRS.get(kind, {}).items()) for kind in NodeKind}
-#: (relation as written, source kind, target kind) of every allowed join ->
-#: (relation stored, whether the stored edge runs from target to source).
-_EDGE_OF = {
-    (rel.value, src, dst): (_PRECEDES, True) if rel is _FOLLOWS else (rel, False)
+#: Relation as written -> source kind -> target kind -> (relation stored, reversed).
+_JOINS = {
+    rel.value: {src: {dst: join for s, dst in pairs if s is src} for src, _ in pairs}
     for rel, pairs in _ENDPOINTS.items()
-    for src, dst in pairs
+    for join in [(_PRECEDES, True) if rel is _FOLLOWS else (rel, False)]
 }
 
 
-def _edge_fault(i: int, entry: Any, kinds: dict[str, NodeKind]) -> SchemaError:
-    """The error of the first check, in check order, that edge record ``i``
-    fails; ``kinds`` holds every node. Called only for a record that fails one."""
-    path = f"edges[{i}]"
-    if not isinstance(entry, dict):
-        return SchemaError(path, "expected an object")
-    rel_raw = entry.get("rel")
-    if not isinstance(rel_raw, str) or rel_raw not in _RELATION_OF:
-        return SchemaError(f"{path}.rel", f"unknown relation {rel_raw!r}")
-    for key in ("src", "dst"):
-        node_id = entry.get(key)
-        if not isinstance(node_id, str):
-            return SchemaError(f"{path}.{key}", "missing or non-string node id")
-        if node_id not in kinds:
-            return SchemaError(f"{path}.{key}", f"edge references unknown node {node_id!r}")
-    # The record fails some check, and only this one is left.
-    src_kind, dst_kind = kinds[entry["src"]], kinds[entry["dst"]]
-    return SchemaError(path, f"{rel_raw} cannot join {src_kind.value} to {dst_kind.value}")
+def _endpoint_fault(path: str, node_id: Any) -> SchemaError:
+    """The error of an edge endpoint ``node_id`` that names no node."""
+    if not isinstance(node_id, str):
+        return SchemaError(path, "missing or non-string node id")
+    return SchemaError(path, f"edge references unknown node {node_id!r}")
 
 
 def deserialize_graph(text: str) -> NarrativeGraph:
-    """Inverse of :func:`serialize_graph`; raises ``SchemaError`` on any
-    malformed record: nodes without their ``_REQUIRED_ATTRS``, edges that
-    reference unknown nodes or join kinds outside their relation's
-    ``_ENDPOINTS``, and ``precedes`` edges that form a cycle. Records are
-    checked in file order and the first fault is reported. A repeated
-    edge record is a no-op, and a ``follows`` record (older files) loads as
-    its ``precedes`` edge. How the records fit together as a story is
-    checked by ``UnifiedGraph.from_graph``, so tier graphs and filtered
-    exports load too.
+    """Inverse of :func:`serialize_graph`; raises ``SchemaError`` at the
+    first malformed record in file order (nodes without their
+    ``_REQUIRED_ATTRS``, edges that reference unknown nodes or join kinds
+    outside their relation's ``_ENDPOINTS``), then if ``precedes`` edges
+    form a cycle. A repeated edge record is a no-op, and a ``follows``
+    record (older files) loads as its ``precedes`` edge. How the records
+    fit together as a story is checked by ``UnifiedGraph.from_graph``, so
+    tier graphs and filtered exports load too.
 
-    The node walk holds the node messages: it checks the object, ``id``,
-    ``kind``, the ``attrs`` map, the required attributes and their format,
-    then the duplicate id, raising at the first that fails. An edge is
-    accepted by one lookup in ``_EDGE_OF``, keyed by its relation as written
-    and its endpoints' kinds, which also maps a ``follows`` record onto its
-    ``precedes`` edge; :func:`_edge_fault`, the home of the edge messages,
-    explains a refused one. No path is built for a record that passes.
-    Accepted nodes are stored as they are, uncopied, and edges through
-    ``_insert``, which ``add_edge`` also ends in. The adjacency index exists
-    before the first edge, so ``_insert`` fills it and the cycle check reads
-    it with no second pass over the edges."""
+    Each check runs once and raises where it fails. A node: the object,
+    ``id``, ``kind``, the ``attrs`` map, the required attributes and their
+    format, the duplicate id. An edge: the object, ``rel``, ``src`` and
+    ``dst`` (each a string, then a node), and the join in ``_JOINS``. No
+    path is built for a record that passes. Nodes are stored uncopied, and
+    edges through ``_insert``, which fills the adjacency index built before
+    the first edge, so the cycle check needs no second pass over them."""
     doc = parse_json(text)
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected an object")
@@ -503,10 +483,30 @@ def deserialize_graph(text: str) -> NarrativeGraph:
     insert = graph._insert
     for i, entry in enumerate(edges):
         try:
-            src, dst = entry["src"], entry["dst"]
-            rel, reverse = _EDGE_OF[entry["rel"], kinds[src], kinds[dst]]
+            rel_raw = entry["rel"]
+        except TypeError:
+            raise SchemaError(f"edges[{i}]", "expected an object") from None
+        except KeyError:
+            rel_raw = None
+        try:
+            joins = _JOINS[rel_raw]
         except (KeyError, TypeError):
-            raise _edge_fault(i, entry, kinds) from None
+            raise SchemaError(f"edges[{i}].rel", f"unknown relation {rel_raw!r}") from None
+        try:
+            src = entry["src"]
+            src_kind = kinds[src]
+        except (KeyError, TypeError):
+            raise _endpoint_fault(f"edges[{i}].src", entry.get("src")) from None
+        try:
+            dst = entry["dst"]
+            dst_kind = kinds[dst]
+        except (KeyError, TypeError):
+            raise _endpoint_fault(f"edges[{i}].dst", entry.get("dst")) from None
+        try:
+            rel, reverse = joins[src_kind][dst_kind]
+        except KeyError:
+            fault = f"{rel_raw} cannot join {src_kind.value} to {dst_kind.value}"
+            raise SchemaError(f"edges[{i}]", fault) from None
         if reverse:
             insert(dst, rel, src)
         else:

@@ -801,6 +801,19 @@ def test_cli_stdout_is_utf8_whatever_the_locale(tmp_path, capsys):
             env=env,
         )
         assert (closed.returncode, closed.stderr) == (code, err)
+    # With no fd 2 the exit code is the only report: print and argparse
+    # would fall back to stdout for a stderr that is None.
+    for argv, code in (
+        (["query", str(tmp_path / "missing.json"), "characters"], 2),
+        (["query", path["graph"], "actions", "--unit", "nope"], 1),
+        (["query", path["graph"]], 2),
+    ):
+        closed = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m narragraph.cli "$@" 2>&-', sys.executable, *argv],
+            stdout=subprocess.PIPE,
+            env=env,
+        )
+        assert (closed.returncode, closed.stdout) == (code, b"")
 
 
 @pytest.mark.parametrize("argv", [

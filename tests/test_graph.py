@@ -282,7 +282,15 @@ LOADER_ERRORS = {
     "rel_list": (_edge(rel=[]), "edges[0].rel", "unknown relation []"),
     "rel_missing": (_graph_doc([], [{"src": "p0"}]), "edges[0].rel", "unknown relation None"),
     "rel_before_endpoints": (_edge(src=None, rel="blob"), "edges[0].rel", "unknown relation 'blob'"),
+    "edge_empty_object": (_graph_doc([P0], [{}]), "edges[0].rel", "unknown relation None"),
     "src_not_a_string": (_edge(src=1), "edges[0].src", NOT_STR_ID),
+    "src_object": (_edge(src={"id": "p0"}), "edges[0].src", NOT_STR_ID),
+    "dst_unknown": (_edge(dst="ghost"), "edges[0].dst", "edge references unknown node 'ghost'"),
+    "src_unknown_before_join_follows": (
+        _edge(src="ghost", rel="follows", dst="e"),
+        "edges[0].src",
+        "edge references unknown node 'ghost'",
+    ),
     "dst_not_a_string": (_edge(dst=["p1"]), "edges[0].dst", NOT_STR_ID),
     "dst_missing": (_graph_doc([P0], [{"src": "p0", "rel": "precedes"}]), "edges[0].dst", NOT_STR_ID),
     "src_unknown": (_edge(src="ghost", dst=1), "edges[0].src", "edge references unknown node 'ghost'"),

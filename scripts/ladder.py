@@ -9,10 +9,14 @@ Each stage is a plain call of the public API, timed around that call alone:
 ``deserialize_graph``, ``UnifiedGraph.from_graph``, ``GoldIndex``, and
 ``evaluate_all`` on a freshly built graph (its first read builds the
 adjacency index) and on a loaded one (``deserialize_graph`` built the
-index). The corpora are ``GenParams(seed=1, n_macro=N, ...)`` below, for
-N = 16, 64, 250 and 1000 (``--quick``: 16 and 64, 3 runs). Runs interleave
-sizes and GC modes: each run walks every size once with the cyclic GC on
-and once with it paused around each timed call. Every cell reports the
+index). The ``control`` stage, ``json.loads`` of the corpus text, runs the
+standard library alone: compare two rows measured apart through each
+stage's ratio to its own row's ``control``, so that a drift in host speed
+does not read as a change in code. The corpora are
+``GenParams(seed=1, n_macro=N, ...)`` below, for N = 16, 64, 250 and 1000
+(``--quick``: 16 and 64, 3 runs). Runs interleave sizes and GC modes:
+each run walks every size once with the cyclic GC on and once with it
+paused around each timed call. Every cell reports the
 minimum and the median per panel, in microseconds.
 
 ``--out`` writes the rows as JSON. A file that exists keeps its other
@@ -64,7 +68,7 @@ PARAMS = {
 SIZES, QUICK_SIZES = (16, 64, 250, 1000), (16, 64)
 RUNS, QUICK_RUNS = 9, 3
 STAGES = (
-    "parse", "validate", "integrate", "serialize", "deserialize",
+    "control", "parse", "validate", "integrate", "serialize", "deserialize",
     "from_graph", "gold_index", "eval_built", "eval_loaded",
 )
 #: Largest-over-smallest bound on the minimum per-panel cost of every
@@ -104,6 +108,7 @@ def _timed(gc_on: bool, call, *args):
 def _one_run(text: str, gc_on: bool) -> dict[str, float]:
     """Seconds per stage for one pass over the corpus ``text``."""
     seconds = {}
+    seconds["control"], _ = _timed(gc_on, json.loads, text)
     seconds["parse"], corpus = _timed(gc_on, parse_corpus, text)
     seconds["validate"], _ = _timed(gc_on, validate_corpus, corpus)
     seconds["integrate"], unified = _timed(gc_on, integrate, corpus)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from enum import Enum, auto
+from enum import Enum
 from typing import Any, Optional
 
 from .errors import SchemaError, parse_json
@@ -144,22 +144,15 @@ class ValidationReport:
 
 # --- parsing -----------------------------------------------------------
 
-class _Form(Enum):
-    """How a field is read from its JSON value; an optional form reads an
-    absent field as null."""
-
-    STR = auto()  # a string
-    OPT_STR = auto()  # a string or null
-    NAT = auto()  # a non-negative integer; a bool is not one
-    ENUM = auto()  # a string naming a member of the field's enum
-    OPT_ENUM = auto()  # ENUM or null
-    STR_LIST = auto()  # a list of strings, read as a tuple
-    RECORDS = auto()  # a list of records of the field's kind, read as a tuple
-
-
-# Module globals for the parser's per-field loop; reading ``_Form.X`` there is slower.
-_STR, _OPT_STR, _NAT = _Form.STR, _Form.OPT_STR, _Form.NAT
-_ENUM, _OPT_ENUM, _STR_LIST, _RECORDS = _Form.ENUM, _Form.OPT_ENUM, _Form.STR_LIST, _Form.RECORDS
+# The forms: how a field is read from its JSON value. The parser compares
+# them by identity; an optional form reads an absent field as null.
+_STR = "str"  # a string
+_OPT_STR = "opt_str"  # a string or null
+_NAT = "nat"  # a non-negative integer; a bool is not one
+_ENUM = "enum"  # a string naming a member of the field's enum
+_OPT_ENUM = "opt_enum"  # _ENUM or null
+_STR_LIST = "str_list"  # a list of strings, read as a tuple
+_RECORDS = "records"  # a list of records of the field's kind, read as a tuple
 _OPTIONAL = (_OPT_STR, _OPT_ENUM)
 _ENUMS = (_ENUM, _OPT_ENUM)
 #: Forms whose values ``json.dumps`` writes as they are, None included; it
@@ -171,8 +164,8 @@ class _RecordKind:
     """The field table of one record kind.
 
     ``fields`` is given as ``(name, form, arg)`` in check order, where
-    ``arg`` is the enum of an ``ENUM`` field and the record kind of a
-    ``RECORDS`` field. The JSON key of a field is its dataclass field name;
+    ``arg`` is the enum of an ``_ENUM`` field and the record kind of a
+    ``_RECORDS`` field. The JSON key of a field is its dataclass field name;
     a dataclass field not in the table is not read or written and keeps
     its default. ``names`` and ``forms`` hold the fields in dataclass field
     order, which is the order of the record's constructor arguments and the
@@ -181,7 +174,7 @@ class _RecordKind:
     ``arg`` as a map from value to member, for :func:`_record`.
     """
 
-    def __init__(self, cls: type, fields: tuple[tuple[str, _Form, Any], ...]):
+    def __init__(self, cls: type, fields: tuple[tuple[str, str, Any], ...]):
         self.cls = cls
         table = {name: (form, arg) for name, form, arg in fields}
         self.names = tuple(f.name for f in dataclasses.fields(cls) if f.name in table)
@@ -349,7 +342,8 @@ def serialize_corpus(corpus: AnnotationCorpus) -> str:
 
 # --- validation --------------------------------------------------------
 
-def _check_unique(items, list_name: str, id_field: str, out: list[Violation]) -> None:
+def _check_unique(items, list_name: str, id_field: str, out: list[Violation]) -> set[str]:
+    """The set of ids in ``items``; each repeat adds a violation to ``out``."""
     seen: set[str] = set()
     for i, item_id in enumerate(items):
         if item_id in seen:
@@ -360,6 +354,7 @@ def _check_unique(items, list_name: str, id_field: str, out: list[Violation]) ->
                 )
             )
         seen.add(item_id)
+    return seen
 
 
 def _check_refs(refs, known: set[str], list_name: str, field: str, noun: str, out: list[Violation]) -> None:
@@ -390,14 +385,11 @@ def validate_corpus(corpus: AnnotationCorpus) -> ValidationReport:
     """
     out: list[Violation] = []
 
-    _check_unique((m.id for m in corpus.macro_events), "macro_events", "id", out)
-    _check_unique((e.id for e in corpus.events), "events", "id", out)
-    _check_unique((s.id for s in corpus.segments), "segments", "id", out)
+    macro_ids = _check_unique((m.id for m in corpus.macro_events), "macro_events", "id", out)
+    event_ids = _check_unique((e.id for e in corpus.events), "events", "id", out)
+    segment_ids = _check_unique((s.id for s in corpus.segments), "segments", "id", out)
     _check_unique((p.panel_id for p in corpus.panels), "panels", "panel_id", out)
 
-    macro_ids = {m.id for m in corpus.macro_events}
-    event_ids = {e.id for e in corpus.events}
-    segment_ids = {s.id for s in corpus.segments}
     _check_refs((e.macro_event_id for e in corpus.events), macro_ids, "events", "macro_event_id", "macro-event", out)
     _check_refs((s.event_id for s in corpus.segments), event_ids, "segments", "event_id", "event", out)
     _check_refs((p.segment_id for p in corpus.panels), segment_ids, "panels", "segment_id", "segment", out)

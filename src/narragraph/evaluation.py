@@ -21,9 +21,11 @@ from .annotations import AnnotationCorpus, normalize_token, normalize_utterance
 from .build import UnifiedGraph
 from .errors import SchemaError, parse_json
 from .gold import GoldIndex
-# The per-unit functions stay importable from here, and evaluate_all calls
-# the four queries through this module's globals at call time: the
-# benchmark's tracer (bench/tracing.py) wraps them by these attribute names.
+# evaluate_all never calls the gold_* functions: they are imported only
+# because the benchmark's tracer (bench/tracing.py) looks them up here by
+# name, so its gold.* spans read 0; the import goes when the benchmark
+# changes. The tracer also wraps the four queries, which evaluate_all reads
+# from this module's globals at call time.
 from .gold import gold_actions, gold_characters, gold_dialogue, gold_timeline  # noqa: F401
 from .reasoning import (
     actions_by_macro_event,
@@ -32,23 +34,17 @@ from .reasoning import (
     panel_timeline,
 )
 
-#: (task key, table row name, evaluation focus) in report order.
-TASK_ROWS = (
-    ("actions", "Action retrieval by macro-event", "Action Recovery"),
-    ("dialogue", "Dialogue trace by event", "Dialogue Recall"),
-    ("characters", "Character appearance mapping", "Entity Recall"),
-    ("timeline", "Panel timeline reconstruction", "Sequence Ordering"),
-)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Metrics:
-    tp: int
-    fp: int
-    fn: int
+    """One score; its fields are in report order."""
+
     precision: float
     recall: float
     f1: float
+    tp: int
+    fp: int
+    fn: int
 
     @classmethod
     def from_counts(cls, tp: int, fp: int, fn: int) -> "Metrics":
@@ -79,18 +75,6 @@ def ordering_prf(predicted: Sequence, gold: Sequence) -> Metrics:
     return set_prf(_adjacent_pairs(predicted), _adjacent_pairs(gold))
 
 
-def _metric_fields(metrics: Metrics) -> dict:
-    """The six report fields of ``metrics``, in report order."""
-    return {
-        "precision": metrics.precision,
-        "recall": metrics.recall,
-        "f1": metrics.f1,
-        "tp": metrics.tp,
-        "fp": metrics.fp,
-        "fn": metrics.fn,
-    }
-
-
 @dataclass(frozen=True)
 class UnitScore:
     unit: str
@@ -119,11 +103,9 @@ class EvaluationReport:
     def to_obj(self, per_unit: bool = False) -> dict:
         out = []
         for report in self.tasks:
-            entry = {"task": report.task, "focus": report.focus, **_metric_fields(report.metrics)}
+            entry = {"task": report.task, "focus": report.focus, **vars(report.metrics)}
             if per_unit:
-                entry["units"] = [
-                    {"unit": score.unit, **_metric_fields(score.metrics)} for score in report.units
-                ]
+                entry["units"] = [{"unit": score.unit, **vars(score.metrics)} for score in report.units]
             out.append(entry)
         return {"tasks": out}
 
@@ -207,15 +189,15 @@ def evaluate_all(
     def timeline(label: str) -> Metrics:
         return ordering_prf(panel_timeline(unified, label).items, gold_index.timeline(label).items)
 
-    plan = {  # task key -> (its scorer, its units)
-        "actions": (actions, macro_labels),
-        "dialogue": (dialogue, event_labels),
-        "characters": (characters, [corpus.story_id]),
-        "timeline": (timeline, macro_labels),
-    }
+    # (task key, table row name, evaluation focus, scorer, units) in report order.
+    tasks = (
+        ("actions", "Action retrieval by macro-event", "Action Recovery", actions, macro_labels),
+        ("dialogue", "Dialogue trace by event", "Dialogue Recall", dialogue, event_labels),
+        ("characters", "Character appearance mapping", "Entity Recall", characters, [corpus.story_id]),
+        ("timeline", "Panel timeline reconstruction", "Sequence Ordering", timeline, macro_labels),
+    )
     reports = []
-    for task, name, focus in TASK_ROWS:
-        score, labels = plan[task]
+    for task, name, focus, score, labels in tasks:
         units = tuple(UnitScore(unit=label, metrics=score(label)) for label in labels)
         tp, fp, fn = (sum(getattr(u.metrics, count) for u in units) for count in ("tp", "fp", "fn"))
         reports.append(TaskReport(task, name, focus, Metrics.from_counts(tp, fp, fn), units))

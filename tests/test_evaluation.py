@@ -98,6 +98,14 @@ def test_f1_matches_definition():
     assert abs(m.f1 - 2 * m.precision * m.recall / (m.precision + m.recall)) < EPS
 
 
+def test_metrics_fields_are_in_report_order_and_keyword_only():
+    # The report writes a score's fields in declaration order, and a
+    # positional call would put counts where ratios belong.
+    assert [f.name for f in dataclasses.fields(Metrics)] == ["precision", "recall", "f1", "tp", "fp", "fn"]
+    with pytest.raises(TypeError):
+        Metrics(1.0, 1.0, 1.0, 1, 0, 0)
+
+
 def test_evaluate_story_is_perfect(story, unified):
     report = evaluate_all(unified, story)
     assert [t.task for t in report.tasks] == ["actions", "dialogue", "characters", "timeline"]

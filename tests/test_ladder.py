@@ -10,7 +10,7 @@ from pathlib import Path
 
 LADDER = Path(__file__).resolve().parent.parent / "scripts" / "ladder.py"
 STAGES = [
-    "parse", "validate", "integrate", "serialize", "deserialize",
+    "control", "parse", "validate", "integrate", "serialize", "deserialize",
     "from_graph", "gold_index", "eval_built", "eval_loaded",
 ]
 

@@ -16,8 +16,8 @@ does not read as a change in code. The corpora are
 ``GenParams(seed=1, n_macro=N, ...)`` below, for N = 16, 64, 250 and 1000
 (``--quick``: 16 and 64, 3 runs). Runs interleave sizes and GC modes:
 each run walks every size once with the cyclic GC on and once with it
-paused around each timed call. Every cell reports the
-minimum and the median per panel, in microseconds.
+paused around each timed call. Every cell reports the minimum and the
+median per panel, in microseconds.
 
 ``--out`` writes the rows as JSON. A file that exists keeps its other
 rows, and a row with the same ``--label`` is replaced, so one file holds

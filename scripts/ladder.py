@@ -12,7 +12,9 @@ adjacency index) and on a loaded one (``deserialize_graph`` built the
 index). The ``control`` stage, ``json.loads`` of the corpus text, runs the
 standard library alone: compare two rows measured apart through each
 stage's ratio to its own row's ``control``, so that a drift in host speed
-does not read as a change in code. The corpora are
+does not read as a change in code. ``graph_control``, ``json.loads`` of the
+graph text, is the loader's own control: ``deserialize`` minus
+``graph_control`` is the loader's walk over the parsed document. The corpora are
 ``GenParams(seed=1, n_macro=N, ...)`` below, for N = 16, 64, 250 and 1000
 (``--quick``: 16 and 64, 3 runs). Runs interleave sizes and GC modes:
 each run walks every size once with the cyclic GC on and once with it
@@ -68,7 +70,7 @@ PARAMS = {
 SIZES, QUICK_SIZES = (16, 64, 250, 1000), (16, 64)
 RUNS, QUICK_RUNS = 9, 3
 STAGES = (
-    "control", "parse", "validate", "integrate", "serialize", "deserialize",
+    "control", "graph_control", "parse", "validate", "integrate", "serialize", "deserialize",
     "from_graph", "gold_index", "eval_built", "eval_loaded",
 )
 #: Largest-over-smallest bound on the minimum per-panel cost of every
@@ -116,6 +118,7 @@ def _one_run(text: str, gc_on: bool) -> dict[str, float]:
     seconds["gold_index"], _ = _timed(gc_on, GoldIndex, corpus)
     seconds["eval_built"], _ = _timed(gc_on, evaluate_all, unified, corpus)
     del unified
+    seconds["graph_control"], _ = _timed(gc_on, json.loads, graph_text)
     seconds["deserialize"], graph = _timed(gc_on, deserialize_graph, graph_text)
     del graph_text
     seconds["from_graph"], loaded = _timed(gc_on, UnifiedGraph.from_graph, graph)

@@ -85,15 +85,16 @@ class UnifiedGraph:
         index as it writes the units and calls this only when a label repeats;
         its writes meet the rest of the contract by construction."""
         index: dict[tuple[NodeKind, str], str] = {}
-        for i, (node_id, kind, attrs) in enumerate(graph.nodes()):
+        out = (graph._adjacency or graph._build_index())["out"]
+        for i, (node_id, kind) in enumerate(graph._kinds.items()):
             if kind in UNIT_KINDS:
-                label = attrs["label"]
+                label = graph._attrs[node_id]["label"]
                 if (kind, label) in index:
                     reason = f"duplicate {kind.value} label {label!r}"
                     raise SchemaError(f"nodes[{i}].attrs", reason)
                 index[(kind, label)] = node_id
             for rel in _ONE_TARGET.get(kind, ()):
-                if not graph._one_out(node_id, rel):
+                if type(out[rel].get(node_id)) is not str:
                     n = len(graph.neighbors(node_id, rel, "out"))
                     reason = f"{kind.value} {node_id!r} has {n} {rel.value} edges, not 1"
                     raise SchemaError(f"nodes[{i}]", reason)

@@ -10,11 +10,11 @@ Stored as written: node id -> kind and -> attrs, and the edge set, each
 edge once. Adjacency, keyed by direction, relation and node so that one
 traversal step reads one entry, is an index over the edge set. Its public
 readers are ``neighbors``, the one traversal step, and ``is_acyclic``, the
-load's check that ``precedes`` has no cycle. The first read builds it in
-one pass and publishes it by one assignment, and every later write keeps
-it current. A graph that is only written and serialized, as ``build``
-does, never builds it. ``deserialize_graph`` builds it, empty, before its
-edge walk, so the walk's writes fill it.
+load's check that ``precedes`` has no cycle. The first read builds the
+maps of the pairs the commands read, ``_READ``, in one pass and publishes
+them by one assignment, as the first read of any other pair does its map;
+every later write keeps them current. ``build`` never builds it, and
+``deserialize_graph`` builds it empty before its edge walk fills it.
 
 Graph files load in one walk: each node and edge check runs once, in order,
 and raises its own fault, as each field check of ``parse_corpus`` does.
@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 from enum import Enum
 from json.encoder import encode_basestring
-from typing import Any, Callable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, NoReturn, Optional, Sequence, Union
 
 from .errors import DuplicateNodeError, MissingNodeError, SchemaError, parse_json
 
@@ -79,11 +79,25 @@ class Tier(str, Enum):
 # reading ``RelationKind.FOLLOWS`` through the class is slow too before
 # Python 3.12; a dict lookup or a module global costs several times less.
 _VALUE = {rel: rel.value for rel in RelationKind}
+# A str enum member hashes and compares as its value, so these also map it to itself.
 _RELATION_OF = {rel.value: rel for rel in RelationKind}
+_KIND_OF = {kind.value: kind for kind in NodeKind}
 _FOLLOWS, _PRECEDES = RelationKind.FOLLOWS, RelationKind.PRECEDES
+
+#: Direction -> the relations the queries, ``from_graph`` and ``is_acyclic`` read that way.
+_READ = {
+    "out": (RelationKind.HAS_VISUAL, RelationKind.HAS_TEXTUAL, RelationKind.INSTANTIATES, RelationKind.SUBEVENT_OF,
+            RelationKind.REFERS_TO, RelationKind.HAS_ACTION, RelationKind.HAS_CHARACTER, _PRECEDES),
+    "in": (RelationKind.SUBEVENT_OF, RelationKind.INSTANTIATES, RelationKind.PART_OF, RelationKind.CONTENT_OF),
+}
 
 #: Adjacency of one relation: node id -> one adjacent id, or a list of two or more.
 _Adjacency = dict[str, Union[str, list[str]]]
+_Index = dict[str, dict[RelationKind, _Adjacency]]
+
+
+def _unknown(what: str, value: Any) -> NoReturn:
+    raise ValueError(f"unknown {what} {value!r}")
 
 
 def _link(adjacency: _Adjacency, node: str, other: str) -> None:
@@ -98,6 +112,12 @@ def _link(adjacency: _Adjacency, node: str, other: str) -> None:
         adjacency[node] = [held, other]
 
 
+def _by_value(adjacency: _Index) -> dict[str, tuple]:
+    """Relation value -> (its out map or None, its in map or None) in ``adjacency``."""
+    out, into = adjacency.get("out", {}), adjacency.get("in", {})
+    return {value: (out.get(rel), into.get(rel)) for rel, value in _VALUE.items()}
+
+
 def _ids(held: Optional[Union[str, list[str]]]) -> Sequence[str]:
     """An adjacency entry, or ``None`` for none, read as a sequence of ids."""
     if held is None:
@@ -108,9 +128,9 @@ def _ids(held: Optional[Union[str, list[str]]]) -> Sequence[str]:
 class NarrativeGraph:
     """Single-writer graph: build it in one thread, then share it for reads.
 
-    The adjacency index is built on the first read and published by a single
-    attribute assignment once complete, so threads reading a shared graph
-    may at worst each build it, and none sees half of one."""
+    The index, and each pair's map outside ``_READ``, is published by one
+    assignment once built, so threads sharing a graph for reads may each build
+    one but never see half of one. Kinds and relations are members or values."""
 
     def __init__(self, tier: Tier):
         self.tier = tier
@@ -120,11 +140,12 @@ class NarrativeGraph:
         self._edges: dict[tuple[str, str, str], None] = {}
         # "out"/"in" -> relation -> node id -> adjacent ids, in edge
         # insertion order; None until the first adjacency read
-        self._adjacency: Optional[dict[str, dict[RelationKind, _Adjacency]]] = None
+        self._adjacency: Optional[_Index] = None
 
     # -- mutation --------------------------------------------------------
 
     def add_node(self, node_id: str, kind: NodeKind, attrs: Optional[dict[str, str]] = None) -> None:
+        kind = _KIND_OF.get(kind) or _unknown("node kind", kind)
         # A held id raises in _put_node before the attributes are read.
         if node_id not in self._kinds:
             attrs = dict(attrs) if attrs else {}
@@ -152,6 +173,7 @@ class NarrativeGraph:
         if src not in kinds or dst not in kinds:
             missing = dst if src in kinds else src
             raise MissingNodeError(f"node {missing!r} is not in the graph")
+        rel = _RELATION_OF.get(rel) or _unknown("relation", rel)
         if rel is _FOLLOWS:
             src, rel, dst = dst, _PRECEDES, src
         self._insert(src, rel, dst)
@@ -166,32 +188,27 @@ class NarrativeGraph:
             edges[key] = None
             adjacency = self._adjacency
             if adjacency is not None:
-                _link(adjacency["out"][rel], src, dst)
-                _link(adjacency["in"][rel], dst, src)
+                for direction, node, other in (("out", src, dst), ("in", dst, src)):
+                    if rel in adjacency[direction]:
+                        _link(adjacency[direction][rel], node, other)
 
-    def _one_out(self, node_id: str, rel: RelationKind) -> bool:
-        """``len(self.neighbors(node_id, rel)) == 1`` for a held node and a
-        ``rel`` other than ``follows``, without the checks or the copy: its
-        entry is a bare id."""
-        adjacency = self._adjacency or self._build_index()
-        return type(adjacency["out"][rel].get(node_id)) is str
+    def _build_index(self) -> _Index:
+        """Build the ``_READ`` maps in one pass over the edge set, publish the
+        index and return it: on the first read, and in ``deserialize_graph``
+        before any edge is stored, so that its walk fills the maps."""
+        adjacency = self._adjacency = self._fill({d: {rel: {} for rel in rels} for d, rels in _READ.items()})
+        return adjacency
 
-    def _build_index(self) -> dict[str, dict[RelationKind, _Adjacency]]:
-        """Build the adjacency index from the edge set in one pass, publish
-        it and return it. Reads call this while ``_adjacency`` is None, and
-        ``deserialize_graph`` calls it before any edge is stored, so that
-        ``_insert`` fills the index as the edges load."""
-        out: dict[str, _Adjacency] = {value: {} for value in _RELATION_OF}
-        into: dict[str, _Adjacency] = {value: {} for value in _RELATION_OF}
-        link = _link
+    def _fill(self, adjacency: _Index) -> _Index:
+        """Link each stored edge into the maps ``adjacency`` holds, in one
+        pass, and return it."""
+        maps = _by_value(adjacency)
         for src, value, dst in self._edges:
-            link(out[value], src, dst)
-            link(into[value], dst, src)
-        # Keyed by relation value for the pass, by member for the reads.
-        adjacency = self._adjacency = {
-            "out": {rel: out[value] for rel, value in _VALUE.items()},
-            "in": {rel: into[value] for rel, value in _VALUE.items()},
-        }
+            out_map, in_map = maps[value]
+            if out_map is not None:
+                _link(out_map, src, dst)
+            if in_map is not None:
+                _link(in_map, dst, src)
         return adjacency
 
     # -- queries ---------------------------------------------------------
@@ -241,10 +258,15 @@ class NarrativeGraph:
             raise MissingNodeError(f"node {node_id!r} is not in the graph")
         if direction not in ("out", "in"):
             raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
-        if rel is _FOLLOWS:
+        if rel == _FOLLOWS:  # or its value, which finds its member's map below too
             rel, direction = _PRECEDES, "in" if direction == "out" else "out"
-        adjacency = self._adjacency or self._build_index()
-        return list(_ids(adjacency[direction][rel].get(node_id)))
+        adjacency = (self._adjacency or self._build_index())[direction]
+        try:
+            held = adjacency[rel]
+        except KeyError:  # a pair outside _READ read for the first time, or no relation
+            rel = _RELATION_OF.get(rel) or _unknown("relation", rel)
+            held = adjacency[rel] = self._fill({direction: {rel: {}}})[direction][rel]
+        return list(_ids(held.get(node_id)))
 
     def is_acyclic(self) -> bool:
         """True iff the ``precedes`` edges form no directed cycle, and so the
@@ -390,13 +412,12 @@ _ENDPOINTS: dict[RelationKind, set[tuple[NodeKind, NodeKind]]] = {
 
 # deserialize_graph's lookup tables, derived once from the enums,
 # _REQUIRED_ATTRS and _ENDPOINTS, which stay the one home of the rules.
-_KIND_OF = {kind.value: kind for kind in NodeKind}
 _REQUIRED = {kind: tuple(_REQUIRED_ATTRS.get(kind, {}).items()) for kind in NodeKind}
-#: Relation as written -> source kind -> target kind -> (relation stored, reversed).
+#: Relation as written -> source kind -> target kind -> (value stored, reversed).
 _JOINS = {
     rel.value: {src: {dst: join for s, dst in pairs if s is src} for src, _ in pairs}
     for rel, pairs in _ENDPOINTS.items()
-    for join in [(_PRECEDES, True) if rel is _FOLLOWS else (rel, False)]
+    for join in [(_PRECEDES.value, True) if rel is _FOLLOWS else (rel.value, False)]
 }
 
 
@@ -422,8 +443,8 @@ def deserialize_graph(text: str) -> NarrativeGraph:
     format, the duplicate id. An edge: the object, ``rel``, ``src`` and
     ``dst`` (each a string, then a node), and the join in ``_JOINS``. No
     path is built for a record that passes. Nodes are stored uncopied, and
-    edges through ``_insert``, which fills the adjacency index built before
-    the first edge, so the cycle check needs no second pass over them."""
+    edges as ``_insert`` would, inline, into the index built before the
+    first edge, so the cycle check needs no second pass over them."""
     doc = parse_json(text)
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected an object")
@@ -479,8 +500,7 @@ def deserialize_graph(text: str) -> NarrativeGraph:
     edges = doc.get("edges")
     if not isinstance(edges, list):
         raise SchemaError("edges", "missing or non-list edges")
-    graph._build_index()
-    insert = graph._insert
+    edge_set, maps = graph._edges, _by_value(graph._build_index())
     for i, entry in enumerate(edges):
         try:
             rel_raw = entry["rel"]
@@ -503,14 +523,28 @@ def deserialize_graph(text: str) -> NarrativeGraph:
         except (KeyError, TypeError):
             raise _endpoint_fault(f"edges[{i}].dst", entry.get("dst")) from None
         try:
-            rel, reverse = joins[src_kind][dst_kind]
+            value, reverse = joins[src_kind][dst_kind]
         except KeyError:
             fault = f"{rel_raw} cannot join {src_kind.value} to {dst_kind.value}"
             raise SchemaError(f"edges[{i}]", fault) from None
         if reverse:
-            insert(dst, rel, src)
-        else:
-            insert(src, rel, dst)
+            src, dst = dst, src
+        key = (src, value, dst)
+        if key in edge_set:
+            continue
+        edge_set[key] = None
+        # _link inline: setdefault returns this very id only if it stored it, as an equal id is a repeat.
+        out_map, in_map = maps[value]
+        if out_map is not None and (held := out_map.setdefault(src, dst)) is not dst:
+            if type(held) is list:
+                held.append(dst)
+            else:
+                out_map[src] = [held, dst]
+        if in_map is not None and (held := in_map.setdefault(dst, src)) is not src:
+            if type(held) is list:
+                held.append(src)
+            else:
+                in_map[dst] = [held, src]
 
     if not graph.is_acyclic():
         raise SchemaError("edges", "precedes edges form a cycle")

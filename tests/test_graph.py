@@ -1,6 +1,9 @@
 import gc
 import json
+import os
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given
@@ -15,10 +18,13 @@ from narragraph import (
     RelationKind,
     SchemaError,
     Tier,
+    UnifiedGraph,
     deserialize_graph,
     integrate,
     serialize_graph,
 )
+from narragraph import cli
+from narragraph.graph import _READ
 
 NODE_IDS = [f"n{i}" for i in range(8)]
 
@@ -134,6 +140,44 @@ def test_neighbors_bad_direction():
     g = graph_with_nodes(ids=["a"])
     with pytest.raises(ValueError):
         g.neighbors("a", RelationKind.HAS_ACTION, "sideways")
+
+
+def test_a_relation_given_as_its_value_is_its_member():
+    """A str enum member hashes and compares as its value, so a graph that
+    tested members by identity alone stored a ``follows`` edge given as
+    ``"follows"`` and missed it in the ``precedes`` reads and checks."""
+    g = graph_with_nodes(ids=["a", "b"], kind=NodeKind.EVENT_SEGMENT)
+    g.add_edge("a", "follows", "b")
+    assert list(g.edges()) == [("b", RelationKind.PRECEDES, "a")]
+    assert g.neighbors("b", RelationKind.PRECEDES) == ["a"]
+    assert g.neighbors("a", "follows") == ["b"] == g.neighbors("a", RelationKind.FOLLOWS)
+    assert g.neighbors("b", "precedes") == ["a"]
+    assert deserialize_graph(serialize_graph(g)) == g
+    g.add_edge("a", RelationKind.PRECEDES, "b")
+    assert not g.is_acyclic()
+    with pytest.raises(SchemaError, match="precedes edges form a cycle"):
+        deserialize_graph(serialize_graph(g))
+
+
+def test_a_kind_given_as_its_value_is_its_member():
+    g = NarrativeGraph(Tier.PANEL)
+    g.add_node("p", "panel", {"reading_order": "0"})
+    assert g.node_kind("p") is NodeKind.PANEL
+    assert g.nodes_of_kind(NodeKind.PANEL) == ["p"]
+    with pytest.raises(DuplicateNodeError, match="with kind 'panel', not 'action'"):
+        g.add_node("p", "action")
+
+
+@pytest.mark.parametrize("value", ["bogus", None, 3, "PRECEDES"])
+def test_an_unknown_kind_or_relation_raises_value_error(value):
+    g = graph_with_nodes(ids=["a", "b"])
+    with pytest.raises(ValueError, match="unknown node kind"):
+        g.add_node("c", value)
+    with pytest.raises(ValueError, match="unknown relation"):
+        g.add_edge("a", value, "b")
+    with pytest.raises(ValueError, match="unknown relation"):
+        g.neighbors("a", value)
+    assert g.node_count == 2 and g.edge_count == 0
 
 
 def test_is_acyclic_chain():
@@ -676,6 +720,133 @@ def test_loaded_graph_holds_its_index(unified, records, monkeypatch):
     assert index is not None
     _assert_reads_match_edge_scan(g, list(unified.graph.edges()))
     assert g._adjacency is index
+
+
+#: The (relation, direction) pairs whose maps the index holds from its first build.
+READ_PAIRS = {(rel, direction) for direction, rels in _READ.items() for rel in rels}
+#: Pairs the commands never read: each map is built on its first read.
+OUTSIDE = [(rel, direction) for rel in (RelationKind.HAS_OBJECT, RelationKind.CO_OCCURS) for direction in ("out", "in")]
+
+
+@pytest.fixture
+def filled(monkeypatch):
+    """Every (relation, direction) pair whose map ``_fill`` builds, in order."""
+    fill, pairs = NarrativeGraph._fill, []
+
+    def recording_fill(graph, adjacency):
+        pairs.extend((rel, direction) for direction, maps in adjacency.items() for rel in maps)
+        return fill(graph, adjacency)
+
+    monkeypatch.setattr(NarrativeGraph, "_fill", recording_fill)
+    return pairs
+
+
+@pytest.mark.parametrize("make", [ng.bundled_story, lambda: ng.generate(ng.GenParams(seed=1))], ids=["paper", "seed1"])
+def test_the_commands_read_only_the_pairs_the_index_holds(make, filled, tmp_path, capsys):
+    """``from_graph``, the four queries, ``evaluate_all`` (on a built graph
+    and on a loaded one) and ``export`` build no map outside ``_READ``. A
+    command that reads a new pair fails here rather than paying a pass over
+    the edges on its first read: add the pair to ``_READ``."""
+    corpus = make()
+    built = integrate(corpus)
+    text = serialize_graph(built.graph)
+    for unified in (built, UnifiedGraph.from_graph(deserialize_graph(text))):
+        UnifiedGraph.from_graph(unified.graph)
+        for label in {macro.label for macro in corpus.macro_events}:
+            assert ng.actions_by_macro_event(unified, label).items
+            assert ng.panel_timeline(unified, label).items
+        for label in {event.label for event in corpus.events}:
+            ng.dialogue_by_event(unified, label)
+        assert ng.character_appearances(unified).appearances
+        assert all(task.metrics.f1 == 1.0 for task in ng.evaluate_all(unified, corpus).tasks)
+    path = tmp_path / "graph.json"
+    path.write_text(text, encoding="utf-8")
+    for extra in (["--format", "dot"], ["--format", "json"], ["--format", "dot", "--kinds", "panel,event"]):
+        assert cli.main(["export", str(path), *extra]) == 0
+    capsys.readouterr()
+    assert READ_PAIRS <= set(filled) <= READ_PAIRS
+
+
+def _with_co_occurs(graph):
+    """``graph`` with a ``co_occurs`` edge each way between adjacent events."""
+    events = graph.nodes_of_kind(NodeKind.EVENT)
+    for a, b in zip(events, events[1:]):
+        graph.add_edge(a, RelationKind.CO_OCCURS, b)
+        graph.add_edge(b, RelationKind.CO_OCCURS, a)
+    return graph
+
+
+@pytest.mark.parametrize("load", [False, True], ids=["built", "loaded"])
+def test_a_pair_outside_the_index_is_built_once_and_kept_current(load, filled):
+    assert not READ_PAIRS & set(OUTSIDE)
+    g = _with_co_occurs(integrate(ng.generate(ng.GenParams(seed=1))).graph)
+    if load:
+        g = deserialize_graph(serialize_graph(g))
+    ids = [node for node, _, _ in g.nodes()]
+    for _ in range(2):
+        for rel, direction in OUTSIDE:
+            for node in ids:
+                assert g.neighbors(node, rel, direction) == _reference_neighbors(g, node, rel, direction)
+    assert [pair for pair in filled if pair not in READ_PAIRS] == OUTSIDE
+    index = g._adjacency
+
+    visual = g.nodes_of_kind(NodeKind.PANEL_VISUAL)[0]
+    g.add_node("obj:new", NodeKind.SCENE_OBJECT, {"label": "new"})
+    g.add_edge(visual, RelationKind.HAS_OBJECT, "obj:new")
+    events = g.nodes_of_kind(NodeKind.EVENT)
+    g.add_edge(events[-1], RelationKind.CO_OCCURS, events[0])
+    assert g.neighbors(visual, RelationKind.HAS_OBJECT)[-1] == "obj:new"
+    assert g.neighbors("obj:new", RelationKind.HAS_OBJECT, "in") == [visual]
+    for rel, direction in OUTSIDE:
+        for node in [visual, "obj:new", *events]:
+            assert g.neighbors(node, rel, direction) == _reference_neighbors(g, node, rel, direction)
+    assert [pair for pair in filled if pair not in READ_PAIRS] == OUTSIDE
+    assert g._adjacency is index
+
+
+def test_threads_sharing_a_loaded_graph_see_each_pair_whole():
+    """Threads that read pairs outside ``_READ`` at once, none built yet, may
+    each build a pair's map, but each reads a whole one: every answer equals
+    the edge scan. Ten rounds, each on a freshly loaded graph."""
+    text = serialize_graph(_with_co_occurs(integrate(ng.generate(ng.GenParams(seed=1, n_macro=6))).graph))
+    g = deserialize_graph(text)
+    ids = [node for node, _, _ in g.nodes()]
+    pairs = [
+        (rel, direction)
+        for rel in RelationKind if rel is not RelationKind.FOLLOWS
+        for direction in ("out", "in") if (rel, direction) not in READ_PAIRS
+    ]
+    expected = {pair: {node: [] for node in ids} for pair in pairs}
+    for src, rel, dst in g.edges():
+        for direction, node, other in (("out", src, dst), ("in", dst, src)):
+            if (rel, direction) in expected:
+                expected[rel, direction][node].append(other)
+
+    workers = (os.cpu_count() or 1) + 2
+    wrong, threads = [], []
+
+    def read(graph, start, offset):
+        start.wait(timeout=10)
+        for rel, direction in pairs[offset:] + pairs[:offset]:
+            for node in ids:
+                if graph.neighbors(node, rel, direction) != expected[rel, direction][node]:
+                    wrong.append((node, rel, direction))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            graph, start = deserialize_graph(text), threading.Barrier(workers)
+            assert all(rel not in graph._adjacency[direction] for rel, direction in pairs)
+            threads = [threading.Thread(target=read, args=(graph, start, i % len(pairs))) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 def test_edges_yield_relation_members_in_insertion_order():

@@ -101,7 +101,8 @@ def run(base: Path, stage: str, rounds: int, gc_on: bool, n_macro, workdir: Path
     paths["story"].write_text(story, encoding="utf-8")
     paths["graph"].write_text(graph, encoding="utf-8")
     packages = _copy_packages(base, workdir)
-    if stage.startswith("cli:"):
+    cli = stage.startswith("cli:")
+    if cli:
         names = {name: str(path) for name, path in paths.items()}
         argv = [arg.format(**names) for arg in shlex.split(stage[4:])]
         mains = {name: importlib.import_module(name + ".cli").main for name in COPIES}
@@ -122,10 +123,9 @@ def run(base: Path, stage: str, rounds: int, gc_on: bool, n_macro, workdir: Path
             call, args = make(name)
             elapsed, result = ladder._timed(gc_on, call, *args)
             seconds[name].append(elapsed)
-            outputs.setdefault(name, result)
-    same = None
-    if stage.startswith("cli:"):
-        same = outputs[COPIES[0]] == outputs[COPIES[1]] == outputs[COPIES[2]]
+            if cli:
+                outputs.setdefault(name, result)
+    same = outputs[COPIES[0]] == outputs[COPIES[1]] == outputs[COPIES[2]] if cli else None
     return {"seconds": seconds, "same_output": same}
 
 

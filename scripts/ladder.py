@@ -84,7 +84,11 @@ FACTOR = 2.0
 #: held to the highest growth measured for it there, rounded up to the
 #: next 0.1x, so a cell that gets worse still fails the check. A cell
 #: leaves the table when its growth is fixed; ``FACTOR`` stays.
+#: ``graph_control`` with the GC on, ``json.loads`` of the graph text and no
+#: package code, is held the same way to its two rows in BENCH_26.json
+#: (3.11x and 2.74x).
 CEILINGS = {
+    ("graph_control", "gc_on"): 3.2,
     ("integrate", "gc_on"): 2.6, ("integrate", "gc_off"): 2.3,
     ("deserialize", "gc_on"): 2.5,
     ("from_graph", "gc_on"): 2.6, ("from_graph", "gc_off"): 2.8,

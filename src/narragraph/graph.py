@@ -193,9 +193,9 @@ class NarrativeGraph:
                         _link(adjacency[direction][rel], node, other)
 
     def _build_index(self) -> _Index:
-        """Build the ``_READ`` maps in one pass over the edge set, publish the
-        index and return it: on the first read, and in ``deserialize_graph``
-        before any edge is stored, so that its walk fills the maps."""
+        """Build the index, the ``_READ`` maps, in one pass over the edges and
+        publish and return it: on the first read, and in ``deserialize_graph``
+        before its walk fills it. Any other pair is built and published alone."""
         adjacency = self._adjacency = self._fill({d: {rel: {} for rel in rels} for d, rels in _READ.items()})
         return adjacency
 

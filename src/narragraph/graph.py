@@ -173,10 +173,9 @@ class NarrativeGraph:
         if src not in kinds or dst not in kinds:
             missing = dst if src in kinds else src
             raise MissingNodeError(f"node {missing!r} is not in the graph")
-        rel = _RELATION_OF.get(rel) or _unknown("relation", rel)
-        if rel is _FOLLOWS:
+        if rel == _FOLLOWS:  # or its value, which _insert reads as its member too
             src, rel, dst = dst, _PRECEDES, src
-        self._insert(src, rel, dst)
+        self._insert(src, rel if rel in _VALUE else _unknown("relation", rel), dst)
 
     def _insert(self, src: str, rel: RelationKind, dst: str) -> None:
         """Store ``(src, rel, dst)`` between known nodes unless it is held,

@@ -18,7 +18,7 @@ from .errors import SchemaError, UnknownUnitError
 from .evaluation import evaluate_all, load_synonym_map
 from .export import induced_subgraph, to_dot
 from .fixtures import GenParams, bundled_story_text, generate
-from .graph import NodeKind, deserialize_graph, serialize_graph
+from .graph import NodeKind, deserialize_graph, graph_chunks, serialize_graph
 from .reasoning import (
     ReasoningTask,
     actions_by_macro_event,
@@ -84,12 +84,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    """Write the graph of a valid corpus to ``args.out`` one chunk of
+    ``graph_chunks`` at a time, so the whole text is never held at once."""
     corpus = _load_valid_corpus(args.corpus)
     unified = integrate(corpus)
-    text = serialize_graph(unified.graph)
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            for chunk in graph_chunks(unified.graph):
+                handle.write(chunk)
     except OSError as exc:
         raise _CliError(2, f"cannot write {args.out}: {exc}") from None
     return 0

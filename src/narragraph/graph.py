@@ -16,8 +16,12 @@ them by one assignment, as the first read of any other pair does its map;
 every later write keeps them current. ``build`` never builds it, and
 ``deserialize_graph`` builds it empty before its edge walk fills it.
 
-Graph files load in one walk: each node and edge check runs once, in order,
-and raises its own fault, as each field check of ``parse_corpus`` does.
+Graph files are written by one generator, ``graph_chunks``, the one home
+of their layout: it yields the text in chunks of ``_CHUNK`` records, which
+``serialize_graph`` joins and ``build`` writes as they come, so a build never
+holds the whole text. Graph files load in one walk: each node and edge check
+runs once, in order, and raises its own fault, as each field check of
+``parse_corpus`` does.
 
 The store is laid out so that the cyclic GC can skip almost all of it: an
 edge key ``(src, relation value, dst)`` holds only strings, so the GC
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from enum import Enum
+from itertools import islice
 from json.encoder import encode_basestring
 from typing import Any, Callable, Iterator, NoReturn, Optional, Sequence, Union
 
@@ -306,19 +311,25 @@ class NarrativeGraph:
 
 # --- serialization -----------------------------------------------------
 
-def _json_list(records: list[str]) -> str:
-    return "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
+#: Records joined into one chunk of ``graph_chunks``: enough to keep the
+#: calls per record negligible, few enough that a chunk stays small.
+_CHUNK = 2048
 
 
-def serialize_graph(graph: NarrativeGraph) -> str:
-    """Node-link JSON form, nodes and edges in insertion order.
+def _json_list(records: Iterator[str]) -> Iterator[str]:
+    """The ``indent=2`` JSON list of ``records``, in chunks of ``_CHUNK``
+    records, each joined once."""
+    opening = "[\n"
+    while batch := list(islice(records, _CHUNK)):
+        yield opening + ",\n".join(batch)
+        opening = ",\n"
+    yield "[]" if opening == "[\n" else "\n  ]"
 
-    The text is exactly ``json.dumps(obj, indent=2, ensure_ascii=False) +
-    "\\n"`` of ``{"tier", "nodes": [{"id", "kind", "attrs"}], "edges":
-    [{"src", "rel", "dst"}]}``. It is written here directly because
-    ``json.dumps`` with ``indent`` runs the pure-Python encoder; every string
-    goes through the same C string encoder that ``json.dumps`` uses.
-    """
+
+def graph_chunks(graph: NarrativeGraph) -> Iterator[str]:
+    """The node-link JSON text of ``graph`` in pieces: the header, the node
+    records and then the edge records in chunks of ``_CHUNK``, and the
+    footer. It is the one home of the layout; see :func:`serialize_graph`."""
     quote = encode_basestring
     kinds = {kind: quote(kind.value) for kind in NodeKind}
     rels = {value: quote(value) for value in _RELATION_OF}
@@ -330,30 +341,44 @@ def serialize_graph(graph: NarrativeGraph) -> str:
         text = keys[key] = f"        {quote(key)}: "
         return text
 
-    nodes = []
-    attrs_of = graph._attrs
-    for node_id, kind in graph._kinds.items():
-        attrs = attrs_of[node_id]
-        if attrs:
-            attrs_text = (
-                "{\n"
-                + ",\n".join([(quoted(k) or key_text(k)) + quote(v) for k, v in attrs.items()])
-                + "\n      }"
+    def node_records() -> Iterator[str]:
+        attrs_of = graph._attrs
+        for node_id, kind in graph._kinds.items():
+            attrs = attrs_of[node_id]
+            if attrs:
+                attrs_text = (
+                    "{\n"
+                    + ",\n".join([(quoted(k) or key_text(k)) + quote(v) for k, v in attrs.items()])
+                    + "\n      }"
+                )
+            else:
+                attrs_text = "{}"
+            yield (
+                f'    {{\n      "id": {quote(node_id)},\n      "kind": {kinds[kind]},\n'
+                f'      "attrs": {attrs_text}\n    }}'
             )
-        else:
-            attrs_text = "{}"
-        nodes.append(
-            f'    {{\n      "id": {quote(node_id)},\n      "kind": {kinds[kind]},\n'
-            f'      "attrs": {attrs_text}\n    }}'
-        )
-    edges = [
+
+    yield f'{{\n  "tier": {quote(graph.tier.value)},\n  "nodes": '
+    yield from _json_list(node_records())
+    yield ',\n  "edges": '
+    yield from _json_list(
         f'    {{\n      "src": {quote(src)},\n      "rel": {rels[rel]},\n      "dst": {quote(dst)}\n    }}'
         for src, rel, dst in graph._edges
-    ]
-    return (
-        f'{{\n  "tier": {quote(graph.tier.value)},\n  "nodes": {_json_list(nodes)},\n'
-        f'  "edges": {_json_list(edges)}\n}}\n'
     )
+    yield "\n}\n"
+
+
+def serialize_graph(graph: NarrativeGraph) -> str:
+    """Node-link JSON form, nodes and edges in insertion order: the chunks
+    of :func:`graph_chunks`, joined.
+
+    The text is exactly ``json.dumps(obj, indent=2, ensure_ascii=False) +
+    "\\n"`` of ``{"tier", "nodes": [{"id", "kind", "attrs"}], "edges":
+    [{"src", "rel", "dst"}]}``. It is written here directly because
+    ``json.dumps`` with ``indent`` runs the pure-Python encoder; every string
+    goes through the same C string encoder that ``json.dumps`` uses.
+    """
+    return "".join(graph_chunks(graph))
 
 
 def _is_reading_order(value: str) -> bool:

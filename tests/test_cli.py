@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -238,6 +239,47 @@ def test_build_to_a_path_it_cannot_write_exits_2(tmp_path, story_file, capsys):
     assert (code, stdout) == (2, "")
     assert err.startswith(f"cannot write {out}: ")
     assert not out.exists()
+
+
+def _story_of(tmp_path, n_macro, **params):
+    path = tmp_path / "story.json"
+    path.write_text(ng.serialize_corpus(ng.generate(ng.GenParams(seed=1, n_macro=n_macro, **params))), encoding="utf-8")
+    return path
+
+
+def _traced_peak(run):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_holds_less_than_its_output_on_top_of_the_graph(tmp_path):
+    """``build`` writes the graph file in chunks, so its peak exceeds that of
+    parsing and integrating the same text by less than the file's size. The
+    ladder corpus at n_macro=32: about 1k panels and a 2.5 MB graph file;
+    holding the whole text before writing it exceeded by 3.5 times the size."""
+    src = _story_of(tmp_path, 32, events_per_macro=(3, 5), segments_per_event=(2, 3), panels_per_segment=(2, 4))
+    out = tmp_path / "graph.json"
+    text = src.read_text(encoding="utf-8")
+    graph_peak = _traced_peak(lambda: ng.integrate(ng.parse_corpus(text)))
+    build_peak = _traced_peak(lambda: cli.main(["build", str(src), str(out)]))
+    size = out.stat().st_size
+    assert size > 2_000_000
+    assert build_peak - graph_peak < size
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_build_to_a_full_device_exits_2(tmp_path, capsys):
+    """A write that fails midway through the chunks, or at close, is one
+    message and exit 2, not a traceback."""
+    src = _story_of(tmp_path, 100)
+    assert run_cli(["build", str(src), "/dev/full"], capsys) == (
+        2, "", "cannot write /dev/full: [Errno 28] No space left on device\n",
+    )
 
 
 def test_units_without_panels_through_the_cli(tmp_path, capsys):

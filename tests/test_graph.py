@@ -24,7 +24,7 @@ from narragraph import (
     serialize_graph,
 )
 from narragraph import cli
-from narragraph.graph import _READ
+from narragraph.graph import _CHUNK, _READ, graph_chunks
 
 NODE_IDS = [f"n{i}" for i in range(8)]
 
@@ -1092,3 +1092,38 @@ def test_serialize_matches_json_dumps_on_empty_and_built_graphs(unified):
     for seed in range(5):
         graph = ng.integrate(ng.generate(ng.GenParams(seed=seed))).graph
         assert serialize_graph(graph) == _reference_serialize(graph)
+
+
+BOUNDARY_COUNTS = [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]
+
+
+@pytest.mark.parametrize("count", BOUNDARY_COUNTS)
+def test_serialize_matches_json_dumps_across_chunk_boundaries(count):
+    """``count`` nodes with no edges, then ``count`` edges among a few nodes:
+    each list's text is the same whichever side of a chunk boundary its last
+    record falls, and no chunk holds more than ``_CHUNK`` records."""
+    nodes = NarrativeGraph(Tier.UNIFIED)
+    for i in range(count):
+        nodes.add_node(f"n{i}", NodeKind.PANEL, {"reading_order": str(i), "note": "é" * (i % 3)})
+    side = 1 + int(count**0.5)
+    edges = graph_with_nodes(ids=[f"n{i}" for i in range(side)])
+    for i in range(count):
+        edges.add_edge(f"n{i // side}", RelationKind.CO_OCCURS, f"n{i % side}")
+    assert (nodes.node_count, edges.edge_count) == (count, count)
+    for graph in (nodes, edges):
+        assert serialize_graph(graph) == _reference_serialize(graph)
+        # Every record, node or edge, ends its own line with "    }".
+        assert max(chunk.count("\n    }") for chunk in graph_chunks(graph)) <= _CHUNK
+
+
+def test_build_streams_the_text_serialize_graph_returns(tmp_path, capsys):
+    """A story of several chunks of nodes and of edges: the file ``build``
+    writes chunk by chunk is the joined text, byte for byte."""
+    corpus = ng.generate(ng.GenParams(seed=1, n_macro=100))
+    graph = integrate(corpus).graph
+    assert (graph.node_count, graph.edge_count) == (5593, 7856)
+    src, out = tmp_path / "story.json", tmp_path / "graph.json"
+    src.write_text(ng.serialize_corpus(corpus), encoding="utf-8")
+    assert cli.main(["build", str(src), str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == serialize_graph(graph).encode("utf-8")

@@ -57,6 +57,7 @@ STAGE_CALLS = {
     "control": lambda ng, story, graph: (json.loads, (story,)),
     "graph_control": lambda ng, story, graph: (json.loads, (graph,)),
     "parse": lambda ng, story, graph: (ng.parse_corpus, (story,)),
+    "write_corpus": lambda ng, story, graph: (ng.serialize_corpus, (ng.parse_corpus(story),)),
     "validate": lambda ng, story, graph: (ng.validate_corpus, (ng.parse_corpus(story),)),
     "integrate": lambda ng, story, graph: (ng.integrate, (ng.parse_corpus(story),)),
     "serialize": lambda ng, story, graph: (ng.serialize_graph, (ng.integrate(ng.parse_corpus(story)).graph,)),

@@ -5,7 +5,8 @@
     python3 scripts/ladder.py --quick --out /tmp/ladder.json
 
 Each stage is a plain call of the public API, timed around that call alone:
-``parse_corpus``, ``validate_corpus``, ``integrate``, ``serialize_graph``,
+``parse_corpus``, ``serialize_corpus`` of the parsed corpus
+(``write_corpus``), ``validate_corpus``, ``integrate``, ``serialize_graph``,
 ``deserialize_graph``, ``UnifiedGraph.from_graph``, ``GoldIndex``, and
 ``evaluate_all`` on a freshly built graph (its first read builds the
 adjacency index) and on a loaded one (``deserialize_graph`` built the
@@ -70,7 +71,7 @@ PARAMS = {
 SIZES, QUICK_SIZES = (16, 64, 250, 1000), (16, 64)
 RUNS, QUICK_RUNS = 9, 3
 STAGES = (
-    "control", "graph_control", "parse", "validate", "integrate", "serialize", "deserialize",
+    "control", "graph_control", "parse", "write_corpus", "validate", "integrate", "serialize", "deserialize",
     "from_graph", "gold_index", "eval_built", "eval_loaded",
 )
 #: Largest-over-smallest bound on the minimum per-panel cost of every
@@ -116,6 +117,7 @@ def _one_run(text: str, gc_on: bool) -> dict[str, float]:
     seconds = {}
     seconds["control"], _ = _timed(gc_on, json.loads, text)
     seconds["parse"], corpus = _timed(gc_on, parse_corpus, text)
+    seconds["write_corpus"], _ = _timed(gc_on, serialize_corpus, corpus)
     seconds["validate"], _ = _timed(gc_on, validate_corpus, corpus)
     seconds["integrate"], unified = _timed(gc_on, integrate, corpus)
     seconds["serialize"], graph_text = _timed(gc_on, serialize_graph, unified.graph)

@@ -10,9 +10,10 @@ panel ids are opaque strings and are never compared lexicographically.
 from __future__ import annotations
 
 import dataclasses
-import json
+import functools
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring as quote
 from typing import Any, Optional
 
 from .errors import SchemaError, parse_json
@@ -155,9 +156,6 @@ _STR_LIST = "str_list"  # a list of strings, read as a tuple
 _RECORDS = "records"  # a list of records of the field's kind, read as a tuple
 _OPTIONAL = (_OPT_STR, _OPT_ENUM)
 _ENUMS = (_ENUM, _OPT_ENUM)
-#: Forms whose values ``json.dumps`` writes as they are, None included; it
-#: writes a tuple as a list.
-_AS_IS = (_STR, _NAT, _STR_LIST)
 
 
 class _RecordKind:
@@ -306,23 +304,93 @@ def parse_corpus(text: str) -> AnnotationCorpus:
 
 # --- serialization -----------------------------------------------------
 
-def _record_obj(record: Any, kind: _RecordKind) -> dict:
-    """The JSON object of ``record``, one key per field of ``kind`` in
-    dataclass field order; an optional field that is None is left out."""
-    obj = {}
+#: What a field of each form holds, for the ``TypeError`` of a value that
+#: is not one; ``{}`` is the name of the field's enum or record class.
+_EXPECTED = {
+    _STR: "a string",
+    _OPT_STR: "a string or None",
+    _NAT: "an int",
+    _ENUM: "a {}",
+    _OPT_ENUM: "a {} or None",
+    _STR_LIST: "a tuple of strings",
+    _RECORDS: "a tuple of {}",
+}
+
+
+@functools.cache
+def _layout(kind: _RecordKind, indent: int) -> tuple:
+    """How :func:`_write` lays out a record of ``kind`` whose ``{`` stands
+    at column ``indent``, as ``json.dumps(..., indent=2)`` does.
+
+    It holds one ``(name, form, arg, key, expected)`` per field in
+    ``kind.names`` order, where ``key`` is the text from the end of the
+    previous field to the field's value, ``arg`` is a record list's item
+    layout and ``expected`` names the field's form; then the text that
+    opens, separates and closes a list's items, and the record's closing
+    text. The first field of every kind is required, so its key opens the
+    record.
+    """
+    pad, inner = "\n" + " " * (indent + 2), "\n" + " " * (indent + 4)
+    fields = []
     for name, (form, arg) in zip(kind.names, kind.forms):
+        key = ("," if fields else "{") + pad + quote(name) + ": "
+        if form is _RECORDS:
+            expected, arg = _EXPECTED[form].format(arg.cls.__name__), _layout(arg, indent + 4)
+        else:
+            expected = _EXPECTED[form].format(getattr(arg, "__name__", ""))
+        fields.append((name, form, arg, key, expected))
+    return tuple(fields), "[" + inner, "," + inner, pad + "]", "\n" + " " * indent + "}"
+
+
+def _write(record: Any, layout: tuple, out: list[str]) -> None:
+    """Append the JSON text of ``record``, laid out by ``layout``, to ``out``.
+
+    The first field, in ``names`` order, whose value is not of its form
+    raises ``TypeError`` with its path relative to ``record``.
+    """
+    fields, item_open, item_sep, list_shut, shut = layout
+    for name, form, arg, key, expected in fields:
         value = getattr(record, name)
-        if form in _AS_IS:
-            pass
-        elif value is None:
-            if form in _OPTIONAL:
+        if form is _RECORDS:
+            if not isinstance(value, (tuple, list)):
+                raise TypeError(f"{name}: expected {expected}, not {type(value).__name__}")
+            if not value:
+                out += (key, "[]")
                 continue
-        elif form in _ENUMS:
-            value = value.value
-        elif form is _RECORDS:
-            value = [_record_obj(item, arg) for item in value]
-        obj[name] = value
-    return obj
+            out += (key, item_open)
+            for j, item in enumerate(value):
+                if j:
+                    out.append(item_sep)
+                try:
+                    _write(item, arg, out)
+                except TypeError as exc:
+                    raise TypeError(f"{name}[{j}].{exc}") from None
+            out.append(list_shut)
+            continue
+        try:
+            if form is _STR:
+                out += (key, quote(value))
+            elif form is _OPT_STR:
+                if value is not None:
+                    out += (key, quote(value))
+            elif form is _STR_LIST:
+                if not isinstance(value, (tuple, list)):
+                    raise TypeError
+                out += (key, item_open + item_sep.join(map(quote, value)) + list_shut if value else "[]")
+            elif form is _NAT:
+                if type(value) is not int:
+                    raise TypeError
+                out += (key, int.__repr__(value))
+            elif value is not None or form is _ENUM:  # an enum; an optional one may be None
+                if type(value) is not arg:
+                    raise TypeError
+                out += (key, quote(value.value))
+        except TypeError:
+            if form is _STR_LIST and isinstance(value, (tuple, list)):
+                j, value = next((j, item) for j, item in enumerate(value) if not isinstance(item, str))
+                name, expected = f"{name}[{j}]", "a string"
+            raise TypeError(f"{name}: expected {expected}, not {type(value).__name__}") from None
+    out.append(shut)
 
 
 def serialize_corpus(corpus: AnnotationCorpus) -> str:
@@ -330,14 +398,26 @@ def serialize_corpus(corpus: AnnotationCorpus) -> str:
 
     The document is written from the field tables :func:`parse_corpus`
     reads: keys in dataclass field order, an optional field that is None
-    left out, and a caption's speaker never written. So
-    ``parse_corpus(serialize_corpus(c)) == c`` holds for every ``c`` that
+    left out, and a caption's speaker never written. The text is the one
+    ``json.dumps(..., indent=2, ensure_ascii=False)`` writes, plus a final
+    newline, but it is written here, as :func:`narragraph.graph.graph_chunks`
+    writes a graph file: every string through the C string encoder, every
+    integer through ``int.__repr__``, an enum member as its quoted value and
+    each key prefix built once per record kind.
+
+    So ``parse_corpus(serialize_corpus(c)) == c`` holds for every ``c`` that
     ``parse_corpus`` can return, valid or not: each field holds a value of
     its form (a string, or None where optional; a non-negative int; a member
     of its enum; a tuple of strings or of records of its list's kind), and
-    no caption has a speaker.
+    no caption has a speaker. A value that is not of its field's form (None
+    in a string or list field, a bool or float in an integer field, a plain
+    string in an enum field) raises ``TypeError`` naming the field's path,
+    as in ``panels[3].actions[0].verb``.
     """
-    return json.dumps(_record_obj(corpus, _STORY), indent=2, ensure_ascii=False) + "\n"
+    out: list[str] = []
+    _write(corpus, _layout(_STORY, 0), out)
+    out.append("\n")
+    return "".join(out)
 
 
 # --- validation --------------------------------------------------------

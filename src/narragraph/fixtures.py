@@ -46,6 +46,8 @@ _CAPTION_PHRASES = (
 
 _OBJECT_POOL = ("letter", "pot", "door", "lantern")
 
+_SHOT_TYPES = tuple(ShotType)
+
 _VERBS = ("hold_hand", "look_at_letter", "cook_rice", "walk_away", "open_door", "wave")
 
 _N_CHARACTERS = 4
@@ -146,7 +148,7 @@ def _random_panel(
         segment_id=segment_id,
         page_index=reading_order // 4,
         reading_order=reading_order,
-        shot_type=rng.choice(tuple(ShotType)),
+        shot_type=rng.choice(_SHOT_TYPES),
         characters=characters,
         objects=objects,
         actions=tuple(actions),

@@ -1,13 +1,18 @@
 """``parse_corpus`` as it was before the table-driven parser: each field is
 read through its own helper, and each record's path is built as it is read.
+``serialize_corpus`` as it was before the writer wrote its own text: a dict
+tree walked from the field tables, handed to ``json.dumps(indent=2)``.
 
-It is kept only as the reference the table-driven parser is checked against
-(``test_corpus_reference.py``): an equal corpus for every document it
-accepts, and the same ``SchemaError`` path and reason for every document it
-rejects. It reads JSON with ``parse_json``'s defaults, so a repeated key
-keeps its last value here.
+They are kept only as the references the package is checked against
+(``test_corpus_reference.py``): the parser must give an equal corpus for
+every document the reference parser accepts, and the same ``SchemaError``
+path and reason for every document it rejects; the writer must give the
+same text for every corpus whose fields hold values of their forms. The
+reference parser reads JSON with ``parse_json``'s defaults, so a repeated
+key keeps its last value here.
 """
 
+import json
 from typing import Any, Optional
 
 from narragraph import (
@@ -22,6 +27,7 @@ from narragraph import (
     ShotType,
     Utterance,
 )
+from narragraph.annotations import _ENUMS, _NAT, _OPTIONAL, _RECORDS, _STORY, _STR, _STR_LIST, _RecordKind
 from narragraph.errors import parse_json
 
 
@@ -205,3 +211,27 @@ def parse_corpus(text: str) -> AnnotationCorpus:
             for i, p in enumerate(_get_list(root, "panels", ""))
         ),
     )
+
+
+def _record_obj(record: Any, kind: _RecordKind) -> dict:
+    """The JSON object of ``record``, one key per field of ``kind`` in
+    dataclass field order; an optional field that is None is left out."""
+    obj = {}
+    for name, (form, arg) in zip(kind.names, kind.forms):
+        value = getattr(record, name)
+        if form in (_STR, _NAT, _STR_LIST):  # json.dumps writes these as they are
+            pass
+        elif value is None:
+            if form in _OPTIONAL:
+                continue
+        elif form in _ENUMS:
+            value = value.value
+        elif form is _RECORDS:
+            value = [_record_obj(item, arg) for item in value]
+        obj[name] = value
+    return obj
+
+
+def serialize_corpus(corpus: AnnotationCorpus) -> str:
+    """Render a corpus in its canonical single-document JSON form."""
+    return json.dumps(_record_obj(corpus, _STORY), indent=2, ensure_ascii=False) + "\n"

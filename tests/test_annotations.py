@@ -117,6 +117,48 @@ def test_roundtrip_generated_corpora():
         assert parse_corpus(serialize_corpus(corpus)) == corpus
 
 
+def _replace_panel(corpus, i, **changes):
+    panels = list(corpus.panels)
+    panels[i] = dataclasses.replace(panels[i], **changes)
+    return dataclasses.replace(corpus, panels=tuple(panels))
+
+
+def _replace_action(corpus, i, **changes):
+    panel = corpus.panels[i]
+    actions = (dataclasses.replace(panel.actions[0], **changes),) + panel.actions[1:]
+    return _replace_panel(corpus, i, actions=actions)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda c: dataclasses.replace(c, story_id=None), "story_id: expected a string, not NoneType"),
+        (lambda c: dataclasses.replace(c, panels=None), "panels: expected a tuple of PanelAnnotation, not NoneType"),
+        (lambda c: _replace_panel(c, 1, characters=None), "panels[1].characters: expected a tuple of strings, not NoneType"),
+        (lambda c: _replace_panel(c, 1, characters="AB"), "panels[1].characters: expected a tuple of strings, not str"),
+        (lambda c: _replace_panel(c, 1, objects=("pot", 7)), "panels[1].objects[1]: expected a string, not int"),
+        (lambda c: _replace_panel(c, 2, actions=None), "panels[2].actions: expected a tuple of ActionTriple, not NoneType"),
+        (lambda c: _replace_action(c, 3, verb=None), "panels[3].actions[0].verb: expected a string, not NoneType"),
+        (lambda c: _replace_action(c, 3, object=5), "panels[3].actions[0].object: expected a string or None, not int"),
+        (lambda c: _replace_panel(c, 4, page_index=True), "panels[4].page_index: expected an int, not bool"),
+        (lambda c: _replace_panel(c, 4, reading_order=1.5), "panels[4].reading_order: expected an int, not float"),
+        (lambda c: _replace_panel(c, 5, shot_type="none"), "panels[5].shot_type: expected a ShotType, not str"),
+        (
+            lambda c: dataclasses.replace(c, segments=(dataclasses.replace(c.segments[0], narrative_role="peak"),)),
+            "segments[0].narrative_role: expected a NarrativeRole or None, not str",
+        ),
+    ],
+    ids=[
+        "none_story_id", "none_panels", "none_characters", "str_characters", "int_object_item", "none_actions",
+        "none_verb", "int_object", "bool_page_index", "float_reading_order", "str_shot_type", "str_narrative_role",
+    ],
+)
+def test_serialize_refuses_a_value_of_the_wrong_type(story, edit, message):
+    with pytest.raises(TypeError) as err:
+        serialize_corpus(edit(story))
+    assert str(err.value) == message
+
+
 def test_list_order_is_preserved():
     corpus = util.corpus(
         [

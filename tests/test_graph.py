@@ -75,6 +75,20 @@ def test_add_node_with_a_non_string_attribute_raises(attrs):
     assert g.node_count == 0
 
 
+@pytest.mark.parametrize("node_id", [7, None, b"x", ("x",)], ids=["int", "none", "bytes", "tuple"])
+def test_add_node_with_a_non_string_id_raises(node_id):
+    """A non-string id is refused up front, so the graph stays one that
+    ``serialize_graph`` and ``to_dot`` can write."""
+    g = NarrativeGraph(Tier.PANEL)
+    g.add_node("x", NodeKind.ACTION, {"verb": "x"})
+    with pytest.raises(TypeError) as err:
+        g.add_node(node_id, NodeKind.ACTION, {"verb": "x"})
+    assert str(err.value) == f"node ids must be strings, not {type(node_id).__name__}"
+    assert g.node_count == 1
+    assert deserialize_graph(serialize_graph(g)) == g
+    assert '"x" [label=' in ng.to_dot(g)
+
+
 def test_node_kind_and_attrs_of_a_missing_node_raise():
     g = graph_with_nodes(ids=["a"])
     for read in (g.node_kind, g.node_attrs):
@@ -697,11 +711,12 @@ def test_reads_match_edge_scan_across_interleaved_writes(script):
 
 @pytest.mark.parametrize("records", ["as_written", "follows", "repeated"])
 def test_loaded_graph_holds_its_index(unified, records, monkeypatch):
-    """A graph fresh from ``deserialize_graph`` already holds the adjacency
-    index its edge walk filled, also from ``follows`` records and repeated
-    edge records: the index is built once, before any edge is stored, so no
-    pass over the edges builds it. It answers every read as a scan of the
-    edges, and no read builds it again."""
+    """``deserialize_graph`` leaves the adjacency index to the loaded graph's
+    first read, its own cycle check, which builds it once, as a built graph's
+    first read does: after the last edge is stored and over every stored
+    edge, also from ``follows`` records and repeated edge records. The index
+    answers every read as a scan of the edges, and no later read builds it
+    again."""
     text = serialize_graph(unified.graph)
     if records == "follows":
         text = _with_follows_records(text)
@@ -709,16 +724,18 @@ def test_loaded_graph_holds_its_index(unified, records, monkeypatch):
         text = _with_records(text, edges=list(unified.graph.edges())[::3])
     build_index, built_over = NarrativeGraph._build_index, []
 
-    def counting_build_index(graph):
-        built_over.append(graph.edge_count)
+    def recording_build_index(graph):
+        built_over.append(list(graph.edges()))
         return build_index(graph)
 
-    monkeypatch.setattr(NarrativeGraph, "_build_index", counting_build_index)
+    monkeypatch.setattr(NarrativeGraph, "_build_index", recording_build_index)
     g = deserialize_graph(text)
-    assert built_over == [0]
+    stored = list(unified.graph.edges())
+    assert built_over == [stored]
     index = g._adjacency
     assert index is not None
-    _assert_reads_match_edge_scan(g, list(unified.graph.edges()))
+    _assert_reads_match_edge_scan(g, stored)
+    assert len(built_over) == 1
     assert g._adjacency is index
 
 

@@ -154,7 +154,6 @@ _ENUM = "enum"  # a string naming a member of the field's enum
 _OPT_ENUM = "opt_enum"  # _ENUM or null
 _STR_LIST = "str_list"  # a list of strings, read as a tuple
 _RECORDS = "records"  # a list of records of the field's kind, read as a tuple
-_OPTIONAL = (_OPT_STR, _OPT_ENUM)
 _ENUMS = (_ENUM, _OPT_ENUM)
 
 

@@ -78,8 +78,8 @@ class UnifiedGraph:
     def from_graph(cls, graph: NarrativeGraph) -> "UnifiedGraph":
         """Index events and macro-events (``UNIT_KINDS``) by label and check
         the story contract the queries trust: ``SchemaError`` at ``nodes[i].attrs``
-        for a repeated label, at ``nodes[i]`` unless each ``_ONE_TARGET`` relation
-        has exactly one edge. ``i`` is the position in ``graph.nodes()``.
+        for a missing or repeated label, at ``nodes[i]`` unless each ``_ONE_TARGET``
+        relation has exactly one edge. ``i`` is the position in ``graph.nodes()``.
 
         The one home of the unit-label rule. :func:`integrate` fills the
         index as it writes the units and calls this only when a label repeats;
@@ -89,7 +89,10 @@ class UnifiedGraph:
         out = (graph._adjacency or graph._build_index())["out"]
         for i, (node_id, kind) in enumerate(graph._kinds.items()):
             if kind in UNIT_KINDS:
-                label = graph._attrs[node_id]["label"]
+                try:
+                    label = graph._attrs[node_id]["label"]
+                except KeyError:  # as deserialize_graph refuses the node's record
+                    raise SchemaError(f"nodes[{i}].attrs", f"{kind.value} node lacks attribute 'label'") from None
                 if (kind, label) in index:
                     reason = f"duplicate {kind.value} label {label!r}"
                     raise SchemaError(f"nodes[{i}].attrs", reason)

@@ -1,8 +1,9 @@
 """DOT and induced-subgraph views of narrative graphs.
 
 DOT output reproduces graph content, not any particular layout; rendering
-is left to downstream Graphviz tooling. The graph stores no ``follows``
-edges (they are the inverse view of ``precedes``), so DOT draws none.
+is left to downstream Graphviz tooling. Story order is drawn as the one
+relation the graph stores for it, ``precedes``; the header's note on its
+inverse is kept word for word, so that exports stay byte-identical.
 """
 
 from __future__ import annotations

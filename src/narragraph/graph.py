@@ -3,8 +3,9 @@
 Nodes carry a kind and a flat string-to-string attribute map; edges are
 ``(src, relation, dst)`` triples with set semantics, remembered in
 insertion order so that traversals and serialized output are
-deterministic. ``follows`` is a view, not stored: ``(a, follows, b)`` is
-stored, found and traversed as ``(b, precedes, a)``.
+deterministic. Story order is one relation, ``precedes``, written from
+each panel, segment, event or macro-event to the next; the one before a
+node is its ``precedes`` neighbour in the ``"in"`` direction.
 
 Stored as written: node id -> kind and -> attrs, and the edge set, each
 edge once. Adjacency, keyed by direction, relation and node so that one
@@ -68,7 +69,6 @@ class RelationKind(str, Enum):
     INSTANTIATES = "instantiates"
     SUBEVENT_OF = "subevent_of"
     PRECEDES = "precedes"
-    FOLLOWS = "follows"
     CO_OCCURS = "co_occurs"
     REFERS_TO = "refers_to"
 
@@ -81,13 +81,13 @@ class Tier(str, Enum):
 
 
 # Read once for the per-edge paths: ``rel.value`` is a property call, and
-# reading ``RelationKind.FOLLOWS`` through the class is slow too before
-# Python 3.12; a dict lookup or a module global costs several times less.
+# reading a member through the class is slow too before Python 3.12; a
+# dict lookup or a module global costs several times less.
 _VALUE = {rel: rel.value for rel in RelationKind}
 # A str enum member hashes and compares as its value, so these also map it to itself.
 _RELATION_OF = {rel.value: rel for rel in RelationKind}
 _KIND_OF = {kind.value: kind for kind in NodeKind}
-_FOLLOWS, _PRECEDES = RelationKind.FOLLOWS, RelationKind.PRECEDES
+_PRECEDES = RelationKind.PRECEDES
 
 #: Direction -> the relations the queries, ``from_graph`` and ``is_acyclic`` read that way.
 _READ = {
@@ -168,20 +168,16 @@ class NarrativeGraph:
         self._attrs[node_id] = attrs
 
     def add_edge(self, src: str, rel: RelationKind, dst: str) -> None:
-        """Insert ``(src, rel, dst)``; re-adding is a no-op. A ``follows``
-        edge is stored as its ``precedes`` inverse."""
+        """Insert ``(src, rel, dst)``; re-adding is a no-op."""
         kinds = self._kinds
         if src not in kinds or dst not in kinds:
             missing = dst if src in kinds else src
             raise MissingNodeError(f"node {missing!r} is not in the graph")
-        if rel == _FOLLOWS:  # or its value, which _insert reads as its member too
-            src, rel, dst = dst, _PRECEDES, src
         self._insert(src, rel if rel in _VALUE else _unknown("relation", rel), dst)
 
     def _insert(self, src: str, rel: RelationKind, dst: str) -> None:
         """Store ``(src, rel, dst)`` between known nodes unless it is held,
-        and keep the adjacency index current once it is built; ``rel`` is
-        not ``follows``."""
+        and keep the adjacency index current once it is built."""
         key = (src, _VALUE[rel], dst)
         edges = self._edges
         if key not in edges:
@@ -252,16 +248,13 @@ class NarrativeGraph:
     def neighbors(self, node_id: str, rel: RelationKind, direction: str = "out") -> list[str]:
         """Adjacent node ids over ``rel``, in edge insertion order, as a new list.
 
-        ``direction="out"`` follows edges from the node, ``"in"`` follows
-        edges into it. ``follows`` answers from ``precedes`` the other way.
-        A degree is ``len`` of this, and an edge test ``dst in`` it.
+        ``direction="out"`` reads edges from the node, ``"in"`` edges into
+        it. A degree is ``len`` of this, and an edge test ``dst in`` it.
         """
         if node_id not in self._kinds:
             raise MissingNodeError(f"node {node_id!r} is not in the graph")
         if direction not in ("out", "in"):
             raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
-        if rel == _FOLLOWS:  # or its value, which finds its member's map below too
-            rel, direction = _PRECEDES, "in" if direction == "out" else "out"
         adjacency = (self._adjacency or self._build_index())[direction]
         try:
             held = adjacency[rel]
@@ -271,8 +264,7 @@ class NarrativeGraph:
         return list(_ids(held.get(node_id)))
 
     def is_acyclic(self) -> bool:
-        """True iff the ``precedes`` edges form no directed cycle, and so the
-        ``follows`` view none either: its cycles are theirs reversed."""
+        """True iff the ``precedes`` edges form no directed cycle."""
         out = (self._adjacency or self._build_index())["out"][_PRECEDES]
         # Only nodes on a precedes edge can lie on a cycle.
         indegree: dict[str, int] = {}
@@ -398,14 +390,7 @@ _REQUIRED_ATTRS: dict[NodeKind, dict[str, Optional[tuple[Callable[[str], bool], 
     NodeKind.MACRO_EVENT: {"label": None},
 }
 
-# Reading order and narrative order chain nodes of one kind.
-_ORDERED = {
-    (kind, kind)
-    for kind in (NodeKind.PANEL, NodeKind.EVENT_SEGMENT, NodeKind.EVENT, NodeKind.MACRO_EVENT)
-}
-
-#: (source kind, target kind) pairs each relation may join; ``follows``,
-#: the view of ``precedes``, joins the same pairs.
+#: (source kind, target kind) pairs each relation may join.
 _ENDPOINTS: dict[RelationKind, set[tuple[NodeKind, NodeKind]]] = {
     RelationKind.HAS_VISUAL: {(NodeKind.PANEL, NodeKind.PANEL_VISUAL)},
     RelationKind.HAS_TEXTUAL: {(NodeKind.PANEL, NodeKind.PANEL_TEXTUAL)},
@@ -426,8 +411,11 @@ _ENDPOINTS: dict[RelationKind, set[tuple[NodeKind, NodeKind]]] = {
         (NodeKind.EVENT_SEGMENT, NodeKind.EVENT),
         (NodeKind.EVENT, NodeKind.MACRO_EVENT),
     },
-    RelationKind.PRECEDES: _ORDERED,
-    RelationKind.FOLLOWS: _ORDERED,
+    # Reading order and narrative order chain nodes of one kind.
+    RelationKind.PRECEDES: {
+        (kind, kind)
+        for kind in (NodeKind.PANEL, NodeKind.EVENT_SEGMENT, NodeKind.EVENT, NodeKind.MACRO_EVENT)
+    },
     RelationKind.CO_OCCURS: {(NodeKind.EVENT, NodeKind.EVENT)},
     RelationKind.REFERS_TO: {(NodeKind.CHARACTER_MENTION, NodeKind.CHARACTER)},
 }
@@ -436,11 +424,11 @@ _ENDPOINTS: dict[RelationKind, set[tuple[NodeKind, NodeKind]]] = {
 # deserialize_graph's lookup tables, derived once from the enums,
 # _REQUIRED_ATTRS and _ENDPOINTS, which stay the one home of the rules.
 _REQUIRED = {kind: tuple(_REQUIRED_ATTRS.get(kind, {}).items()) for kind in NodeKind}
-#: Relation as written -> source kind -> target kind -> (value stored, reversed).
+#: Relation as written -> source kind -> target kind -> the relation's value,
+#: stored in the edge key so that keys share one string per relation.
 _JOINS = {
-    rel.value: {src: {dst: join for s, dst in pairs if s is src} for src, _ in pairs}
+    rel.value: {src: {dst: rel.value for s, dst in pairs if s is src} for src, _ in pairs}
     for rel, pairs in _ENDPOINTS.items()
-    for join in [(_PRECEDES.value, True) if rel is _FOLLOWS else (rel.value, False)]
 }
 
 
@@ -456,8 +444,7 @@ def deserialize_graph(text: str) -> NarrativeGraph:
     first malformed record in file order (nodes without their
     ``_REQUIRED_ATTRS``, edges that reference unknown nodes or join kinds
     outside their relation's ``_ENDPOINTS``), then if ``precedes`` edges
-    form a cycle. A repeated edge record is a no-op, and a ``follows``
-    record (older files) loads as its ``precedes`` edge. How the records
+    form a cycle. A repeated edge record is a no-op. How the records
     fit together as a story is checked by ``UnifiedGraph.from_graph``, so
     tier graphs and filtered exports load too.
 
@@ -546,12 +533,12 @@ def deserialize_graph(text: str) -> NarrativeGraph:
         except (KeyError, TypeError):
             raise _endpoint_fault(f"edges[{i}].dst", entry.get("dst")) from None
         try:
-            value, reverse = joins[src_kind][dst_kind]
+            value = joins[src_kind][dst_kind]
         except KeyError:
             fault = f"{rel_raw} cannot join {src_kind.value} to {dst_kind.value}"
             raise SchemaError(f"edges[{i}]", fault) from None
         # A repeated record stores its key again, which keeps the first's place.
-        edge_set[(dst, value, src) if reverse else (src, value, dst)] = None
+        edge_set[(src, value, dst)] = None
 
     if not graph.is_acyclic():
         raise SchemaError("edges", "precedes edges form a cycle")

@@ -27,8 +27,13 @@ from narragraph import (
     ShotType,
     Utterance,
 )
-from narragraph.annotations import _ENUMS, _NAT, _OPTIONAL, _RECORDS, _STORY, _STR, _STR_LIST, _RecordKind
+from narragraph.annotations import (
+    _ENUMS, _NAT, _OPT_ENUM, _OPT_STR, _RECORDS, _STORY, _STR, _STR_LIST, _RecordKind,
+)
 from narragraph.errors import parse_json
+
+#: The forms that read an absent field as null, and that the writer leaves out when None.
+_OPTIONAL = (_OPT_STR, _OPT_ENUM)
 
 
 def _child(path: str, key: str) -> str:

@@ -350,6 +350,23 @@ def test_query_graph_with_precedes_cycle(graph_file, capsys):
     assert err == f"{graph_file}: schema error: edges: precedes edges form a cycle\n"
 
 
+def test_query_graph_with_a_follows_record_exits_2(graph_file, capsys):
+    # precedes is the one order relation: a graph file written while
+    # follows was stored is refused at the record's rel, in one line.
+    doc = json.loads(Path(graph_file).read_text(encoding="utf-8"))
+    i = next(i for i, edge in enumerate(doc["edges"]) if edge["rel"] == "precedes")
+    edge = doc["edges"][i]
+    edge["src"], edge["rel"], edge["dst"] = edge["dst"], "follows", edge["src"]
+    with open(graph_file, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    expected = f"{graph_file}: schema error: edges[{i}].rel: unknown relation 'follows'\n"
+    argv = ["query", graph_file, "timeline", "--unit", "Think of family"]
+    assert run_cli(argv, capsys) == (2, "", expected)
+    env = {**os.environ, "PYTHONPATH": SRC}
+    script = subprocess.run([sys.executable, "-m", "narragraph.cli", *argv], capture_output=True, env=env)
+    assert (script.returncode, script.stdout, script.stderr) == (2, b"", expected.encode("utf-8"))
+
+
 def _set_attr(graph_file, node_id, key, value):
     """Rewrite one node attribute of a graph file (``None`` deletes it);
     returns the node's index in the file."""

@@ -61,13 +61,14 @@ def test_filtered_dot_has_no_foreign_nodes(unified):
     assert nodes == len(expected_nodes)
 
 
-def test_follows_edges_are_suppressed_in_dot(unified):
-    """``follows`` is derived from ``precedes``: the graph stores none and
-    DOT draws none, while the ``precedes`` edges it answers from are drawn."""
-    assert not any(rel is RelationKind.FOLLOWS for _, rel, _ in unified.graph.edges())
-    labels = _edge_labels(to_dot(unified.graph))
-    assert "follows" not in labels
-    assert "precedes" in labels
+def test_story_order_is_drawn_as_precedes_edges(unified):
+    """Story order is drawn as the ``precedes`` edges the graph stores, one
+    per edge, and the header keeps its note on the inverse word for word."""
+    dot = to_dot(unified.graph)
+    drawn = re.findall(r'label="(\w+)"\];', dot)
+    assert drawn.count("precedes") == sum(rel is RelationKind.PRECEDES for _, rel, _ in unified.graph.edges()) > 0
+    assert "follows" not in drawn
+    assert dot.splitlines()[1] == "// follows edges are implied inverses of precedes and are not drawn"
 
 
 def test_dot_is_deterministic(unified):

@@ -97,24 +97,28 @@ def test_node_kind_and_attrs_of_a_missing_node_raise():
         assert str(err.value) == "node 'ghost' is not in the graph"
 
 
-def test_precedes_adds_follows_inverse():
+def test_precedes_is_read_both_ways():
     g = graph_with_nodes(ids=["seg:a", "seg:b"], kind=NodeKind.EVENT_SEGMENT)
     g.add_edge("seg:a", RelationKind.PRECEDES, "seg:b")
     assert g.neighbors("seg:a", RelationKind.PRECEDES) == ["seg:b"]
-    assert g.neighbors("seg:b", RelationKind.FOLLOWS) == ["seg:a"]
+    assert g.neighbors("seg:b", RelationKind.PRECEDES, "in") == ["seg:a"]
     assert list(g.edges()) == [("seg:a", RelationKind.PRECEDES, "seg:b")]
 
 
-def test_follows_is_stored_as_precedes():
+def test_follows_is_an_unknown_relation():
+    """``precedes`` is the one order relation: ``follows`` is no member, and
+    given as a string it is refused as any unknown relation is."""
+    assert "follows" not in [rel.value for rel in RelationKind]
     g = graph_with_nodes(ids=["a", "b"])
-    g.add_edge("b", RelationKind.FOLLOWS, "a")
-    assert list(g.edges()) == [("a", RelationKind.PRECEDES, "b")]
+    with pytest.raises(ValueError) as err:
+        g.add_edge("b", "follows", "a")
+    assert str(err.value) == "unknown relation 'follows'"
+    assert g.edge_count == 0
     g.add_edge("a", RelationKind.PRECEDES, "b")
-    assert g.edge_count == 1
-    assert g.neighbors("b", RelationKind.FOLLOWS, "out") == ["a"]
-    assert g.neighbors("a", RelationKind.FOLLOWS, "in") == ["b"]
-    with pytest.raises(ValueError):
-        g.neighbors("a", RelationKind.FOLLOWS, "sideways")
+    for direction in ("out", "in"):
+        with pytest.raises(ValueError) as err:
+            g.neighbors("a", "follows", direction)
+        assert str(err.value) == "unknown relation 'follows'"
 
 
 def test_add_edge_missing_node():
@@ -158,13 +162,14 @@ def test_neighbors_bad_direction():
 
 def test_a_relation_given_as_its_value_is_its_member():
     """A str enum member hashes and compares as its value, so a graph that
-    tested members by identity alone stored a ``follows`` edge given as
-    ``"follows"`` and missed it in the ``precedes`` reads and checks."""
+    tested members by identity alone would miss a ``precedes`` edge given
+    as ``"precedes"`` in its reads and its cycle check."""
     g = graph_with_nodes(ids=["a", "b"], kind=NodeKind.EVENT_SEGMENT)
-    g.add_edge("a", "follows", "b")
+    g.add_edge("b", "precedes", "a")
     assert list(g.edges()) == [("b", RelationKind.PRECEDES, "a")]
+    assert type(next(g.edges())[1]) is RelationKind
     assert g.neighbors("b", RelationKind.PRECEDES) == ["a"]
-    assert g.neighbors("a", "follows") == ["b"] == g.neighbors("a", RelationKind.FOLLOWS)
+    assert g.neighbors("a", "precedes", "in") == ["b"] == g.neighbors("a", RelationKind.PRECEDES, "in")
     assert g.neighbors("b", "precedes") == ["a"]
     assert deserialize_graph(serialize_graph(g)) == g
     g.add_edge("a", RelationKind.PRECEDES, "b")
@@ -344,8 +349,8 @@ LOADER_ERRORS = {
     "src_not_a_string": (_edge(src=1), "edges[0].src", NOT_STR_ID),
     "src_object": (_edge(src={"id": "p0"}), "edges[0].src", NOT_STR_ID),
     "dst_unknown": (_edge(dst="ghost"), "edges[0].dst", "edge references unknown node 'ghost'"),
-    "src_unknown_before_join_follows": (
-        _edge(src="ghost", rel="follows", dst="e"),
+    "src_unknown_before_join": (
+        _edge(src="ghost", rel="precedes", dst="e"),
         "edges[0].src",
         "edge references unknown node 'ghost'",
     ),
@@ -353,7 +358,7 @@ LOADER_ERRORS = {
     "dst_missing": (_graph_doc([P0], [{"src": "p0", "rel": "precedes"}]), "edges[0].dst", NOT_STR_ID),
     "src_unknown": (_edge(src="ghost", dst=1), "edges[0].src", "edge references unknown node 'ghost'"),
     "wrong_kinds": (_edge(dst="e"), "edges[0]", "precedes cannot join panel to event"),
-    "wrong_kinds_follows": (_edge("e", "follows"), "edges[0]", "follows cannot join event to panel"),
+    "rel_follows": (_edge("e", "follows"), "edges[0].rel", "unknown relation 'follows'"),
     "wrong_kinds_reversed": (
         _edge(src="e", rel="instantiates", dst="p0"),
         "edges[0]",
@@ -364,8 +369,8 @@ LOADER_ERRORS = {
         "edges",
         "precedes edges form a cycle",
     ),
-    "cycle_through_follows": (
-        _edges(("p0", "precedes", "p1"), ("p0", "follows", "p1")),
+    "cycle_through_repeated_record": (
+        _edges(("p0", "precedes", "p1"), ("p1", "precedes", "p0"), ("p0", "precedes", "p1")),
         "edges",
         "precedes edges form a cycle",
     ),
@@ -396,10 +401,10 @@ def _with_records(graph_text, nodes=(), edges=()):
     [
         ("panel:0_0_0", "precedes", "panel:0_0_0"),
         ("panel:0_2_2", "precedes", "panel:0_0_0"),
-        ("panel:0_0_0", "follows", "panel:0_0_0"),
-        ("panel:0_0_0", "follows", "panel:0_2_2"),
+        ("seg:sg3", "precedes", "seg:sg1"),
+        ("event:ev2", "precedes", "event:ev1"),
     ],
-    ids=["self_loop", "back_edge", "follows_self_loop", "follows_back_edge"],
+    ids=["self_loop", "back_edge", "segment_back_edge", "event_back_edge"],
 )
 def test_deserialize_rejects_precedes_cycle(unified, src, rel, dst):
     text = _with_records(serialize_graph(unified.graph), edges=[(src, rel, dst)])
@@ -424,9 +429,9 @@ def test_deserialize_rejects_precedes_cycle(unified, src, rel, dst):
             "seg:sg2",
             "instantiates cannot join event_segment to event_segment",
         ),
-        ("event:ev1", "follows", "macro:m1", "follows cannot join event to macro_event"),
+        ("event:ev1", "precedes", "macro:m1", "precedes cannot join event to macro_event"),
     ],
-    ids=["action_to_scene_object", "instantiates_from_segment", "follows_across_kinds"],
+    ids=["action_to_scene_object", "instantiates_from_segment", "precedes_across_kinds"],
 )
 def test_deserialize_rejects_edge_between_wrong_kinds(unified, src, rel, dst, reason):
     text = _with_records(serialize_graph(unified.graph), edges=[(src, rel, dst)])
@@ -459,60 +464,7 @@ def test_deserialize_lets_an_event_share_its_macro_event_label(unified):
     assert index[(NodeKind.MACRO_EVENT, "Think of family")] == "macro:m1"
 
 
-def _with_follows_records(graph_text):
-    """The graph file as written while ``follows`` was stored: each
-    ``precedes`` record followed by its ``follows`` inverse."""
-    doc = json.loads(graph_text)
-    edges = []
-    for edge in doc["edges"]:
-        edges.append(edge)
-        if edge["rel"] == "precedes":
-            edges.append({"src": edge["dst"], "rel": "follows", "dst": edge["src"]})
-    doc["edges"] = edges
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-
-
-def test_graph_file_with_follows_records_loads_to_the_fresh_build(unified):
-    graphs = [unified.graph] + [ng.integrate(ng.generate(ng.GenParams(seed=s))).graph for s in range(3)]
-    for graph in graphs:
-        text = serialize_graph(graph)
-        legacy = _with_follows_records(text)
-        assert '"rel": "follows"' in legacy and '"rel": "follows"' not in text
-        back = deserialize_graph(legacy)
-        assert back == graph
-        assert serialize_graph(back) == text
-
-
-def test_lone_follows_record_loads_as_its_precedes_edge(unified):
-    doc = json.loads(serialize_graph(unified.graph))
-    for edge in doc["edges"]:
-        if edge["rel"] == "precedes":
-            edge["src"], edge["rel"], edge["dst"] = edge["dst"], "follows", edge["src"]
-    assert deserialize_graph(json.dumps(doc)) == unified.graph
-
-
 # --- properties ---------------------------------------------------------
-
-
-@given(edge_scripts)
-def test_precedes_follows_closure_property(script):
-    """``follows`` mirrors ``precedes`` in every query and is never stored."""
-    g = graph_with_nodes()
-    for src, rel, dst in script:
-        g.add_edge(src, rel, dst)
-    assert not any(rel is RelationKind.FOLLOWS for _, rel, _ in g.edges())
-    ordered = {
-        (src, dst) if rel is RelationKind.PRECEDES else (dst, src)
-        for src, rel, dst in script
-        if rel in (RelationKind.PRECEDES, RelationKind.FOLLOWS)
-    }
-    assert {(src, dst) for src, rel, dst in g.edges() if rel is RelationKind.PRECEDES} == ordered
-    for a in NODE_IDS:
-        for b in NODE_IDS:
-            assert (a in g.neighbors(b, RelationKind.FOLLOWS)) == ((a, b) in ordered)
-        assert g.neighbors(a, RelationKind.FOLLOWS, "out") == g.neighbors(a, RelationKind.PRECEDES, "in")
-        assert g.neighbors(a, RelationKind.FOLLOWS, "in") == g.neighbors(a, RelationKind.PRECEDES, "out")
-    assert g.is_acyclic() == (not _has_cycle(NODE_IDS, ordered))
 
 
 @given(edge_scripts)
@@ -551,19 +503,16 @@ def _has_cycle(nodes, arcs):
 TWELVE = [f"v{i}" for i in range(12)]
 
 
-@given(
-    st.lists(
-        st.tuples(st.sampled_from(TWELVE), st.sampled_from(TWELVE)), max_size=30
-    ),
-    st.sampled_from([RelationKind.PRECEDES, RelationKind.FOLLOWS]),
-)
-def test_is_acyclic_matches_bruteforce(pairs, rel):
+@given(st.lists(st.tuples(st.sampled_from(TWELVE), st.sampled_from(TWELVE)), max_size=30))
+def test_is_acyclic_matches_bruteforce(pairs):
     g = graph_with_nodes(ids=TWELVE, kind=NodeKind.EVENT)
     for src, dst in pairs:
-        g.add_edge(src, rel, dst)
-    arcs = pairs if rel is RelationKind.PRECEDES else [(dst, src) for src, dst in pairs]
-    assert g.is_acyclic() == (not _has_cycle(TWELVE, arcs))
+        g.add_edge(src, RelationKind.PRECEDES, dst)
+    assert g.is_acyclic() == (not _has_cycle(TWELVE, pairs))
 
+
+#: Each relation, as its member and as its value.
+RELATIONS = list(RelationKind) + [rel.value for rel in RelationKind]
 
 #: Nodes that only the skeleton of ``store_scripts`` joins.
 SKELETON_IDS = ["s0", "s1", "s2", "s3"]
@@ -572,13 +521,14 @@ SKELETON_IDS = ["s0", "s1", "s2", "s3"]
 @st.composite
 def store_scripts(draw):
     """A few relations, then up to 60 edges over five nodes drawn from them:
-    relations interleave, edges repeat, and ``follows`` may be drawn.
+    relations interleave, edges repeat, and a relation may be given as its
+    member or as its value.
 
     Spliced in at drawn places: a skeleton over one drawn relation that
     gives ``SKELETON_IDS`` degree 0, 1 and 2 in each direction, with one
     edge repeated, so that every node's adjacency is empty, one id or a
     list and each shape change happens amid other inserts."""
-    rels = draw(st.lists(st.sampled_from(list(RelationKind)), min_size=1, max_size=5, unique=True))
+    rels = draw(st.lists(st.sampled_from(RELATIONS), min_size=1, max_size=5, unique=True))
     ids = NODE_IDS[:5]
     edge = st.tuples(st.sampled_from(ids), st.sampled_from(rels), st.sampled_from(ids))
     script = draw(st.lists(edge, max_size=60))
@@ -590,17 +540,14 @@ def store_scripts(draw):
 
 
 def _stored(src, rel, dst):
-    """The triple a graph stores for ``(src, rel, dst)``."""
-    if rel is RelationKind.FOLLOWS:
-        return dst, RelationKind.PRECEDES, src
-    return src, rel, dst
+    """The triple a graph reads back for ``(src, rel, dst)``: a relation
+    given as its value is its member."""
+    return src, RelationKind(rel), dst
 
 
 def _reference_neighbors(g, node, rel, direction):
     """``neighbors`` as first defined: scan every edge, keep one relation
-    and one direction; ``follows`` is ``precedes`` the other way."""
-    if rel is RelationKind.FOLLOWS:
-        rel, direction = RelationKind.PRECEDES, "in" if direction == "out" else "out"
+    and one direction."""
     if direction == "out":
         return [dst for src, edge_rel, dst in g.edges() if edge_rel is rel and src == node]
     return [src for src, edge_rel, dst in g.edges() if edge_rel is rel and dst == node]
@@ -651,8 +598,9 @@ def interleaved_scripts(draw):
     """``add_node`` and ``add_edge`` steps with reads at drawn points.
 
     Nodes are added in ``NODE_IDS`` order, and each edge joins two nodes
-    already added; edges repeat and ``follows`` may be drawn. At least one
-    edge is written before the first read and one after it."""
+    already added; edges repeat and a relation may be given as its member
+    or as its value. At least one edge is written before the first read
+    and one after it."""
     before = ["node", "edge"] + draw(st.lists(st.sampled_from(["node", "edge"]), max_size=20))
     after = ["edge"] + draw(st.lists(st.sampled_from(["node", "edge", "read"]), max_size=40))
     script, added = [], []
@@ -663,7 +611,7 @@ def interleaved_scripts(draw):
                 script.append(("node", added[-1]))
         elif step == "edge":
             src, rel, dst = draw(st.tuples(
-                st.sampled_from(added), st.sampled_from(list(RelationKind)), st.sampled_from(added)
+                st.sampled_from(added), st.sampled_from(RELATIONS), st.sampled_from(added)
             ))
             script.append(("edge", src, rel, dst))
         else:
@@ -709,18 +657,15 @@ def test_reads_match_edge_scan_across_interleaved_writes(script):
     assert g._adjacency is index
 
 
-@pytest.mark.parametrize("records", ["as_written", "follows", "repeated"])
+@pytest.mark.parametrize("records", ["as_written", "repeated"])
 def test_loaded_graph_holds_its_index(unified, records, monkeypatch):
     """``deserialize_graph`` leaves the adjacency index to the loaded graph's
     first read, its own cycle check, which builds it once, as a built graph's
     first read does: after the last edge is stored and over every stored
-    edge, also from ``follows`` records and repeated edge records. The index
-    answers every read as a scan of the edges, and no later read builds it
-    again."""
+    edge, also from repeated edge records. The index answers every read as
+    a scan of the edges, and no later read builds it again."""
     text = serialize_graph(unified.graph)
-    if records == "follows":
-        text = _with_follows_records(text)
-    elif records == "repeated":
+    if records == "repeated":
         text = _with_records(text, edges=list(unified.graph.edges())[::3])
     build_index, built_over = NarrativeGraph._build_index, []
 
@@ -830,7 +775,7 @@ def test_threads_sharing_a_loaded_graph_see_each_pair_whole():
     ids = [node for node, _, _ in g.nodes()]
     pairs = [
         (rel, direction)
-        for rel in RelationKind if rel is not RelationKind.FOLLOWS
+        for rel in RelationKind
         for direction in ("out", "in") if (rel, direction) not in READ_PAIRS
     ]
     expected = {pair: {node: [] for node in ids} for pair in pairs}
@@ -870,8 +815,8 @@ def test_edges_yield_relation_members_in_insertion_order():
     g = NarrativeGraph(Tier.EVENT)
     for node_id in ("a", "b", "c"):
         g.add_node(node_id, NodeKind.EVENT, {"label": node_id})
-    co, pre, fol = RelationKind.CO_OCCURS, RelationKind.PRECEDES, RelationKind.FOLLOWS
-    for edge in [("b", co, "c"), ("a", pre, "b"), ("c", fol, "b"), ("a", co, "b"), ("b", co, "c")]:
+    co, pre = RelationKind.CO_OCCURS, RelationKind.PRECEDES
+    for edge in [("b", co, "c"), ("a", pre, "b"), ("b", "precedes", "c"), ("a", co, "b"), ("b", co, "c")]:
         g.add_edge(*edge)
     expected = [("b", co, "c"), ("a", pre, "b"), ("b", pre, "c"), ("a", co, "b")]
     for graph in (g, deserialize_graph(serialize_graph(g))):
@@ -943,7 +888,6 @@ REQUIRED_ATTR = {
 }
 
 K = NodeKind
-ORDERED = {(kind, kind) for kind in (K.PANEL, K.EVENT_SEGMENT, K.EVENT, K.MACRO_EVENT)}
 
 #: The (source kind, target kind) pairs each relation may join in a graph file.
 ENDPOINTS = {
@@ -957,8 +901,7 @@ ENDPOINTS = {
     RelationKind.CONTENT_OF: {(K.DIALOGUE_CONTENT, K.DIALOGUE), (K.DIALOGUE_CONTENT, K.CAPTION)},
     RelationKind.INSTANTIATES: {(K.PANEL, K.EVENT_SEGMENT)},
     RelationKind.SUBEVENT_OF: {(K.EVENT_SEGMENT, K.EVENT), (K.EVENT, K.MACRO_EVENT)},
-    RelationKind.PRECEDES: ORDERED,
-    RelationKind.FOLLOWS: ORDERED,
+    RelationKind.PRECEDES: {(kind, kind) for kind in (K.PANEL, K.EVENT_SEGMENT, K.EVENT, K.MACRO_EVENT)},
     RelationKind.CO_OCCURS: {(K.EVENT, K.EVENT)},
     RelationKind.REFERS_TO: {(K.CHARACTER_MENTION, K.CHARACTER)},
 }

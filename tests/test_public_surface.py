@@ -51,6 +51,21 @@ def test_graph_members_are_pinned():
     }
 
 
+def test_relation_and_node_kind_values_are_pinned():
+    # Graph files hold these values, so adding or removing one changes
+    # which files load. ``precedes`` is the one order relation.
+    assert [rel.value for rel in ng.RelationKind] == [
+        "has_visual", "has_textual", "has_character", "has_action", "has_object",
+        "agent_of", "part_of", "content_of", "instantiates", "subevent_of",
+        "precedes", "co_occurs", "refers_to",
+    ]
+    assert [kind.value for kind in ng.NodeKind] == [
+        "panel", "panel_visual", "panel_textual", "character_mention", "character",
+        "action", "scene_object", "dialogue", "dialogue_content", "caption",
+        "event_segment", "event", "macro_event",
+    ]
+
+
 def test_split_mix_is_reached_through_fixtures():
     from narragraph.fixtures import SplitMix64
 

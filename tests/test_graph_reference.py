@@ -58,16 +58,26 @@ def test_loader_matches_reference_on_base_graphs(name):
     _assert_same_as_reference(text)
 
 
-def test_loader_refuses_a_follows_record_as_the_reference_does():
-    """The paper graph with its first ``precedes`` record written as its
-    ``follows`` inverse, as graph files held it before ``precedes`` became
-    the one order relation: both loaders refuse the record at its ``rel``."""
-    doc = copy.deepcopy(GRAPH)
-    i = next(i for i, edge in enumerate(doc["edges"]) if edge["rel"] == "precedes")
-    edge = doc["edges"][i]
-    edge["src"], edge["rel"], edge["dst"] = edge["dst"], "follows", edge["src"]
+def _as_follows(doc):
+    """``doc`` with every ``precedes`` record written as its ``follows``
+    inverse, as graph files held story order before ``precedes`` became the
+    one order relation; also the index of the first such record."""
+    doc = copy.deepcopy(doc)
+    first = None
+    for i, edge in enumerate(doc["edges"]):
+        if edge["rel"] == "precedes":
+            edge["src"], edge["rel"], edge["dst"] = edge["dst"], "follows", edge["src"]
+            first = i if first is None else first
+    return doc, first
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_loader_refuses_a_follows_record_as_the_reference_does(name):
+    """Each base written with ``follows`` records: both loaders refuse the
+    first of them at its ``rel``, past the valid records before it."""
+    doc, first = _as_follows(BASES[name])
     text = json.dumps(doc)
-    assert _load(deserialize_graph, text) == (f"edges[{i}].rel", "unknown relation 'follows'")
+    assert _load(deserialize_graph, text) == (f"edges[{first}].rel", "unknown relation 'follows'")
     _assert_same_as_reference(text)
 
 

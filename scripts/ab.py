@@ -14,8 +14,10 @@ around it), on fresh inputs made untimed by that copy.
 
 A stage is a ``scripts/ladder.py`` stage, or ``cli:`` and a command line
 for ``narragraph.cli.main``, in which ``{story}`` and ``{graph}`` name the
-corpus file and its built graph file. The input is the bundled story, or
-with ``--n-macro N`` the ladder's corpus of that size.
+corpus file and its graph file. The input is the bundled story, or
+with ``--n-macro N`` the ladder's corpus of that size. Each copy reads the
+graph text and file that its own ``serialize_graph`` wrote, so two
+checkouts of different graph file formats compare too.
 
 The report gives, for this checkout against the base (A/B) and for the
 base's copy against the base (A/A), the median over rounds of the paired
@@ -97,22 +99,28 @@ def run(base: Path, stage: str, rounds: int, gc_on: bool, n_macro, workdir: Path
     else:
         params = narragraph.GenParams(n_macro=n_macro, **ladder.PARAMS)
         story = narragraph.serialize_corpus(narragraph.generate(params))
-    graph = narragraph.serialize_graph(narragraph.integrate(narragraph.parse_corpus(story)).graph)
-    paths = {"story": workdir / "story.json", "graph": workdir / "graph.json"}
-    paths["story"].write_text(story, encoding="utf-8")
-    paths["graph"].write_text(graph, encoding="utf-8")
+    (workdir / "story.json").write_text(story, encoding="utf-8")
     packages = _copy_packages(base, workdir)
+    graphs = {}
+    for name, ng in packages.items():
+        graphs[name] = ng.serialize_graph(ng.integrate(ng.parse_corpus(story)).graph)
+        (workdir / f"{name}.graph.json").write_text(graphs[name], encoding="utf-8")
     cli = stage.startswith("cli:")
     if cli:
-        names = {name: str(path) for name, path in paths.items()}
-        argv = [arg.format(**names) for arg in shlex.split(stage[4:])]
+        argvs = {
+            name: [
+                arg.format(story=workdir / "story.json", graph=workdir / f"{name}.graph.json")
+                for arg in shlex.split(stage[4:])
+            ]
+            for name in COPIES
+        }
         mains = {name: importlib.import_module(name + ".cli").main for name in COPIES}
 
         def make(name):
-            return _cli_main, (mains[name], argv)
+            return _cli_main, (mains[name], argvs[name])
     else:
         def make(name):
-            return STAGE_CALLS[stage](packages[name], story, graph)
+            return STAGE_CALLS[stage](packages[name], story, graphs[name])
 
     seconds = {name: [] for name in COPIES}
     outputs = {}

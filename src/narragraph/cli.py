@@ -192,7 +192,7 @@ def _parser() -> argparse.ArgumentParser:
     output.add_argument("--table", action="store_true", help="print a plain-text table instead of JSON")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("export", help="emit a graph as DOT or node-link JSON")
+    p = sub.add_parser("export", help="emit a graph as DOT or as graph file JSON")
     p.add_argument("graph", help="path to a graph JSON file")
     p.add_argument("--format", choices=["dot", "json"], required=True)
     p.add_argument("--kinds", help="comma-separated node kinds to keep (induced subgraph)")

@@ -304,10 +304,12 @@ class NarrativeGraph:
 #: Records joined into one chunk of ``graph_chunks``: enough to keep the
 #: calls per record negligible, few enough that a chunk stays small.
 _CHUNK = 2048
+#: The ``"format"`` of the graph files this module writes and reads.
+_FORMAT = 2
 
 
 def _json_list(records: Iterator[str]) -> Iterator[str]:
-    """The ``indent=2`` JSON list of ``records``, in chunks of ``_CHUNK``
+    """The JSON list of ``records``, one to a line, in chunks of ``_CHUNK``
     records, each joined once."""
     opening = "[\n"
     while batch := list(islice(records, _CHUNK)):
@@ -317,57 +319,44 @@ def _json_list(records: Iterator[str]) -> Iterator[str]:
 
 
 def graph_chunks(graph: NarrativeGraph) -> Iterator[str]:
-    """The node-link JSON text of ``graph`` in pieces: the header, the node
+    """The format 2 JSON text of ``graph`` in pieces: the header, the node
     records and then the edge records in chunks of ``_CHUNK``, and the
     footer. It is the one home of the layout; see :func:`serialize_graph`."""
     quote = encode_basestring
     kinds = {kind: quote(kind.value) for kind in NodeKind}
     rels = {value: quote(value) for value in _RELATION_OF}
-    # Attribute keys repeat across nodes: each is quoted once, with its indent
-    # (quoting each anew cost serialize 4% at n_macro=160).
+    # Attribute keys repeat across nodes: each is quoted once, with its
+    # separator (quoting each anew cost serialize 4% at n_macro=160).
     keys: dict[str, str] = {}
     quoted = keys.get
 
     def key_text(key: str) -> str:
-        text = keys[key] = f"        {quote(key)}: "
+        text = keys[key] = f"{quote(key)}: "
         return text
 
     def node_records() -> Iterator[str]:
         attrs_of = graph._attrs
         for node_id, kind in graph._kinds.items():
             attrs = attrs_of[node_id]
-            if attrs:
-                attrs_text = (
-                    "{\n"
-                    + ",\n".join([(quoted(k) or key_text(k)) + quote(v) for k, v in attrs.items()])
-                    + "\n      }"
-                )
-            else:
-                attrs_text = "{}"
-            yield (
-                f'    {{\n      "id": {quote(node_id)},\n      "kind": {kinds[kind]},\n'
-                f'      "attrs": {attrs_text}\n    }}'
-            )
+            attrs_text = ", ".join([(quoted(k) or key_text(k)) + quote(v) for k, v in attrs.items()])
+            yield f"    {quote(node_id)}, {kinds[kind]}, {{{attrs_text}}}"
 
-    yield f'{{\n  "tier": {quote(graph.tier.value)},\n  "nodes": '
+    yield f'{{\n  "format": {_FORMAT},\n  "tier": {quote(graph.tier.value)},\n  "nodes": '
     yield from _json_list(node_records())
     yield ',\n  "edges": '
-    yield from _json_list(
-        f'    {{\n      "src": {quote(src)},\n      "rel": {rels[rel]},\n      "dst": {quote(dst)}\n    }}'
-        for src, rel, dst in graph._edges
-    )
+    yield from _json_list(f"    {quote(src)}, {rels[rel]}, {quote(dst)}" for src, rel, dst in graph._edges)
     yield "\n}\n"
 
 
 def serialize_graph(graph: NarrativeGraph) -> str:
-    """Node-link JSON form, nodes and edges in insertion order: the chunks
-    of :func:`graph_chunks`, joined.
+    """Format 2 JSON text, nodes and edges in insertion order: the chunks of
+    :func:`graph_chunks`, joined.
 
-    The text is exactly ``json.dumps(obj, indent=2, ensure_ascii=False) +
-    "\\n"`` of ``{"tier", "nodes": [{"id", "kind", "attrs"}], "edges":
-    [{"src", "rel", "dst"}]}``. It is written here directly because
-    ``json.dumps`` with ``indent`` runs the pure-Python encoder; every string
-    goes through the same C string encoder that ``json.dumps`` uses.
+    The document is ``{"format": 2, "tier", "nodes": [id, kind, attrs, ...],
+    "edges": [src, rel, dst, ...]}``: each list flat, three items to a
+    record and one record to a line, each value written as ``json.dumps(v,
+    ensure_ascii=False)`` writes it. Every string goes through the C string
+    encoder that ``json.dumps`` uses.
     """
     return "".join(graph_chunks(graph))
 
@@ -439,6 +428,22 @@ def _endpoint_fault(path: str, node_id: Any) -> SchemaError:
     return SchemaError(path, f"edge references unknown node {node_id!r}")
 
 
+#: The keys of a graph file's top level.
+_TOP_KEYS = ("format", "tier", "nodes", "edges")
+
+
+def _records(doc: dict, key: str) -> Iterator[tuple[int, tuple[Any, Any, Any]]]:
+    """The numbered records of ``doc[key]``, a flat list read three items at
+    a time."""
+    items = doc.pop(key, None)
+    if not isinstance(items, list):
+        raise SchemaError(key, f"missing or non-list {key}")
+    if len(items) % 3:
+        raise SchemaError(key, f"{len(items)} items do not make whole records of 3")
+    it = iter(items)
+    return enumerate(zip(it, it, it))
+
+
 def deserialize_graph(text: str) -> NarrativeGraph:
     """Inverse of :func:`serialize_graph`; raises ``SchemaError`` at the
     first malformed record in file order (nodes without their
@@ -448,16 +453,25 @@ def deserialize_graph(text: str) -> NarrativeGraph:
     fit together as a story is checked by ``UnifiedGraph.from_graph``, so
     tier graphs and filtered exports load too.
 
-    Each check runs once and raises where it fails. A node: the object,
-    ``id``, ``kind``, the ``attrs`` map, the required attributes and their
-    format, the duplicate id. An edge: the object, ``rel``, ``src`` and
-    ``dst`` (each a string, then a node), and the join in ``_JOINS``. No
-    path is built for a record that passes. Nodes and edges are stored
-    uncopied and the index is left alone: the cycle check is the graph's
-    first read, and builds it as any first read does."""
-    doc = parse_json(text)
+    The document: an object, with no repeated key in any object, whose
+    ``format`` is 2 (a node-link file of an earlier version is refused at
+    ``$``), with no key outside ``_TOP_KEYS``, then ``tier``, then each
+    record list, whose length is a multiple of 3. Each record check runs
+    once and raises where it fails, at the record's number ``i``, not its
+    list position. A node: ``id``, ``kind``, the ``attrs`` map, the
+    required attributes and their format, the duplicate id. An edge:
+    ``rel``, ``src`` and ``dst`` (each a string, then a node), and the join
+    in ``_JOINS``. No path is built for a record that passes. Nodes and
+    edges are stored uncopied and the index is left alone: the cycle check
+    is the graph's first read, and builds it as any first read does."""
+    doc = parse_json(text, unique_keys=True)
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected an object")
+    if doc.get("format") != _FORMAT or type(doc["format"]) is not int:
+        raise SchemaError("$", f"not a format {_FORMAT} graph file; narragraph build writes one from its corpus")
+    for key in doc:
+        if key not in _TOP_KEYS:
+            raise SchemaError(key, "unknown key; a graph file holds format, tier, nodes and edges")
 
     tier_raw = doc.get("tier")
     if not isinstance(tier_raw, str):
@@ -471,26 +485,15 @@ def deserialize_graph(text: str) -> NarrativeGraph:
     # Stored directly: routing each record through _put_node and _insert cost the load 7%.
     kinds, attrs_of, edge_set = graph._kinds, graph._attrs, graph._edges
 
-    # Taken out of the document, so that the records are freed before the
-    # edge walk allocates the edge set: keeping them raises the peak 0.6-8 MB.
-    nodes = doc.pop("nodes", None)
-    if not isinstance(nodes, list):
-        raise SchemaError("nodes", "missing or non-list nodes")
-    for i, entry in enumerate(nodes):
-        # Of the JSON values, only a non-object refuses a string subscript by type.
-        try:
-            node_id = entry["id"]
-        except TypeError:
-            raise SchemaError(f"nodes[{i}]", "expected an object") from None
-        except KeyError:
-            node_id = None
+    # Each list is taken out of the document, so that the node list, and the
+    # kind strings only it holds, are freed before the edge walk.
+    for i, (node_id, kind_raw, attrs) in _records(doc, "nodes"):
         if type(node_id) is not str:
             raise SchemaError(f"nodes[{i}].id", "missing or non-string id")
         try:
-            kind = _KIND_OF[entry["kind"]]
+            kind = _KIND_OF[kind_raw]
         except (KeyError, TypeError):
-            raise SchemaError(f"nodes[{i}].kind", f"unknown node kind {entry.get('kind')!r}") from None
-        attrs = entry.get("attrs", {})
+            raise SchemaError(f"nodes[{i}].kind", f"unknown node kind {kind_raw!r}") from None
         if type(attrs) is not dict:
             raise SchemaError(f"nodes[{i}].attrs", "attrs must map strings to strings")
         # JSON object keys are always strings; only the values need a look.
@@ -506,32 +509,20 @@ def deserialize_graph(text: str) -> NarrativeGraph:
             raise SchemaError(f"nodes[{i}].id", f"duplicate node id {node_id!r}")
         kinds[node_id] = kind
         attrs_of[node_id] = attrs
-    del nodes
 
-    edges = doc.get("edges")
-    if not isinstance(edges, list):
-        raise SchemaError("edges", "missing or non-list edges")
-    for i, entry in enumerate(edges):
-        try:
-            rel_raw = entry["rel"]
-        except TypeError:
-            raise SchemaError(f"edges[{i}]", "expected an object") from None
-        except KeyError:
-            rel_raw = None
+    for i, (src, rel_raw, dst) in _records(doc, "edges"):
         try:
             joins = _JOINS[rel_raw]
         except (KeyError, TypeError):
             raise SchemaError(f"edges[{i}].rel", f"unknown relation {rel_raw!r}") from None
         try:
-            src = entry["src"]
             src_kind = kinds[src]
         except (KeyError, TypeError):
-            raise _endpoint_fault(f"edges[{i}].src", entry.get("src")) from None
+            raise _endpoint_fault(f"edges[{i}].src", src) from None
         try:
-            dst = entry["dst"]
             dst_kind = kinds[dst]
         except (KeyError, TypeError):
-            raise _endpoint_fault(f"edges[{i}].dst", entry.get("dst")) from None
+            raise _endpoint_fault(f"edges[{i}].dst", dst) from None
         try:
             value = joins[src_kind][dst_kind]
         except KeyError:

@@ -2,7 +2,8 @@
 to the ``eval --per-unit`` report.
 
 An edit takes the corpus a graph was built from, the graph document (a
-graph file read by ``json.loads``) and a ``random.Random``. It changes the
+format 2 graph file read by ``json.loads``, its records flat lists of
+three items each) and a ``random.Random``. It changes the
 document in place and returns an :class:`Edit`: the change it makes to the
 ``(tp, fp, fn)`` counts of each unit it touches. Every other unit and every
 other task keeps its counts. The prediction is read from the corpus alone,
@@ -17,6 +18,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from narragraph import AnnotationCorpus, PanelAnnotation, normalize_token, normalize_utterance
+
+from util import triples
 
 
 @dataclass(frozen=True)
@@ -38,16 +41,27 @@ def macro_panels(corpus: AnnotationCorpus) -> dict[str, list[PanelAnnotation]]:
     return panels
 
 
+def _flat(records: list[tuple]) -> list:
+    return [item for record in records for item in record]
+
+
 def _attrs(doc: dict, node_id: str) -> dict:
-    return next(node["attrs"] for node in doc["nodes"] if node["id"] == node_id)
+    return next(attrs for i, _, attrs in triples(doc["nodes"]) if i == node_id)
 
 
 def _drop(doc: dict, node_ids: set[str], edges: int) -> None:
     """Remove the nodes ``node_ids`` and their ``edges`` edges from ``doc``."""
-    nodes = [node for node in doc["nodes"] if node["id"] not in node_ids]
-    kept = [edge for edge in doc["edges"] if not node_ids & {edge["src"], edge["dst"]}]
-    assert (len(doc["nodes"]) - len(nodes), len(doc["edges"]) - len(kept)) == (len(node_ids), edges)
-    doc["nodes"], doc["edges"] = nodes, kept
+    nodes, all_edges = triples(doc["nodes"]), triples(doc["edges"])
+    kept_nodes = [node for node in nodes if node[0] not in node_ids]
+    kept = [edge for edge in all_edges if not node_ids & {edge[0], edge[2]}]
+    assert (len(nodes) - len(kept_nodes), len(all_edges) - len(kept)) == (len(node_ids), edges)
+    doc["nodes"], doc["edges"] = _flat(kept_nodes), _flat(kept)
+
+
+def _retarget(doc: dict, src: str, rel: str, dst: str) -> None:
+    """Point the one ``rel`` edge from ``src`` at ``dst``."""
+    (i,) = (i for i, edge in enumerate(triples(doc["edges"])) if edge[:2] == (src, rel))
+    doc["edges"][3 * i + 2] = dst
 
 
 def swap_reading_order(corpus: AnnotationCorpus, doc: dict, rng: random.Random) -> Edit:
@@ -111,9 +125,7 @@ def retarget_mention(corpus: AnnotationCorpus, doc: dict, rng: random.Random) ->
         if absent:
             candidates += [(panel, token, absent) for token in present]
     panel, token, absent = rng.choice(candidates)
-    mention = f"panel:{panel.panel_id}/char:{token}"
-    (edge,) = (e for e in doc["edges"] if e["src"] == mention and e["rel"] == "refers_to")
-    edge["dst"] = f"char:{rng.choice(absent)}"
+    _retarget(doc, f"panel:{panel.panel_id}/char:{token}", "refers_to", f"char:{rng.choice(absent)}")
     return Edit(damage={("characters", corpus.story_id): (-1, 1, 1)})
 
 
@@ -170,9 +182,7 @@ def move_panel(corpus: AnnotationCorpus, doc: dict, rng: random.Random) -> Edit:
     ]
     assert candidates
     panel, segment = rng.choice(candidates)
-    pnode = f"panel:{panel.panel_id}"
-    (edge,) = (e for e in doc["edges"] if e["src"] == pnode and e["rel"] == "instantiates")
-    edge["dst"] = f"seg:{segment.id}"
+    _retarget(doc, f"panel:{panel.panel_id}", "instantiates", f"seg:{segment.id}")
 
     def lines(event_id: str, moved: Optional[PanelAnnotation] = None) -> set[str]:
         """Normalized dialogue lines of the event's panels, less ``moved``."""

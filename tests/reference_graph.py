@@ -1,6 +1,7 @@
 """``deserialize_graph`` as it was before the bulk loader: each record is
 checked on its own and inserted through the public ``add_node`` and
-``add_edge``, which copy and check it again.
+``add_edge``, which copy and check it again. It reads graph file format 2,
+each record list by its item positions.
 
 It is kept only as the reference the bulk loader is checked against
 (``test_graph_reference.py``): the same graph for every file it accepts,
@@ -19,10 +20,24 @@ from narragraph.errors import parse_json
 from narragraph.graph import _ENDPOINTS, _REQUIRED_ATTRS
 
 
+def _record_list(doc, key):
+    items = doc.get(key)
+    if not isinstance(items, list):
+        raise SchemaError(key, f"missing or non-list {key}")
+    if len(items) % 3 != 0:
+        raise SchemaError(key, f"{len(items)} items do not make whole records of 3")
+    return items
+
+
 def deserialize_graph(text: str) -> NarrativeGraph:
-    doc = parse_json(text)
+    doc = parse_json(text, unique_keys=True)
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected an object")
+    if not (type(doc.get("format")) is int and doc["format"] == 2):
+        raise SchemaError("$", "not a format 2 graph file; narragraph build writes one from its corpus")
+    for key in doc:
+        if key not in ("format", "tier", "nodes", "edges"):
+            raise SchemaError(key, "unknown key; a graph file holds format, tier, nodes and edges")
 
     tier_raw = doc.get("tier")
     if not isinstance(tier_raw, str):
@@ -34,22 +49,16 @@ def deserialize_graph(text: str) -> NarrativeGraph:
 
     graph = NarrativeGraph(tier)
 
-    nodes = doc.get("nodes")
-    if not isinstance(nodes, list):
-        raise SchemaError("nodes", "missing or non-list nodes")
-    for i, entry in enumerate(nodes):
+    nodes = _record_list(doc, "nodes")
+    for i in range(len(nodes) // 3):
         path = f"nodes[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(path, "expected an object")
-        node_id = entry.get("id")
+        node_id, kind_raw, attrs = nodes[3 * i], nodes[3 * i + 1], nodes[3 * i + 2]
         if not isinstance(node_id, str):
             raise SchemaError(f"{path}.id", "missing or non-string id")
-        kind_raw = entry.get("kind")
         try:
             kind = NodeKind(kind_raw)
         except ValueError:
             raise SchemaError(f"{path}.kind", f"unknown node kind {kind_raw!r}") from None
-        attrs = entry.get("attrs", {})
         if not isinstance(attrs, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in attrs.items()
         ):
@@ -64,19 +73,14 @@ def deserialize_graph(text: str) -> NarrativeGraph:
         except DuplicateNodeError:
             raise SchemaError(f"{path}.id", f"duplicate node id {node_id!r}") from None
 
-    edges = doc.get("edges")
-    if not isinstance(edges, list):
-        raise SchemaError("edges", "missing or non-list edges")
-    for i, entry in enumerate(edges):
+    edges = _record_list(doc, "edges")
+    for i in range(len(edges) // 3):
         path = f"edges[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(path, "expected an object")
-        rel_raw = entry.get("rel")
+        src, rel_raw, dst = edges[3 * i], edges[3 * i + 1], edges[3 * i + 2]
         try:
             rel = RelationKind(rel_raw)
         except ValueError:
             raise SchemaError(f"{path}.rel", f"unknown relation {rel_raw!r}") from None
-        src, dst = entry.get("src"), entry.get("dst")
         for key, endpoint in (("src", src), ("dst", dst)):
             if not isinstance(endpoint, str):
                 raise SchemaError(f"{path}.{key}", "missing or non-string node id")

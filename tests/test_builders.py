@@ -266,7 +266,7 @@ def test_from_graph_rejects_a_repeated_unit_label(unified, kind, label):
     # The unit-label index could hold only one of the two nodes. Loading
     # checks single records, so the file loads and the index refuses it.
     doc = json.loads(serialize_graph(unified.graph))
-    doc["nodes"].append({"id": "extra", "kind": kind, "attrs": {"label": label}})
+    doc["nodes"] += ["extra", kind, {"label": label}]
     graph = deserialize_graph(json.dumps(doc))
     with pytest.raises(ng.SchemaError) as err:
         ng.UnifiedGraph.from_graph(graph)

@@ -134,7 +134,7 @@ def test_lone_surrogate_exits_2_and_writes_nothing(tmp_path, story_file, graph_f
     story = json.loads(ng.bundled_story_text())
     story["macro_events"][0]["description"] = "lone \ud800"
     graph = json.loads(Path(graph_file).read_text(encoding="utf-8"))
-    graph["nodes"][0]["attrs"]["lone \udfff"] = "x"
+    graph["nodes"][2]["lone \udfff"] = "x"  # the first node's attrs
     bad_story, bad_graph, bad_synonyms = (tmp_path / f"{name}.json" for name in ("s", "g", "syn"))
     bad_story.write_text(json.dumps(story), encoding="utf-8")
     bad_graph.write_text(json.dumps(graph), encoding="utf-8")
@@ -184,12 +184,45 @@ def test_repeated_key_exits_2_naming_the_key(tmp_path, story_file, graph_file, c
     for argv, err in cases:
         assert run_cli(argv, capsys) == (2, "", err), argv
     assert not out_path.exists()
-    # Graph files are read as before: a repeated key keeps its last value.
-    doc = ng.serialize_graph(ng.integrate(ng.bundled_story()).graph)
-    graph = tmp_path / "repeated_graph.json"
-    graph.write_text(doc.replace('"tier": "unified"', '"tier": "panel", "tier": "unified"'), encoding="utf-8")
-    code, _, _ = run_cli(["query", str(graph), "timeline", "--unit", "Think of family"], capsys)
-    assert code == 0
+
+
+#: (original, replacement, path, reason) of a graph file edit the loader
+#: refuses before it reads a record.
+GRAPH_KEY_FAULTS = {
+    "repeated_top_key": (
+        '"tier": "unified"', '"tier": "panel", "tier": "unified"', "$", "repeated key 'tier' in one object"
+    ),
+    "repeated_attr_key": (
+        '{"label": "Think of family"',
+        '{"label": "Other arc", "label": "Think of family"',
+        "$",
+        "repeated key 'label' in one object",
+    ),
+    "unknown_top_key": (
+        '"tier": "unified"',
+        '"tier": "unified",\n  "links": []',
+        "links",
+        "unknown key; a graph file holds format, tier, nodes and edges",
+    ),
+}
+
+
+@pytest.mark.parametrize("original, replacement, path, reason", GRAPH_KEY_FAULTS.values(), ids=GRAPH_KEY_FAULTS)
+def test_graph_file_with_a_repeated_or_unknown_key_exits_2(
+    graph_file, story_file, capsys, original, replacement, path, reason
+):
+    # json.loads keeps the last of two equal keys, and the loader used to
+    # skip a key it does not read: each file lost a value silently.
+    text = Path(graph_file).read_text(encoding="utf-8")
+    assert text.count(original) == 1
+    Path(graph_file).write_text(text.replace(original, replacement), encoding="utf-8")
+    expected = f"{graph_file}: schema error: {path}: {reason}\n"
+    for argv in (
+        ["query", graph_file, "timeline", "--unit", "Think of family"],
+        ["export", graph_file, "--format", "json"],
+        ["eval", story_file, "--graph", graph_file],
+    ):
+        assert run_cli(argv, capsys) == (2, "", expected), argv
 
 
 def test_surrogate_pair_escape_still_loads(tmp_path, capsys):
@@ -260,9 +293,10 @@ def _traced_peak(run):
 def test_build_holds_less_than_its_output_on_top_of_the_graph(tmp_path):
     """``build`` writes the graph file in chunks, so its peak exceeds that of
     parsing and integrating the same text by less than the file's size. The
-    ladder corpus at n_macro=32: about 1k panels and a 2.5 MB graph file;
-    holding the whole text before writing it exceeded by 3.5 times the size."""
-    src = _story_of(tmp_path, 32, events_per_macro=(3, 5), segments_per_event=(2, 3), panels_per_segment=(2, 4))
+    ladder corpus at n_macro=48: about 1.5k panels and a 2.1 MB graph file
+    (0.27 times the size on CPython 3.11); holding the whole text before
+    writing it exceeded by 3.5 times the size."""
+    src = _story_of(tmp_path, 48, events_per_macro=(3, 5), segments_per_event=(2, 3), panels_per_segment=(2, 4))
     out = tmp_path / "graph.json"
     text = src.read_text(encoding="utf-8")
     graph_peak = _traced_peak(lambda: ng.integrate(ng.parse_corpus(text)))
@@ -272,18 +306,22 @@ def test_build_holds_less_than_its_output_on_top_of_the_graph(tmp_path):
     assert build_peak - graph_peak < size
 
 
-def test_load_holds_little_on_top_of_the_parsed_document():
-    """``deserialize_graph`` frees the node records before its edge walk, so
-    its peak exceeds that of ``json.loads`` of the same text by less than
-    half the text's size. The ladder corpus at
-    n_macro=32 (a 2.6 MB graph file) reads 0.20 times the size on CPython
-    3.11; holding the node records through the edge walk read 0.90."""
+def test_load_holds_little_beyond_the_graph_it_returns():
+    """``deserialize_graph`` frees the node list before its edge walk, so its
+    traced peak is less than 1.25 times the bytes of the graph it returns.
+    The ladder corpus at n_macro=32 (a 1.4 MB graph file) reads 1.12 on
+    CPython 3.11; the node-link loader before format 2 read 1.58."""
     params = ng.GenParams(seed=1, n_macro=32, events_per_macro=(3, 5), segments_per_event=(2, 3), panels_per_segment=(2, 4))
     text = ng.serialize_graph(ng.integrate(ng.generate(params)).graph)
-    json_peak = _traced_peak(lambda: json.loads(text))
-    load_peak = _traced_peak(lambda: ng.deserialize_graph(text))
-    assert len(text) > 2_000_000
-    assert load_peak - json_peak < len(text) / 2
+    gc.collect()
+    tracemalloc.start()
+    try:
+        graph = ng.deserialize_graph(text)
+        retained, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 1_000_000
+    assert load_peak < 1.25 * retained
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -303,13 +341,13 @@ def test_units_without_panels_through_the_cli(tmp_path, capsys):
     assert run_cli(["validate", str(src)], capsys) == (0, "", "")
     assert run_cli(["build", str(src), str(graph)], capsys) == (0, "", "")
     doc = json.loads(graph.read_text(encoding="utf-8"))
-    attrs = {node["id"]: node["attrs"] for node in doc["nodes"]}
+    attrs = {node_id: node_attrs for node_id, _, node_attrs in util.triples(doc["nodes"])}
     assert "first_reading_order" not in attrs["seg:idle"]
     assert "first_reading_order" not in attrs["seg:empty"]
     panelless = {"seg:idle", "seg:empty", "event:e_empty", "macro:m_empty"}
     assert not [
-        edge for edge in doc["edges"]
-        if edge["rel"] in ("precedes", "co_occurs") and {edge["src"], edge["dst"]} & panelless
+        (src, rel, dst) for src, rel, dst in util.triples(doc["edges"])
+        if rel in ("precedes", "co_occurs") and {src, dst} & panelless
     ]
     for task, unit in (("actions", "empty arc"), ("timeline", "empty arc"), ("dialogue", "empty event")):
         code, out, _ = run_cli(["query", str(graph), task, "--unit", unit], capsys)
@@ -341,7 +379,7 @@ def test_query_timeline_unknown_unit(graph_file, capsys):
 
 def test_query_graph_with_precedes_cycle(graph_file, capsys):
     doc = json.loads(Path(graph_file).read_text(encoding="utf-8"))
-    doc["edges"].append({"src": "panel:0_0_0", "rel": "precedes", "dst": "panel:0_0_0"})
+    doc["edges"] += ["panel:0_0_0", "precedes", "panel:0_0_0"]
     with open(graph_file, "w", encoding="utf-8") as handle:
         json.dump(doc, handle)
     code, out, err = run_cli(["query", graph_file, "timeline", "--unit", "Think of family"], capsys)
@@ -354,9 +392,8 @@ def test_query_graph_with_a_follows_record_exits_2(graph_file, capsys):
     # precedes is the one order relation: a graph file written while
     # follows was stored is refused at the record's rel, in one line.
     doc = json.loads(Path(graph_file).read_text(encoding="utf-8"))
-    i = next(i for i, edge in enumerate(doc["edges"]) if edge["rel"] == "precedes")
-    edge = doc["edges"][i]
-    edge["src"], edge["rel"], edge["dst"] = edge["dst"], "follows", edge["src"]
+    i, (src, _, dst) = next((i, edge) for i, edge in enumerate(util.triples(doc["edges"])) if edge[1] == "precedes")
+    doc["edges"][3 * i : 3 * i + 3] = [dst, "follows", src]
     with open(graph_file, "w", encoding="utf-8") as handle:
         json.dump(doc, handle)
     expected = f"{graph_file}: schema error: edges[{i}].rel: unknown relation 'follows'\n"
@@ -367,13 +404,33 @@ def test_query_graph_with_a_follows_record_exits_2(graph_file, capsys):
     assert (script.returncode, script.stdout, script.stderr) == (2, b"", expected.encode("utf-8"))
 
 
+def test_node_link_graph_file_exits_2_naming_build(graph_file, story_file, capsys):
+    # Graph files written before format 2 held one object per record and no
+    # "format"; they are refused before any record is read, in one line.
+    doc = util.node_link(json.loads(Path(graph_file).read_text(encoding="utf-8")))
+    Path(graph_file).write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    expected = (
+        f"{graph_file}: schema error: $: not a format 2 graph file; narragraph build writes one from its corpus\n"
+    )
+    for argv in (
+        ["query", graph_file, "characters"],
+        ["export", graph_file, "--format", "dot"],
+        ["export", graph_file, "--format", "json"],
+        ["eval", story_file, "--graph", graph_file],
+    ):
+        assert run_cli(argv, capsys) == (2, "", expected), argv
+    env = {**os.environ, "PYTHONPATH": SRC}
+    script = subprocess.run([sys.executable, "-m", "narragraph.cli", "query", graph_file, "characters"], capture_output=True, env=env)
+    assert (script.returncode, script.stdout, script.stderr) == (2, b"", expected.encode("utf-8"))
+
+
 def _set_attr(graph_file, node_id, key, value):
     """Rewrite one node attribute of a graph file (``None`` deletes it);
-    returns the node's index in the file."""
+    returns the node's record number in the file."""
     with open(graph_file, encoding="utf-8") as handle:
         doc = json.load(handle)
-    index = next(i for i, node in enumerate(doc["nodes"]) if node["id"] == node_id)
-    attrs = doc["nodes"][index]["attrs"]
+    index = util.node_index(doc, node_id)
+    attrs = doc["nodes"][3 * index + 2]
     if value is None:
         del attrs[key]
     else:
@@ -425,13 +482,11 @@ def test_graph_with_missing_or_bad_attr_exits_2(graph_file, story_file, capsys, 
 def test_graph_with_action_edge_to_scene_object_exits_2(graph_file, story_file, capsys):
     with open(graph_file, encoding="utf-8") as handle:
         doc = json.load(handle)
-    doc["edges"].append(
-        {"src": "panel:0_0_0/visual", "rel": "has_action", "dst": "panel:0_0_1/obj:letter"}
-    )
+    doc["edges"] += ["panel:0_0_0/visual", "has_action", "panel:0_0_1/obj:letter"]
     with open(graph_file, "w", encoding="utf-8") as handle:
         json.dump(doc, handle)
     expected = (
-        f"{graph_file}: schema error: edges[{len(doc['edges']) - 1}]: "
+        f"{graph_file}: schema error: edges[{len(doc['edges']) // 3 - 1}]: "
         "has_action cannot join panel_visual to scene_object\n"
     )
     for argv in (
@@ -445,15 +500,15 @@ def _append_records(graph_file, nodes=(), edges=()):
     """Append node and edge records to a graph file."""
     with open(graph_file, encoding="utf-8") as handle:
         doc = json.load(handle)
-    doc["nodes"].extend({"id": i, "kind": kind, "attrs": attrs} for i, kind, attrs in nodes)
-    doc["edges"].extend({"src": src, "rel": rel, "dst": dst} for src, rel, dst in edges)
+    doc["nodes"] += [item for record in nodes for item in record]
+    doc["edges"] += [item for record in edges for item in record]
     with open(graph_file, "w", encoding="utf-8") as handle:
         json.dump(doc, handle)
 
 
 def _node_index(graph_file, node_id):
     with open(graph_file, encoding="utf-8") as handle:
-        return [node["id"] for node in json.load(handle)["nodes"]].index(node_id)
+        return util.node_index(json.load(handle), node_id)
 
 
 @pytest.mark.parametrize(
@@ -664,7 +719,7 @@ def test_export_json_with_kinds(graph_file, capsys):
     )
     assert code == 0
     obj = json.loads(out)
-    kinds = {node["kind"] for node in obj["nodes"]}
+    kinds = {kind for _, kind, _ in util.triples(obj["nodes"])}
     assert kinds <= {"event", "macro_event", "event_segment"}
 
 

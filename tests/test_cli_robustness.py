@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 import narragraph as ng
 from narragraph import NarrativeRole, NodeKind, RelationKind, ShotType, cli
 
+from util import triples
+
 STORY = json.loads(ng.bundled_story_text())
 GRAPH = json.loads(ng.serialize_graph(ng.integrate(ng.bundled_story()).graph))
 
@@ -45,9 +47,10 @@ def _slots(doc):
 
 
 def _records(doc, key):
-    """The object items of ``doc[key]``, while the mutations leave it a list."""
+    """The numbered records of the flat list ``doc[key]``, while the
+    mutations leave it a list."""
     items = doc.get(key)
-    return [item for item in items if isinstance(item, dict)] if isinstance(items, list) else []
+    return list(enumerate(triples(items))) if isinstance(items, list) else []
 
 
 class RepeatedKey(dict):
@@ -64,35 +67,33 @@ def mutated(draw, original):
     """``original`` after one to three mutations: drop a key or item, swap a
     value for an odd one, replace a string with another string of the
     document or an enum value, end a string with a lone surrogate (json.dump
-    writes the escape ``\\ud800``), or duplicate a list item; in a corpus
-    also repeat a key of an object; in a graph also point an edge at another
-    node, change a node kind or a relation, give a panel a second hub, or
-    give an event or macro-event another unit's label."""
+    writes the escape ``\\ud800``), duplicate a list item or repeat a key of
+    an object; in a graph also point an edge at another node, change a node
+    kind or a relation, give a panel a second hub, or give an event or
+    macro-event another unit's label. A graph's records are flat lists, so
+    an item dropped from or duplicated in one shifts every later record."""
     doc = copy.deepcopy(original)
-    ops = ["drop", "swap", "restring", "surrogate", "duplicate"]
+    ops = ["drop", "swap", "restring", "surrogate", "duplicate", "repeat_key"]
     if "edges" in original:
         ops += ["retarget", "rekind", "second_hub", "relabel"]
-    else:
-        ops += ["repeat_key"]
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(ops))
         nodes, edges = _records(doc, "nodes"), _records(doc, "edges")
         if op == "second_hub":
-            panels = [node for node in nodes if node.get("kind") == "panel"]
+            panels = [node_id for _, (node_id, kind, _) in nodes if kind == "panel"]
             if panels and isinstance(doc.get("edges"), list):
-                panel = draw(st.sampled_from(panels)).get("id")
+                panel = draw(st.sampled_from(panels))
                 rel, kind = draw(
                     st.sampled_from([("has_visual", "panel_visual"), ("has_textual", "panel_textual")])
                 )
-                doc["nodes"].append({"id": f"{panel}/hub2", "kind": kind, "attrs": {}})
-                doc["edges"].append({"src": panel, "rel": rel, "dst": f"{panel}/hub2"})
+                doc["nodes"] += [f"{panel}/hub2", kind, {}]
+                doc["edges"] += [panel, rel, f"{panel}/hub2"]
             continue
         if op == "relabel":
             units = [
-                node["attrs"]
-                for node in nodes
-                if node.get("kind") in ("event", "macro_event")
-                and isinstance(node.get("attrs"), dict)
+                attrs
+                for _, (_, kind, attrs) in nodes
+                if kind in ("event", "macro_event") and isinstance(attrs, dict)
             ]
             labels = sorted(
                 {attrs.get("label") for attrs in units if isinstance(attrs.get("label"), str)}
@@ -102,14 +103,15 @@ def mutated(draw, original):
             continue
         if op == "retarget":
             if edges and nodes:
-                edge = draw(st.sampled_from(edges))
-                edge[draw(st.sampled_from(["src", "dst"]))] = draw(st.sampled_from(nodes)).get("id")
+                i, _ = draw(st.sampled_from(edges))
+                endpoint = 3 * i + draw(st.sampled_from([0, 2]))
+                doc["edges"][endpoint] = draw(st.sampled_from(nodes))[1][0]
             continue
         if op == "rekind":
-            records = [(node, "kind", NodeKind) for node in nodes] + [(edge, "rel", RelationKind) for edge in edges]
+            records = [("nodes", i, NodeKind) for i, _ in nodes] + [("edges", i, RelationKind) for i, _ in edges]
             if records:
-                record, key, enum = draw(st.sampled_from(records))
-                record[key] = draw(st.sampled_from([member.value for member in enum]))
+                key, i, enum = draw(st.sampled_from(records))
+                doc[key][3 * i + 1] = draw(st.sampled_from([member.value for member in enum]))
             continue
         slots = _slots(doc)
         if op == "repeat_key":

@@ -232,8 +232,8 @@ def test_serialize_unified_story_roundtrip(unified):
 
 def test_deserialize_edge_to_unknown_node():
     doc = (
-        '{"tier": "unified", "nodes": [{"id": "a", "kind": "panel", "attrs": {"reading_order": "0"}}],'
-        ' "edges": [{"src": "a", "rel": "precedes", "dst": "ghost"}]}'
+        '{"format": 2, "tier": "unified", "nodes": ["a", "panel", {"reading_order": "0"}],'
+        ' "edges": ["a", "precedes", "ghost"]}'
     )
     with pytest.raises(SchemaError) as err:
         deserialize_graph(doc)
@@ -242,7 +242,7 @@ def test_deserialize_edge_to_unknown_node():
 
 
 def test_deserialize_rejects_unknown_kind():
-    doc = '{"tier": "unified", "nodes": [{"id": "a", "kind": "blob", "attrs": {}}], "edges": []}'
+    doc = '{"format": 2, "tier": "unified", "nodes": ["a", "blob", {}], "edges": []}'
     with pytest.raises(SchemaError) as err:
         deserialize_graph(doc)
     assert err.value.path == "nodes[0].kind"
@@ -257,21 +257,25 @@ def test_deserialize_rejects_bad_json():
     )
 
 
-def _graph_doc(nodes=(), edges=()):
-    return json.dumps({"tier": "unified", "nodes": list(nodes), "edges": list(edges)})
+def _graph_doc(nodes=(), edges=(), **top):
+    """A format 2 graph document of the given node and edge records."""
+    doc = {"format": 2, "tier": "unified", **top}
+    doc["nodes"] = [item for record in nodes for item in record]
+    doc["edges"] = [item for record in edges for item in record]
+    return json.dumps(doc)
 
 
-P0 = {"id": "p0", "kind": "panel", "attrs": {"reading_order": "0"}}
-P1 = {"id": "p1", "kind": "panel", "attrs": {"reading_order": "1"}}
-EV = {"id": "e", "kind": "event", "attrs": {"label": "E"}}
+P0 = ("p0", "panel", {"reading_order": "0"})
+P1 = ("p1", "panel", {"reading_order": "1"})
+EV = ("e", "event", {"label": "E"})
 
 
 def _node(kind, attrs):
-    return _graph_doc([{"id": "n", "kind": kind, "attrs": attrs}])
+    return _graph_doc([("n", kind, attrs)])
 
 
 def _edges(*triples, nodes=(P0, P1, EV)):
-    return _graph_doc(nodes, [{"src": src, "rel": rel, "dst": dst} for src, rel, dst in triples])
+    return _graph_doc(nodes, triples)
 
 
 def _edge(src="p0", rel="precedes", dst="p1"):
@@ -284,30 +288,61 @@ def _lacks(kind, key):
 
 NOT_STR_MAP = ("nodes[0].attrs", "attrs must map strings to strings")
 NOT_STR_ID = "missing or non-string node id"
+NOT_FORMAT_2 = ("$", "not a format 2 graph file; narragraph build writes one from its corpus")
+UNKNOWN_KEY = "unknown key; a graph file holds format, tier, nodes and edges"
+NODE_LINK = json.dumps(
+    {"tier": "unified", "nodes": [{"id": "p0", "kind": "panel", "attrs": {"reading_order": "0"}}], "edges": []}
+)
 
 # (document, path, reason) of every check deserialize_graph makes, besides
 # the two tests above; where a document has two faults, the one the loader
 # checks first is reported.
 LOADER_ERRORS = {
     "not_an_object": ("[]", "$", "expected an object"),
-    "tier_missing": ('{"nodes": [], "edges": []}', "tier", "missing or non-string tier"),
-    "tier_not_a_string": ('{"tier": 1, "nodes": []}', "tier", "missing or non-string tier"),
-    "tier_unknown": ('{"tier": "blob", "nodes": []}', "tier", "unknown tier 'blob'"),
-    "nodes_not_a_list": ('{"tier": "panel", "nodes": {}}', "nodes", "missing or non-list nodes"),
-    "nodes_missing": ('{"tier": "panel", "edges": []}', "nodes", "missing or non-list nodes"),
-    "edges_not_a_list": ('{"tier": "panel", "nodes": [], "edges": 0}', "edges", "missing or non-list edges"),
-    "node_not_an_object": (_graph_doc([P0, "p1"]), "nodes[1]", "expected an object"),
-    "id_not_a_string": (_graph_doc([{"id": 7}]), "nodes[0].id", "missing or non-string id"),
-    "id_missing": (_graph_doc([{"kind": "blob"}]), "nodes[0].id", "missing or non-string id"),
+    "node_link": (NODE_LINK, *NOT_FORMAT_2),
+    "format_missing": ('{"tier": "panel", "nodes": [], "edges": []}', *NOT_FORMAT_2),
+    "format_1": ('{"format": 1, "tier": "panel", "nodes": [], "edges": []}', *NOT_FORMAT_2),
+    "format_string": ('{"format": "2", "tier": "panel", "nodes": [], "edges": []}', *NOT_FORMAT_2),
+    "format_float": ('{"format": 2.0, "tier": "panel", "nodes": [], "edges": []}', *NOT_FORMAT_2),
+    "format_true": ('{"format": true, "tier": "panel", "nodes": [], "edges": []}', *NOT_FORMAT_2),
+    "format_before_tier": ('{"tier": 1}', *NOT_FORMAT_2),
+    "unknown_key": (_graph_doc(links=[]), "links", UNKNOWN_KEY),
+    "unknown_key_before_tier": ('{"format": 2, "tier": 1, "Nodes": []}', "Nodes", UNKNOWN_KEY),
+    "repeated_top_key": (
+        '{"format": 2, "tier": "panel", "tier": "unified", "nodes": [], "edges": []}',
+        "$",
+        "repeated key 'tier' in one object",
+    ),
+    "repeated_attr_key": (
+        _node("panel", {"reading_order": "0"}).replace('"0"}', '"0", "reading_order": "1"}'),
+        "$",
+        "repeated key 'reading_order' in one object",
+    ),
+    "tier_missing": ('{"format": 2, "nodes": [], "edges": []}', "tier", "missing or non-string tier"),
+    "tier_not_a_string": ('{"format": 2, "tier": 1, "nodes": []}', "tier", "missing or non-string tier"),
+    "tier_unknown": ('{"format": 2, "tier": "blob", "nodes": []}', "tier", "unknown tier 'blob'"),
+    "nodes_not_a_list": ('{"format": 2, "tier": "panel", "nodes": {}}', "nodes", "missing or non-list nodes"),
+    "nodes_missing": ('{"format": 2, "tier": "panel", "edges": []}', "nodes", "missing or non-list nodes"),
+    "edges_not_a_list": ('{"format": 2, "tier": "panel", "nodes": [], "edges": 0}', "edges", "missing or non-list edges"),
+    "nodes_not_whole_records": (
+        _graph_doc([P0, ("p1",)]), "nodes", "4 items do not make whole records of 3"
+    ),
+    "nodes_length_before_records": (
+        _graph_doc([("n", "blob", {}), ("p1", "panel")]), "nodes", "5 items do not make whole records of 3"
+    ),
+    "edges_not_whole_records": (
+        _graph_doc([P0], [("p0", "blob")]), "edges", "2 items do not make whole records of 3"
+    ),
+    "id_not_a_string": (_graph_doc([(7, "panel", {})]), "nodes[0].id", "missing or non-string id"),
+    "id_null": (_graph_doc([(None, "blob", {})]), "nodes[0].id", "missing or non-string id"),
     "kind_unknown": (_node("blob", {}), "nodes[0].kind", "unknown node kind 'blob'"),
     "kind_list": (_node([], {}), "nodes[0].kind", "unknown node kind []"),
     "kind_object": (_node({}, {}), "nodes[0].kind", "unknown node kind {}"),
-    "kind_missing": (_graph_doc([{"id": "n"}]), "nodes[0].kind", "unknown node kind None"),
+    "kind_null": (_node(None, {}), "nodes[0].kind", "unknown node kind None"),
     "kind_before_attrs": (_node("blob", None), "nodes[0].kind", "unknown node kind 'blob'"),
     "attrs_null": (_node("panel", None), *NOT_STR_MAP),
     "attrs_list": (_node("scene_object", []), *NOT_STR_MAP),
     "attrs_value_not_a_string": (_node("panel", {"reading_order": 0}), *NOT_STR_MAP),
-    "attrs_missing": (_graph_doc([{"id": "n", "kind": "panel"}]), *_lacks("panel", "reading_order")),
     "panel_reading_order": (_node("panel", {"shot_type": "wide"}), *_lacks("panel", "reading_order")),
     "action_verb": (_node("action", {"object": "x"}), *_lacks("action", "verb")),
     "dialogue_content_text": (_node("dialogue_content", {}), *_lacks("dialogue_content", "text")),
@@ -324,28 +359,27 @@ LOADER_ERRORS = {
         "nodes[0].attrs",
         "reading_order must be a non-negative decimal integer, got '0x1'",
     ),
-    "duplicate_id": (_graph_doc([P0, {**EV, "id": "p0"}]), "nodes[1].id", "duplicate node id 'p0'"),
+    "duplicate_id": (_graph_doc([P0, ("p0", *EV[1:])]), "nodes[1].id", "duplicate node id 'p0'"),
     "duplicate_id_with_bad_attrs": (
-        _graph_doc([P0, {**EV, "id": "p0", "attrs": {}}]),
+        _graph_doc([P0, ("p0", "event", {})]),
         "nodes[1].attrs",
         "event node lacks attribute 'label'",
     ),
     "reading_order_before_duplicate": (
-        _graph_doc([P0, {"id": "p0", "kind": "panel", "attrs": {"reading_order": "-1"}}]),
+        _graph_doc([P0, ("p0", "panel", {"reading_order": "-1"})]),
         "nodes[1].attrs",
         "reading_order must be a non-negative decimal integer, got '-1'",
     ),
     "node_fault_before_edge_fault": (
-        _graph_doc([P0, {"id": "x", "kind": "blob"}], [{"rel": "blob"}]),
+        _graph_doc([P0, ("x", "blob", {})], [("p0", "blob", "x")]),
         "nodes[1].kind",
         "unknown node kind 'blob'",
     ),
-    "edge_not_an_object": (_graph_doc([P0], [[]]), "edges[0]", "expected an object"),
     "rel_unknown": (_edge(rel="blob"), "edges[0].rel", "unknown relation 'blob'"),
     "rel_list": (_edge(rel=[]), "edges[0].rel", "unknown relation []"),
-    "rel_missing": (_graph_doc([], [{"src": "p0"}]), "edges[0].rel", "unknown relation None"),
+    "rel_null": (_graph_doc([], [("p0", None, "p1")]), "edges[0].rel", "unknown relation None"),
     "rel_before_endpoints": (_edge(src=None, rel="blob"), "edges[0].rel", "unknown relation 'blob'"),
-    "edge_empty_object": (_graph_doc([P0], [{}]), "edges[0].rel", "unknown relation None"),
+    "edge_all_null": (_graph_doc([P0], [(None, None, None)]), "edges[0].rel", "unknown relation None"),
     "src_not_a_string": (_edge(src=1), "edges[0].src", NOT_STR_ID),
     "src_object": (_edge(src={"id": "p0"}), "edges[0].src", NOT_STR_ID),
     "dst_unknown": (_edge(dst="ghost"), "edges[0].dst", "edge references unknown node 'ghost'"),
@@ -355,7 +389,7 @@ LOADER_ERRORS = {
         "edge references unknown node 'ghost'",
     ),
     "dst_not_a_string": (_edge(dst=["p1"]), "edges[0].dst", NOT_STR_ID),
-    "dst_missing": (_graph_doc([P0], [{"src": "p0", "rel": "precedes"}]), "edges[0].dst", NOT_STR_ID),
+    "dst_null": (_graph_doc([P0], [("p0", "precedes", None)]), "edges[0].dst", NOT_STR_ID),
     "src_unknown": (_edge(src="ghost", dst=1), "edges[0].src", "edge references unknown node 'ghost'"),
     "wrong_kinds": (_edge(dst="e"), "edges[0]", "precedes cannot join panel to event"),
     "rel_follows": (_edge("e", "follows"), "edges[0].rel", "unknown relation 'follows'"),
@@ -391,8 +425,8 @@ def test_deserialize_reports_exact_path_and_reason(text, path, reason):
 
 def _with_records(graph_text, nodes=(), edges=()):
     doc = json.loads(graph_text)
-    doc["nodes"].extend({"id": i, "kind": kind, "attrs": attrs} for i, kind, attrs in nodes)
-    doc["edges"].extend({"src": src, "rel": rel, "dst": dst} for src, rel, dst in edges)
+    doc["nodes"] += [item for record in nodes for item in record]
+    doc["edges"] += [item for record in edges for item in record]
     return json.dumps(doc)
 
 
@@ -991,17 +1025,30 @@ def test_queries_leave_serialized_graph_unchanged(unified, story):
 
 
 def _reference_serialize(graph):
-    """The encoder serialize_graph replaced, kept as its reference:
-    ``json.dumps`` of the node-link object."""
-    obj = {
+    """The format 2 text built from ``json.dumps`` of each value, kept as
+    the reference of serialize_graph's own encoder. The text also reads
+    back, by ``json.loads``, as the document it stands for."""
+
+    def dumps(value):
+        return json.dumps(value, ensure_ascii=False)
+
+    def block(records):
+        lines = [f"    {', '.join(map(dumps, record))}" for record in records]
+        return "[\n" + ",\n".join(lines) + "\n  ]" if lines else "[]"
+
+    nodes = [(node_id, kind.value, dict(attrs)) for node_id, kind, attrs in graph.nodes()]
+    edges = [(src, rel.value, dst) for src, rel, dst in graph.edges()]
+    text = (
+        f'{{\n  "format": 2,\n  "tier": {dumps(graph.tier.value)},\n'
+        f'  "nodes": {block(nodes)},\n  "edges": {block(edges)}\n}}\n'
+    )
+    assert json.loads(text) == {
+        "format": 2,
         "tier": graph.tier.value,
-        "nodes": [
-            {"id": node_id, "kind": kind.value, "attrs": dict(attrs)}
-            for node_id, kind, attrs in graph.nodes()
-        ],
-        "edges": [{"src": src, "rel": rel.value, "dst": dst} for src, rel, dst in graph.edges()],
+        "nodes": [item for record in nodes for item in record],
+        "edges": [item for record in edges for item in record],
     }
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    return text
 
 
 # Quotes, backslashes, control characters, non-ASCII, astral characters and
@@ -1072,8 +1119,8 @@ def test_serialize_matches_json_dumps_across_chunk_boundaries(count):
     assert (nodes.node_count, edges.edge_count) == (count, count)
     for graph in (nodes, edges):
         assert serialize_graph(graph) == _reference_serialize(graph)
-        # Every record, node or edge, ends its own line with "    }".
-        assert max(chunk.count("\n    }") for chunk in graph_chunks(graph)) <= _CHUNK
+        # Every record, node or edge, starts its own line with four spaces.
+        assert max(chunk.count("\n    ") for chunk in graph_chunks(graph)) <= _CHUNK
 
 
 def test_build_streams_the_text_serialize_graph_returns(tmp_path, capsys):

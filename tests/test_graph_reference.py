@@ -18,6 +18,7 @@ from narragraph import NodeKind, RelationKind, SchemaError, deserialize_graph, s
 
 import reference_graph
 from test_cli_robustness import GRAPH, mutated
+from util import node_link, triples
 
 
 def _seeded(seed):
@@ -61,12 +62,13 @@ def test_loader_matches_reference_on_base_graphs(name):
 def _as_follows(doc):
     """``doc`` with every ``precedes`` record written as its ``follows``
     inverse, as graph files held story order before ``precedes`` became the
-    one order relation; also the index of the first such record."""
+    one order relation; also the number of the first such record."""
     doc = copy.deepcopy(doc)
     first = None
-    for i, edge in enumerate(doc["edges"]):
-        if edge["rel"] == "precedes":
-            edge["src"], edge["rel"], edge["dst"] = edge["dst"], "follows", edge["src"]
+    edges = doc["edges"]
+    for i, (src, rel, dst) in enumerate(triples(edges)):
+        if rel == "precedes":
+            edges[3 * i : 3 * i + 3] = [dst, "follows", src]
             first = i if first is None else first
     return doc, first
 
@@ -81,9 +83,19 @@ def test_loader_refuses_a_follows_record_as_the_reference_does(name):
     _assert_same_as_reference(text)
 
 
+@pytest.mark.parametrize("name", BASES)
+def test_loader_refuses_a_node_link_file_as_the_reference_does(name):
+    """Each base in the layout of the files written before format 2: both
+    loaders refuse it at ``$``, before reading any record."""
+    text = json.dumps(node_link(BASES[name]))
+    reason = "not a format 2 graph file; narragraph build writes one from its corpus"
+    assert _load(deserialize_graph, text) == ("$", reason)
+    _assert_same_as_reference(text)
+
+
 def test_records_without_attrs_get_their_own_map():
-    nodes = [{"id": "a", "kind": "caption"}, {"id": "b", "kind": "caption"}]
-    _assert_same_as_reference(json.dumps({"tier": "panel", "nodes": nodes, "edges": []}))
+    nodes = ["a", "caption", {}, "b", "caption", {}]
+    _assert_same_as_reference(json.dumps({"format": 2, "tier": "panel", "nodes": nodes, "edges": []}))
 
 
 @settings(max_examples=300, deadline=None)
@@ -94,15 +106,16 @@ def test_loader_matches_reference_on_mutated_graphs(doc):
 
 DROP = object()
 
-#: JSON values that are not objects, for a whole node or edge record.
+#: Values that are not a record, standing in for a whole node or edge record.
 NOT_AN_OBJECT = [[], "x", 3, True, None]
 #: Values the loader's table lookups cannot hash, or that a lookup keyed by
 #: strings misses although they hash: lists and objects, booleans, floats.
 NOT_A_KEY = [["p0"], {}, True, False, 1.5]
 
-#: Values a node or edge field may take instead of its own, besides DROP,
-#: the id of an earlier node (a duplicate id or another endpoint) and, for
-#: attrs, the record's own map with one value changed or one key dropped.
+#: Values a node or edge field may take instead of its own, besides DROP
+#: (the item taken out of its list), the id of an earlier node (a duplicate
+#: id or another endpoint) and, for attrs, the record's own map with one
+#: value changed or one key dropped.
 FIELD_FAULTS = {
     "nodes": {
         "id": [None, 7] + NOT_A_KEY,
@@ -115,42 +128,60 @@ FIELD_FAULTS = {
         "dst": [None, 1, "ghost"] + NOT_A_KEY,
     },
 }
+#: The position of each field within its record.
+POSITION = {"id": 0, "kind": 1, "attrs": 2, "src": 0, "rel": 1, "dst": 2}
+
+
+def _set_fields(items, i, values):
+    """Set fields of record ``i`` of the flat list ``items`` to ``values``
+    (field -> value), taking out each field whose value is DROP, last
+    position first, so that each edit finds its item."""
+    for field in sorted(values, key=POSITION.get, reverse=True):
+        if values[field] is DROP:
+            del items[3 * i + POSITION[field]]
+        else:
+            items[3 * i + POSITION[field]] = values[field]
 
 
 @st.composite
 def with_record_faults(draw, original):
     """``original`` with one to three fields of one node or edge record made
     faulty, so that the order of the checks shows, with a ``precedes``
-    record added reversed, which closes a cycle, or with one node
-    or edge record replaced by a value that is not an object."""
+    record added reversed, which closes a cycle, with one node or edge
+    record replaced by one value, or with three items taken out at a place
+    that is not a record's start, which shifts every later record."""
     doc = copy.deepcopy(original)
-    key = draw(st.sampled_from(["nodes", "edges", "reverse", "record"]))
+    key = draw(st.sampled_from(["nodes", "edges", "reverse", "record", "shift"]))
     if key == "reverse":
-        edge = draw(st.sampled_from([e for e in doc["edges"] if e["rel"] == "precedes"]))
-        doc["edges"].append({"src": edge["dst"], "rel": edge["rel"], "dst": edge["src"]})
+        src, rel, dst = draw(st.sampled_from([e for e in triples(doc["edges"]) if e[1] == "precedes"]))
+        doc["edges"] += [dst, rel, src]
         return doc
     if key == "record":
-        records = doc[draw(st.sampled_from(["nodes", "edges"]))]
-        records[draw(st.integers(0, len(records) - 1))] = draw(st.sampled_from(NOT_AN_OBJECT))
+        items = doc[draw(st.sampled_from(["nodes", "edges"]))]
+        i = draw(st.integers(0, len(items) // 3 - 1))
+        items[3 * i : 3 * i + 3] = [draw(st.sampled_from(NOT_AN_OBJECT))]
         return doc
-    i = draw(st.integers(0, len(doc[key]) - 1))
-    record = doc[key][i]
-    earlier = [node["id"] for node in doc["nodes"][: i if key == "nodes" else None]]
+    if key == "shift":
+        items = doc[draw(st.sampled_from(["nodes", "edges"]))]
+        start = 3 * draw(st.integers(0, len(items) // 3 - 2)) + draw(st.integers(1, 2))
+        del items[start : start + 3]
+        return doc
+    items = doc[key]
+    i = draw(st.integers(0, len(items) // 3 - 1))
+    earlier = [node[0] for node in triples(doc["nodes"])[: i if key == "nodes" else None]]
     fields = st.sampled_from(sorted(FIELD_FAULTS[key]))
+    values = {}
     for field in draw(st.lists(fields, min_size=1, max_size=3, unique=True)):
         options = [st.sampled_from(FIELD_FAULTS[key][field] + [DROP])]
         if field in ("id", "src", "dst") and earlier:
             options.append(st.sampled_from(earlier))
-        if field == "attrs" and record["attrs"]:
-            attrs = record["attrs"]
+        attrs = items[3 * i + 2]
+        if field == "attrs" and attrs:
             name = draw(st.sampled_from(sorted(attrs)))
             options.append(st.sampled_from([None, 1, "-1", "x"]).map(lambda v: {**attrs, name: v}))
             options.append(st.just({k: v for k, v in attrs.items() if k != name}))
-        value = draw(st.one_of(options))
-        if value is DROP:
-            del record[field]
-        else:
-            record[field] = value
+        values[field] = draw(st.one_of(options))
+    _set_fields(items, i, values)
     return doc
 
 
@@ -163,11 +194,9 @@ def test_loader_matches_reference_on_faulty_records(doc):
 def _with_fault(key, i, field, value):
     doc = copy.deepcopy(GRAPH)
     if field is None:
-        doc[key][i] = value
-    elif value is DROP:
-        del doc[key][i][field]
+        doc[key][3 * i : 3 * i + 3] = [value]
     else:
-        doc[key][i][field] = value
+        _set_fields(doc[key], i, {field: value})
     return doc
 
 
@@ -176,7 +205,8 @@ def _fault_id(key, field, value):
     return f"{key}[i]={text}" if field is None else f"{key}[i].{field}={text}"
 
 
-#: Each fault of ``FIELD_FAULTS`` and each non-object record, once, by id.
+#: Each fault of ``FIELD_FAULTS`` and each record replaced by one value,
+#: once, by id.
 EACH_FAULT = {
     _fault_id(*fault): fault
     for fault in [
@@ -191,7 +221,7 @@ EACH_FAULT = {
 
 @pytest.mark.parametrize("key, field, value", EACH_FAULT.values(), ids=EACH_FAULT)
 def test_loader_matches_reference_on_each_fault_at_first_and_last_record(key, field, value):
-    """Every fault of ``FIELD_FAULTS`` and every non-object record, at the
-    first and at the last record of its list."""
-    for i in (0, len(GRAPH[key]) - 1):
+    """Every fault of ``FIELD_FAULTS`` and every record replaced by one
+    value, at the first and at the last record of its list."""
+    for i in (0, len(GRAPH[key]) // 3 - 1):
         _assert_same_as_reference(json.dumps(_with_fault(key, i, field, value)))

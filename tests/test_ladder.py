@@ -28,7 +28,8 @@ def test_quick_ladder_adds_its_row_and_keeps_the_others(tmp_path):
         "seed": 1, "events_per_macro": [3, 5], "segments_per_event": [2, 3], "panels_per_segment": [2, 4],
     }
     assert doc["factor"] > 1
-    assert "deserialize gc_on" in doc["ceilings"]
+    assert "integrate gc_on" in doc["ceilings"]
+    assert not {"deserialize gc_on", "graph_control gc_on"} & set(doc["ceilings"])
     assert all(ceiling > doc["factor"] for ceiling in doc["ceilings"].values())
     parent, row = doc["rows"]
     assert parent == {"label": "parent"}

@@ -182,19 +182,42 @@ ONE_TARGET_PAIRS = [
 ]
 
 
+def triples(items):
+    """A flat record list of a graph file, ``[a, b, c, a, b, c, ...]``, as a
+    list of its ``(a, b, c)`` records; a last, partial record is left out."""
+    it = iter(items)
+    return list(zip(it, it, it))
+
+
+def node_index(doc, node_id):
+    """The record number of node ``node_id`` in a graph document."""
+    return [node[0] for node in triples(doc["nodes"])].index(node_id)
+
+
+def node_link(doc):
+    """A graph document in the node-link layout that files had before format
+    2: one object per node and per edge, and no ``format``."""
+    return {
+        "tier": doc["tier"],
+        "nodes": [{"id": i, "kind": kind, "attrs": attrs} for i, kind, attrs in triples(doc["nodes"])],
+        "edges": [{"src": src, "rel": rel, "dst": dst} for src, rel, dst in triples(doc["edges"])],
+    }
+
+
 def break_contract(doc, kind, rel, edit):
     """Edit a graph document so that its first ``kind`` node has no ``rel``
     edge (``edit="missing"``) or a second one, to a new node of the same
     kind as the first target (``edit="second"``). Returns the node's record
-    index and the reason ``UnifiedGraph.from_graph`` gives for it."""
-    i, node_id = next((i, n["id"]) for i, n in enumerate(doc["nodes"]) if n["kind"] == kind)
-    edge = next(e for e in doc["edges"] if e["src"] == node_id and e["rel"] == rel)
+    number and the reason ``UnifiedGraph.from_graph`` gives for it."""
+    nodes = triples(doc["nodes"])
+    i, node_id = next((i, node[0]) for i, node in enumerate(nodes) if node[1] == kind)
+    j, edge = next((j, e) for j, e in enumerate(triples(doc["edges"])) if e[0] == node_id and e[1] == rel)
     if edit == "missing":
-        doc["edges"].remove(edge)
+        del doc["edges"][3 * j : 3 * j + 3]
         count = 0
     else:
-        target_kind = next(n["kind"] for n in doc["nodes"] if n["id"] == edge["dst"])
-        doc["nodes"].append({"id": "extra", "kind": target_kind, "attrs": {"label": "extra"}})
-        doc["edges"].append({"src": node_id, "rel": rel, "dst": "extra"})
+        target_kind = next(node[1] for node in nodes if node[0] == edge[2])
+        doc["nodes"] += ["extra", target_kind, {"label": "extra"}]
+        doc["edges"] += [node_id, rel, "extra"]
         count = 2
     return i, f"{kind} {node_id!r} has {count} {rel} edges, not 1"

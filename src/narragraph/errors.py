@@ -77,7 +77,7 @@ def parse_json(text: str, unique_keys: bool = False) -> Any:
 
     With ``unique_keys``, a key repeated within one object raises
     ``SchemaError("$", "repeated key … in one object")``. The check costs a
-    Python call per object, so only corpus and synonym files, where a lost
+    Python call per object; corpus, synonym and graph files, where a lost
     value would go unseen, are read with it."""
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys if unique_keys else None)

@@ -308,9 +308,10 @@ def test_build_holds_less_than_its_output_on_top_of_the_graph(tmp_path):
 
 def test_load_holds_little_beyond_the_graph_it_returns():
     """``deserialize_graph`` frees the node list before its edge walk, so its
-    traced peak is less than 1.25 times the bytes of the graph it returns.
+    traced peak is less than 1.2 times the bytes of the graph it returns.
     The ladder corpus at n_macro=32 (a 1.4 MB graph file) reads 1.12 on
-    CPython 3.11; the node-link loader before format 2 read 1.58."""
+    CPython 3.11; a loader that keeps the node list through the edge walk
+    reads 1.30, and the node-link loader before format 2 read 1.58."""
     params = ng.GenParams(seed=1, n_macro=32, events_per_macro=(3, 5), segments_per_event=(2, 3), panels_per_segment=(2, 4))
     text = ng.serialize_graph(ng.integrate(ng.generate(params)).graph)
     gc.collect()
@@ -321,7 +322,7 @@ def test_load_holds_little_beyond_the_graph_it_returns():
     finally:
         tracemalloc.stop()
     assert len(text) > 1_000_000
-    assert load_peak < 1.25 * retained
+    assert load_peak < 1.2 * retained
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -29,8 +29,10 @@ the rows of two checkouts: run the script from each with its own label.
 ``--check`` exits 1 when a stage's minimum per-panel cost at the largest
 size exceeds its ceiling times its cost at the smallest, per GC mode. The
 ceiling is ``FACTOR`` for every cell but the known failures in
-``CEILINGS``. Needs only the standard library and the package's ``src/``
-next to this script.
+``CEILINGS``. Each row records the ``factor`` and ``ceilings`` it was
+checked against, so the rows of two checkouts keep their own tables.
+Needs only the standard library and the package's ``src/`` next to this
+script.
 """
 
 from __future__ import annotations
@@ -185,19 +187,22 @@ def ladder(sizes, runs: int, label: str) -> dict:
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "runs": runs,
+        "factor": FACTOR,
+        "ceilings": {f"{stage} {mode}": ceiling for (stage, mode), ceiling in sorted(CEILINGS.items())},
         "sizes": [cells[n] for n in sizes],
         "growth": growth,
     }
 
 
 def check(row: dict) -> list[str]:
-    """Each stage and GC mode whose growth exceeds its ceiling; prints
-    every stage's verdict."""
+    """Each stage and GC mode whose growth exceeds its ceiling in the row's
+    own ``factor`` and ``ceilings``; prints every stage's verdict."""
     failures = []
     for mode, by_stage in row["growth"].items():
         for stage, ratio in by_stage.items():
-            ceiling = CEILINGS.get((stage, mode), FACTOR)
-            known = ", known failure" if (stage, mode) in CEILINGS else ""
+            cell = f"{stage} {mode}"
+            ceiling = row["ceilings"].get(cell, row["factor"])
+            known = ", known failure" if cell in row["ceilings"] else ""
             verdict = "FAIL" if ratio > ceiling else "ok"
             print(f"{stage:12} {mode:7} {ratio:6.2f}x  {verdict} (ceiling {ceiling}x{known})")
             if ratio > ceiling:
@@ -217,13 +222,11 @@ def main(argv=None) -> int:
     row = ladder(sizes, runs, args.label)
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-        doc.update({
-            "unit": "us per panel",
-            "params": PARAMS,
-            "stages": list(STAGES),
-            "factor": FACTOR,
-            "ceilings": {f"{stage} {mode}": ceiling for (stage, mode), ceiling in sorted(CEILINGS.items())},
-        })
+        doc.update({"unit": "us per panel", "params": PARAMS, "stages": list(STAGES)})
+        # Each row holds the table it was checked against; a header table, as
+        # files written before kept, names only the last writer's.
+        doc.pop("factor", None)
+        doc.pop("ceilings", None)
         doc["rows"] = [held for held in doc.get("rows", []) if held["label"] != args.label] + [row]
         args.out.write_text(json.dumps(doc, indent=2) + "\n")
     for cell in row["sizes"]:

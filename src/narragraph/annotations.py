@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring as quote
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .errors import SchemaError, parse_json
 
@@ -158,17 +158,16 @@ _ENUMS = (_ENUM, _OPT_ENUM)
 
 
 class _RecordKind:
-    """The field table of one record kind.
+    """The field table of one record kind, and its reader.
 
     ``fields`` is given as ``(name, form, arg)`` in check order, where
     ``arg`` is the enum of an ``_ENUM`` field and the record kind of a
     ``_RECORDS`` field. The JSON key of a field is its dataclass field name;
     a dataclass field not in the table is not read or written and keeps
     its default. ``names`` and ``forms`` hold the fields in dataclass field
-    order, which is the order of the record's constructor arguments and the
-    key order of the JSON that :func:`serialize_corpus` writes. The stored
-    ``fields`` add each field's index in ``names`` and read an enum's
-    ``arg`` as a map from value to member, for :func:`_record`.
+    order, which is the order in which a record's fields are set and the
+    key order of the JSON that :func:`serialize_corpus` writes. ``read`` is
+    the kind's reader, compiled from ``fields`` by :func:`_reader`.
     """
 
     def __init__(self, cls: type, fields: tuple[tuple[str, str, Any], ...]):
@@ -176,10 +175,110 @@ class _RecordKind:
         table = {name: (form, arg) for name, form, arg in fields}
         self.names = tuple(f.name for f in dataclasses.fields(cls) if f.name in table)
         self.forms = tuple(table[name] for name in self.names)
-        self.fields = tuple(
-            (name, form, {m.value: m for m in arg} if form in _ENUMS else arg, self.names.index(name))
-            for name, form, arg in fields
-        )
+        self.read = _reader(cls, fields)
+
+
+def _item_fault(items: list, name: str, read: Callable[[Any], Any]) -> SchemaError:
+    """The ``SchemaError`` of the first of ``items`` that ``read`` refuses,
+    at its path under the record list ``name``; ``read`` refuses one."""
+    for j, item in enumerate(items):
+        try:
+            read(item)
+        except SchemaError as exc:
+            at = f"{name}[{j}]"
+            return SchemaError(f"{at}.{exc.path}" if exc.path else at, exc.reason)
+
+
+#: The check of a field of each form, as source text for :func:`_reader`:
+#: ``{v}`` is the field's local name and ``{n}`` its quoted JSON key.
+_CHECKS = {
+    _STR: """
+    {v} = obj.get({n})
+    if type({v}) is not str:
+        raise SchemaError({n}, "expected a string" if {n} in obj else "missing required field")""",
+    _OPT_STR: """
+    {v} = obj.get({n})
+    if {v} is not None and type({v}) is not str:
+        raise SchemaError({n}, "expected a string or null")""",
+    _NAT: """
+    {v} = obj.get({n})
+    if type({v}) is not int:
+        raise SchemaError({n}, "expected an integer" if {n} in obj else "missing required field")
+    if {v} < 0:
+        raise SchemaError({n}, "expected a non-negative integer")""",
+    _ENUM: """
+    {v} = obj.get({n})
+    if type({v}) is not str:
+        raise SchemaError({n}, "expected a string" if {n} in obj else "missing required field")
+    try:
+        {v} = members_{v}[{v}]
+    except KeyError:
+        raise SchemaError({n}, "unknown " + {n} + " " + repr({v})) from None""",
+    _OPT_ENUM: """
+    {v} = obj.get({n})
+    if {v} is not None:
+        if type({v}) is not str:
+            raise SchemaError({n}, "expected a string or null")
+        try:
+            {v} = members_{v}[{v}]
+        except KeyError:
+            raise SchemaError({n}, "unknown " + {n} + " " + repr({v})) from None""",
+    _STR_LIST: """
+    {v} = obj.get({n})
+    if type({v}) is not list:
+        raise SchemaError({n}, "expected a list" if {n} in obj else "missing required field")
+    for j, item in enumerate({v}):
+        if type(item) is not str:
+            raise SchemaError({n} + "[" + str(j) + "]", "expected a string")
+    {v} = tuple({v})""",
+    _RECORDS: """
+    {v} = obj.get({n})
+    if type({v}) is not list:
+        raise SchemaError({n}, "expected a list" if {n} in obj else "missing required field")
+    try:
+        {v} = tuple(map(read_{v}, {v}))
+    except SchemaError:
+        raise _item_fault({v}, {n}, read_{v}) from None""",
+}
+
+
+def _reader(cls: type, fields: tuple[tuple[str, str, Any], ...]) -> Callable[[Any], Any]:
+    """Compile the reader of one record kind: a function of a JSON value
+    that returns the record of class ``cls`` it holds, as ``dataclasses``
+    and ``namedtuple`` write their methods' source and compile it once.
+
+    The reader checks each of ``fields`` once, in table order, each by its
+    form's code in ``_CHECKS``; the first check that fails raises its
+    ``SchemaError``, with a path relative to the value: empty for the value
+    itself, ``name[j].`` and the item's own path under a record list, found
+    by reading the list again up to the item that fails. A record passes
+    no path to its fields and builds none unless a check fails. It is made
+    as a frozen dataclass's ``__init__`` makes it, one ``object.__setattr__``
+    per field in dataclass field order, a field outside ``fields`` set to
+    its default, but with no per-field dispatch and no ``__init__`` call."""
+    scope: dict[str, Any] = {"SchemaError": SchemaError, "_item_fault": _item_fault, "cls": cls}
+    scope.update(new=object.__new__, put=object.__setattr__)
+    lines = ["def read(obj):", "    if type(obj) is not dict:", '        raise SchemaError("", "expected an object")']
+    for name, form, arg in fields:
+        lines.append(_CHECKS[form].format(v=f"f_{name}", n=repr(name)))
+        if form in _ENUMS:
+            scope[f"members_f_{name}"] = {member.value: member for member in arg}
+        elif form is _RECORDS:
+            scope[f"read_f_{name}"] = arg.read
+    lines.append("    record = new(cls)")
+    table = {name for name, _, _ in fields}
+    for field in dataclasses.fields(cls):
+        if field.name in table:
+            value = f"f_{field.name}"
+        else:
+            value = f"default_{field.name}"
+            scope[value] = field.default
+        lines.append(f"    put(record, {field.name!r}, {value})")
+    lines.append("    return record")
+    exec(compile("\n".join(lines), f"<reader of {cls.__name__}>", "exec"), scope)
+    reader = scope["read"]
+    reader.__qualname__ = reader.__name__ = f"read_{cls.__name__}"
+    return reader
 
 
 _MACRO = _RecordKind(MacroEvent, (("id", _STR, None), ("label", _STR, None), ("description", _STR, None)))
@@ -230,56 +329,6 @@ _STORY = _RecordKind(
 )
 
 
-def _record(obj: Any, kind: _RecordKind) -> Any:
-    """The record of ``kind`` that ``obj`` holds, each field checked once,
-    in table order. The first check that fails raises its ``SchemaError``,
-    with a path relative to ``obj``: empty for ``obj`` itself."""
-    if type(obj) is not dict:
-        raise SchemaError("", "expected an object")
-    values = [None] * len(kind.names)
-    for name, form, arg, slot in kind.fields:
-        value = obj.get(name)
-        if form is _STR:
-            if type(value) is not str:
-                raise SchemaError(name, "expected a string" if name in obj else "missing required field")
-        elif form is _OPT_STR:
-            if value is not None and type(value) is not str:
-                raise SchemaError(name, "expected a string or null")
-        elif form is _RECORDS:
-            if type(value) is not list:
-                raise SchemaError(name, "expected a list" if name in obj else "missing required field")
-            items = []
-            for j, item in enumerate(value):
-                try:
-                    items.append(_record(item, arg))
-                except SchemaError as exc:
-                    at = f"{name}[{j}]"
-                    raise SchemaError(f"{at}.{exc.path}" if exc.path else at, exc.reason) from None
-            value = tuple(items)
-        elif form is _STR_LIST:
-            if type(value) is not list:
-                raise SchemaError(name, "expected a list" if name in obj else "missing required field")
-            for j, item in enumerate(value):
-                if type(item) is not str:
-                    raise SchemaError(f"{name}[{j}]", "expected a string")
-            value = tuple(value)
-        elif form is _NAT:
-            if type(value) is not int:
-                raise SchemaError(name, "expected an integer" if name in obj else "missing required field")
-            if value < 0:
-                raise SchemaError(name, "expected a non-negative integer")
-        elif value is not None or form is _ENUM:  # an enum; an optional one may be null
-            if type(value) is not str:
-                if form is _OPT_ENUM:
-                    raise SchemaError(name, "expected a string or null")
-                raise SchemaError(name, "expected a string" if name in obj else "missing required field")
-            if value not in arg:
-                raise SchemaError(name, f"unknown {name} {value!r}")
-            value = arg[value]
-        values[slot] = value
-    return kind.cls(*values)
-
-
 def parse_corpus(text: str) -> AnnotationCorpus:
     """Parse one story document into a typed corpus, checking its shape only.
 
@@ -296,7 +345,7 @@ def parse_corpus(text: str) -> AnnotationCorpus:
     """
     doc = parse_json(text, unique_keys=True)
     try:
-        return _record(doc, _STORY)
+        return _STORY.read(doc)
     except SchemaError as exc:
         raise SchemaError(exc.path or "$", exc.reason) from None
 

@@ -15,7 +15,7 @@ from itertools import pairwise
 
 from .annotations import AnnotationCorpus, EventSegment, PanelAnnotation, normalize_token
 from .errors import SchemaError
-from .graph import NarrativeGraph, NodeKind, RelationKind, Tier
+from .graph import NarrativeGraph, NodeKind, RelationKind, Tier, _ids
 
 
 def panel_node_id(panel_id: str) -> str:
@@ -85,8 +85,11 @@ class UnifiedGraph:
         index as it writes the units and calls this only when a label repeats;
         its writes meet the rest of the contract by construction."""
         index: dict[tuple[NodeKind, str], str] = {}
-        # The index read directly: a neighbors() call per node cost from_graph 70%.
-        out = (graph._adjacency or graph._build_index())["out"]
+        # Each kind's relations with their maps, read directly: a neighbors()
+        # call per node cost from_graph 70%.
+        one_target = {
+            kind: [(rel, graph._adjacency_of(rel, "out")) for rel in rels] for kind, rels in _ONE_TARGET.items()
+        }
         for i, (node_id, kind) in enumerate(graph._kinds.items()):
             if kind in UNIT_KINDS:
                 try:
@@ -97,10 +100,10 @@ class UnifiedGraph:
                     reason = f"duplicate {kind.value} label {label!r}"
                     raise SchemaError(f"nodes[{i}].attrs", reason)
                 index[(kind, label)] = node_id
-            for rel in _ONE_TARGET.get(kind, ()):
-                if type(out[rel].get(node_id)) is not str:
-                    n = len(graph.neighbors(node_id, rel, "out"))
-                    reason = f"{kind.value} {node_id!r} has {n} {rel.value} edges, not 1"
+            for rel, targets in one_target.get(kind, ()):
+                held = targets.get(node_id)
+                if type(held) is not str:
+                    reason = f"{kind.value} {node_id!r} has {len(_ids(held))} {rel.value} edges, not 1"
                     raise SchemaError(f"nodes[{i}]", reason)
         return cls(graph=graph, index=index)
 

@@ -9,13 +9,17 @@ node is its ``precedes`` neighbour in the ``"in"`` direction.
 
 Stored as written: node id -> kind and -> attrs, and the edge set, each
 edge once. Adjacency, keyed by direction, relation and node so that one
-traversal step reads one entry, is an index over the edge set. Its public
-readers are ``neighbors``, the one traversal step, and ``is_acyclic``, the
-load's check that ``precedes`` has no cycle. The first read builds the
-maps of the pairs the commands read, ``_READ``, in one pass and publishes
-them by one assignment, as the first read of any other pair does its map;
-every later write keeps them current. A built graph's first read is a
-query's; a loaded graph's is the load's own cycle check.
+traversal step reads one entry, is an index over the edge set. Its one
+reader is ``_adjacency_of``, which gives the whole map of one relation and
+direction; ``neighbors``, the public traversal step, ``is_acyclic``, the
+load's check that ``precedes`` has no cycle, and the package's queries and
+``UnifiedGraph.from_graph`` all read through it, the last two walking the
+maps themselves rather than paying a ``neighbors`` call per step. The
+first read builds the maps of the pairs the commands read, ``_READ``, in
+one pass and publishes them by one assignment, as the first read of any
+other pair does its map; every later write keeps them current. A built
+graph's first read is a query's; a loaded graph's is the load's own
+cycle check.
 
 Graph files are written by one generator, ``graph_chunks``, the one home
 of their layout: it yields the text in chunks of ``_CHUNK`` records, which
@@ -255,17 +259,27 @@ class NarrativeGraph:
             raise MissingNodeError(f"node {node_id!r} is not in the graph")
         if direction not in ("out", "in"):
             raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
+        return list(_ids(self._adjacency_of(rel, direction).get(node_id)))
+
+    def _adjacency_of(self, rel: RelationKind, direction: str) -> _Adjacency:
+        """The node -> entry map of ``rel`` read in ``direction`` (``"out"``
+        or ``"in"``, unchecked), whose entries :func:`_ids` reads; the
+        package's traversals walk it instead of calling ``neighbors`` per
+        step. Treat it as read-only.
+
+        The first read of any pair builds the index, and the first read of
+        a pair outside ``_READ`` builds and publishes that pair's map."""
         adjacency = (self._adjacency or self._build_index())[direction]
         try:
-            held = adjacency[rel]
+            return adjacency[rel]
         except KeyError:  # a pair outside _READ read for the first time, or no relation
             rel = _RELATION_OF.get(rel) or _unknown("relation", rel)
             held = adjacency[rel] = self._fill({direction: {rel: {}}})[direction][rel]
-        return list(_ids(held.get(node_id)))
+            return held
 
     def is_acyclic(self) -> bool:
         """True iff the ``precedes`` edges form no directed cycle."""
-        out = (self._adjacency or self._build_index())["out"][_PRECEDES]
+        out = self._adjacency_of(_PRECEDES, "out")
         # Only nodes on a precedes edge can lie on a cycle.
         indegree: dict[str, int] = {}
         for src, held in out.items():

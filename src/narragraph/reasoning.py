@@ -4,6 +4,14 @@ All four functions are pure traversals of a graph whose story contract
 ``UnifiedGraph.from_graph`` checked. Items are deduplicated on their
 normalized form while the first surface form seen in reading order is the
 one reported.
+
+Each query takes the adjacency map of every relation it follows once, from
+``NarrativeGraph._adjacency_of``, and walks it, reading an entry through
+``graph._ids``; a ``neighbors`` call per step, which checks its node and
+direction and copies a list, cost ``evaluate_all`` about a fifth of its
+time. The contract makes the entry of a panel's hubs and of a mention's
+``refers_to`` a bare id, which is read as it is. Attributes and kinds are
+read from the graph's own maps.
 """
 
 from __future__ import annotations
@@ -11,12 +19,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .annotations import normalize_token, normalize_utterance
 from .build import UnifiedGraph, panel_id_of
 from .errors import UnknownUnitError
-from .graph import NodeKind, RelationKind
+from .graph import NarrativeGraph, NodeKind, RelationKind, _ids
+
+# Members read once: before Python 3.12 a read through the enum class costs
+# about ten times a global lookup.
+_DIALOGUE = NodeKind.DIALOGUE
+_HAS_VISUAL, _HAS_TEXTUAL, _HAS_ACTION = RelationKind.HAS_VISUAL, RelationKind.HAS_TEXTUAL, RelationKind.HAS_ACTION
+_HAS_CHARACTER, _REFERS_TO = RelationKind.HAS_CHARACTER, RelationKind.REFERS_TO
+_SUBEVENT_OF, _INSTANTIATES = RelationKind.SUBEVENT_OF, RelationKind.INSTANTIATES
+_PART_OF, _CONTENT_OF = RelationKind.PART_OF, RelationKind.CONTENT_OF
 
 
 class ReasoningTask(str, Enum):
@@ -60,25 +76,22 @@ def _resolve(unified: UnifiedGraph, kind: NodeKind, label: str, what: str) -> st
     return node_id
 
 
-def _reading_order(unified: UnifiedGraph, panel_node: str) -> int:
-    return int(unified.graph.node_attrs(panel_node)["reading_order"])
-
-
-def _panels_below(unified: UnifiedGraph, events: list[str]) -> list[str]:
+def _panels_below(g: NarrativeGraph, events: Iterable[str]) -> list[str]:
     """Panel nodes under the event nodes ``events``, sorted by reading order."""
-    g = unified.graph
-    panels: list[str] = []
-    for event in events:
-        for segment in g.neighbors(event, RelationKind.SUBEVENT_OF, "in"):
-            panels.extend(g.neighbors(segment, RelationKind.INSTANTIATES, "in"))
-    panels.sort(key=lambda p: _reading_order(unified, p))
+    segments_of, panels_of = g._adjacency_of(_SUBEVENT_OF, "in"), g._adjacency_of(_INSTANTIATES, "in")
+    panels = [
+        panel for event in events for segment in _ids(segments_of.get(event)) for panel in _ids(panels_of.get(segment))
+    ]
+    attrs = g._attrs
+    panels.sort(key=lambda panel: int(attrs[panel]["reading_order"]))
     return panels
 
 
 def _macro_panels(unified: UnifiedGraph, macro_label: str) -> list[str]:
     """Panel nodes under the labelled macro-event's events, by reading order."""
     macro = _resolve(unified, NodeKind.MACRO_EVENT, macro_label, "macro-event")
-    return _panels_below(unified, unified.graph.neighbors(macro, RelationKind.SUBEVENT_OF, "in"))
+    g = unified.graph
+    return _panels_below(g, _ids(g._adjacency_of(_SUBEVENT_OF, "in").get(macro)))
 
 
 def _first_forms(texts: Iterable[str], normalize: Callable[[str], str]) -> list[str]:
@@ -89,11 +102,6 @@ def _first_forms(texts: Iterable[str], normalize: Callable[[str], str]) -> list[
     return list(first.values())
 
 
-def _hubs(unified: UnifiedGraph, panels: list[str], rel: RelationKind) -> Iterator[str]:
-    """Each panel's visual (``has_visual``) or textual (``has_textual``) hub."""
-    return (unified.graph.neighbors(panel, rel, "out")[0] for panel in panels)
-
-
 def actions_by_macro_event(unified: UnifiedGraph, macro_label: str) -> QueryResult:
     """Verbs of every action under a macro-event.
 
@@ -102,10 +110,11 @@ def actions_by_macro_event(unified: UnifiedGraph, macro_label: str) -> QueryResu
     order.
     """
     g = unified.graph
+    visual_of, actions_of, attrs = g._adjacency_of(_HAS_VISUAL, "out"), g._adjacency_of(_HAS_ACTION, "out"), g._attrs
     verbs = (
-        g.node_attrs(action)["verb"]
-        for visual in _hubs(unified, _macro_panels(unified, macro_label), RelationKind.HAS_VISUAL)
-        for action in g.neighbors(visual, RelationKind.HAS_ACTION, "out")
+        attrs[action]["verb"]
+        for panel in _macro_panels(unified, macro_label)
+        for action in _ids(actions_of.get(visual_of[panel]))
     )
     items = _first_forms(verbs, normalize_token)
     return QueryResult(task=ReasoningTask.ACTIONS, source_unit=macro_label, items=items)
@@ -119,12 +128,14 @@ def dialogue_by_event(unified: UnifiedGraph, event_label: str) -> QueryResult:
     """
     g = unified.graph
     event = _resolve(unified, NodeKind.EVENT, event_label, "event")
+    textual_of, parts_of = g._adjacency_of(_HAS_TEXTUAL, "out"), g._adjacency_of(_PART_OF, "in")
+    contents_of, kinds, attrs = g._adjacency_of(_CONTENT_OF, "in"), g._kinds, g._attrs
     texts = (
-        g.node_attrs(content)["text"]
-        for textual in _hubs(unified, _panels_below(unified, [event]), RelationKind.HAS_TEXTUAL)
-        for utterance in g.neighbors(textual, RelationKind.PART_OF, "in")
-        if g.node_kind(utterance) is NodeKind.DIALOGUE
-        for content in g.neighbors(utterance, RelationKind.CONTENT_OF, "in")
+        attrs[content]["text"]
+        for panel in _panels_below(g, (event,))
+        for utterance in _ids(parts_of.get(textual_of[panel]))
+        if kinds[utterance] is _DIALOGUE
+        for content in _ids(contents_of.get(utterance))
     )
     items = _first_forms(texts, normalize_utterance)
     return QueryResult(task=ReasoningTask.DIALOGUE, source_unit=event_label, items=items)
@@ -137,14 +148,14 @@ def character_appearances(unified: UnifiedGraph) -> QueryResult:
     identity node's label and listed in first-appearance order.
     """
     g = unified.graph
-    panels = sorted(g.nodes_of_kind(NodeKind.PANEL), key=lambda p: _reading_order(unified, p))
+    visual_of, mentions_of = g._adjacency_of(_HAS_VISUAL, "out"), g._adjacency_of(_HAS_CHARACTER, "out")
+    identity_of, attrs = g._adjacency_of(_REFERS_TO, "out"), g._attrs
+    panels = sorted(g.nodes_of_kind(NodeKind.PANEL), key=lambda panel: int(attrs[panel]["reading_order"]))
     appearances: dict[str, list[str]] = {}
-    for panel, visual in zip(panels, _hubs(unified, panels, RelationKind.HAS_VISUAL)):
+    for panel in panels:
         pid = panel_id_of(panel)
-        for mention in g.neighbors(visual, RelationKind.HAS_CHARACTER, "out"):
-            identity = g.neighbors(mention, RelationKind.REFERS_TO, "out")[0]
-            label = g.node_attrs(identity)["label"]
-            panel_ids = appearances.setdefault(label, [])
+        for mention in _ids(mentions_of.get(visual_of[panel])):
+            panel_ids = appearances.setdefault(attrs[identity_of[mention]]["label"], [])
             if not panel_ids or panel_ids[-1] != pid:
                 panel_ids.append(pid)
     return QueryResult(task=ReasoningTask.CHARACTERS, appearances=appearances)

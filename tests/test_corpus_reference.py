@@ -13,6 +13,8 @@ that hold every optional field both None and set, every record list both
 empty and not, and strings that the JSON encoder must escape.
 """
 
+import copy
+import dataclasses
 import json
 
 import pytest
@@ -33,6 +35,8 @@ from narragraph import (
     Utterance,
     parse_corpus,
 )
+
+from narragraph.annotations import _ENUMS, _NAT, _RECORDS, _STORY, _STR_LIST
 
 import reference_corpus
 from test_cli_robustness import STORY, mutated
@@ -138,3 +142,88 @@ def test_writer_matches_reference_on_hand_built_corpora(corpus):
     text = ng.serialize_corpus(corpus)
     assert text == reference_corpus.serialize_corpus(corpus)
     assert parse_corpus(text) == corpus
+
+
+def _first_records(obj, kind, path, found):
+    """The path of the first record of each kind under ``obj``, a record of
+    ``kind`` at ``path``, in file order, into ``found``."""
+    found.setdefault(kind, path)
+    for name, (form, arg) in zip(kind.names, kind.forms):
+        if form is _RECORDS:
+            for j, item in enumerate(obj[name]):
+                _first_records(item, arg, (*path, name, j), found)
+    return found
+
+
+#: One JSON value of each type but null, by the forms it is right for.
+VALUES = {"string": "x", "integer": 3, "float": 1.5, "bool": True, "list": [], "object": {}}
+RIGHT = {_NAT: {"integer"}, _STR_LIST: {"list"}, _RECORDS: {"list"}}
+
+
+def _faults():
+    """(id, path to the record, field, fault) for every field of the first
+    record of each kind in the bundled story: its key dropped, null, each
+    JSON type its form does not take, -1 and true for an integer, and an
+    unknown string for an enum."""
+    cases = []
+    for kind, path in _first_records(STORY, _STORY, (), {}).items():
+        at = "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path).lstrip(".")
+        for name, (form, _) in zip(kind.names, kind.forms):
+            faults = {"dropped": KeyError, "null": None}
+            right = RIGHT.get(form, {"string"})
+            faults.update({type_name: value for type_name, value in VALUES.items() if type_name not in right})
+            if form is _NAT:
+                faults["minus_one"] = -1
+            if form in _ENUMS:
+                faults["unknown"] = "no_such_member"
+            cases += [(f"{at}.{name}:{fault}".lstrip("."), path, name, value) for fault, value in faults.items()]
+    return cases
+
+
+FAULTS = _faults()
+
+
+@pytest.mark.parametrize("path, name, value", [case[1:] for case in FAULTS], ids=[case[0] for case in FAULTS])
+def test_each_field_fault_matches_reference(path, name, value):
+    doc = copy.deepcopy(STORY)
+    record = doc
+    for step in path:
+        record = record[step]
+    if value is KeyError:
+        record.pop(name, None)
+    else:
+        record[name] = value
+    _assert_same_as_reference(json.dumps(doc))
+
+
+def test_fault_cases_cover_every_field_of_every_kind():
+    kinds = _first_records(STORY, _STORY, (), {})
+    assert len(kinds) == 8  # the story, macro-event, event, segment, panel, action, dialogue, caption
+    covered = {(path, name) for _, path, name, _ in FAULTS}
+    assert covered == {(path, name) for kind, path in kinds.items() for name in kind.names}
+
+
+def _records(corpus):
+    """Every record of ``corpus``, the corpus first, then depth first."""
+    out = [corpus]
+    for field in dataclasses.fields(corpus):
+        value = getattr(corpus, field.name)
+        if isinstance(value, tuple):
+            for item in value:
+                if dataclasses.is_dataclass(item):
+                    out += _records(item)
+    return out
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_parsed_records_are_the_records_their_constructors_build(name):
+    """A parsed record is frozen, equal and hash-equal to the record its
+    class's constructor builds from its fields, and holds its fields in
+    dataclass field order."""
+    for record in _records(parse_corpus(json.dumps(BASES[name]))):
+        names = [field.name for field in dataclasses.fields(record)]
+        built = type(record)(*(getattr(record, field) for field in names))
+        assert record == built and hash(record) == hash(built)
+        assert list(vars(record)) == list(vars(built)) == names
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, names[0], getattr(record, names[0]))

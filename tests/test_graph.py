@@ -24,7 +24,7 @@ from narragraph import (
     serialize_graph,
 )
 from narragraph import cli
-from narragraph.graph import _CHUNK, _READ, graph_chunks
+from narragraph.graph import _CHUNK, _READ, _ids, graph_chunks
 
 NODE_IDS = [f"n{i}" for i in range(8)]
 
@@ -798,6 +798,32 @@ def test_a_pair_outside_the_index_is_built_once_and_kept_current(load, filled):
             assert g.neighbors(node, rel, direction) == _reference_neighbors(g, node, rel, direction)
     assert [pair for pair in filled if pair not in READ_PAIRS] == OUTSIDE
     assert g._adjacency is index
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: integrate(ng.bundled_story()).graph,
+        lambda: deserialize_graph(serialize_graph(integrate(ng.generate(ng.GenParams(seed=1))).graph)),
+    ],
+    ids=["paper_built", "seed1_loaded"],
+)
+def test_adjacency_maps_read_as_neighbors_does(make, filled):
+    """The package's map reader, whose maps the queries and ``from_graph``
+    walk, agrees with ``neighbors`` on every relation, direction and node,
+    an entry read through ``_ids``. A pair outside ``_READ`` is built on its
+    first read, once: a second read returns the same map."""
+    g = make()
+    ids = [node for node, _, _ in g.nodes()]
+    for rel in RelationKind:
+        for direction in ("out", "in"):
+            held = g._adjacency_of(rel, direction)
+            assert g._adjacency_of(rel, direction) is held
+            for node in ids:
+                assert list(_ids(held.get(node))) == g.neighbors(node, rel, direction)
+    assert g._adjacency_of(RelationKind.HAS_OBJECT, "out") is g._adjacency["out"][RelationKind.HAS_OBJECT]
+    outside = [pair for pair in filled if pair not in READ_PAIRS]
+    assert sorted(outside) == sorted({(rel, d) for rel in RelationKind for d in ("out", "in")} - READ_PAIRS)
 
 
 def test_threads_sharing_a_loaded_graph_see_each_pair_whole():

@@ -17,7 +17,8 @@ STAGES = [
 
 def test_quick_ladder_adds_its_row_and_keeps_the_others(tmp_path):
     out = tmp_path / "ladder.json"
-    out.write_text(json.dumps({"rows": [{"label": "parent"}, {"label": "quick"}]}))
+    # A header table, as files written before this layout held, is dropped.
+    out.write_text(json.dumps({"factor": 2.0, "ceilings": {}, "rows": [{"label": "parent"}, {"label": "quick"}]}))
     subprocess.run(
         [sys.executable, str(LADDER), "--quick", "--label", "quick", "--out", str(out)],
         check=True, capture_output=True, text=True,
@@ -27,13 +28,14 @@ def test_quick_ladder_adds_its_row_and_keeps_the_others(tmp_path):
     assert doc["params"] == {
         "seed": 1, "events_per_macro": [3, 5], "segments_per_event": [2, 3], "panels_per_segment": [2, 4],
     }
-    assert doc["factor"] > 1
-    assert "integrate gc_on" in doc["ceilings"]
-    assert not {"deserialize gc_on", "graph_control gc_on"} & set(doc["ceilings"])
-    assert all(ceiling > doc["factor"] for ceiling in doc["ceilings"].values())
+    assert not {"factor", "ceilings"} & set(doc)
     parent, row = doc["rows"]
     assert parent == {"label": "parent"}
     assert row["label"] == "quick" and row["runs"] == 3
+    assert row["factor"] > 1
+    assert "integrate gc_on" in row["ceilings"]
+    assert not {"deserialize gc_on", "graph_control gc_on"} & set(row["ceilings"])
+    assert all(ceiling > row["factor"] for ceiling in row["ceilings"].values())
     assert row["python"] and row["commit"]
     counts = [(cell["n_macro"], cell["panels"], cell["nodes"], cell["edges"]) for cell in row["sizes"]]
     assert counts == [(16, 531, 4958, 6936), (64, 2006, 18606, 26173)]

@@ -5,6 +5,10 @@ A story is a single JSON document carrying a three-level event hierarchy
 annotations: characters, actions, scene objects, dialogue and captions.
 Panel order is given exclusively by the integer ``reading_order`` field;
 panel ids are opaque strings and are never compared lexicographically.
+
+The field tables (``_PANEL`` and its siblings) are the one home of the
+corpus format: each kind's parser is compiled from its table at import,
+and the writer walks the same tables.
 """
 
 from __future__ import annotations
@@ -338,10 +342,10 @@ def parse_corpus(text: str) -> AnnotationCorpus:
     checked here: that is :func:`validate_corpus`'s job. List order from the
     file is preserved.
 
-    One walk checks each field of each record once, against its kind's
-    field table and in table order, and raises at the first check that
-    fails. No path is built unless a check fails; then each record list on
-    the way up prefixes its item's path.
+    Each record kind's reader, compiled from its field table at import,
+    checks each field of each record once, in table order, and raises at
+    the first check that fails. No path is built unless a check fails; then
+    each record list on the way up prefixes its item's path.
     """
     doc = parse_json(text, unique_keys=True)
     try:

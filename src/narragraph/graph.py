@@ -271,11 +271,11 @@ class NarrativeGraph:
         a pair outside ``_READ`` builds and publishes that pair's map."""
         adjacency = (self._adjacency or self._build_index())[direction]
         try:
-            return adjacency[rel]
+            held = adjacency[rel]
         except KeyError:  # a pair outside _READ read for the first time, or no relation
             rel = _RELATION_OF.get(rel) or _unknown("relation", rel)
             held = adjacency[rel] = self._fill({direction: {rel: {}}})[direction][rel]
-            return held
+        return held
 
     def is_acyclic(self) -> bool:
         """True iff the ``precedes`` edges form no directed cycle."""

@@ -3,9 +3,10 @@
 The digests and the outputs they cover live in ``tests/pinned_outputs.py``,
 which ``tests/test_output_digests.py`` checks under pytest. This script
 needs only the standard library, so it checks the same bytes under any
-supported interpreter, pytest or not. The CLI's graph file and eval
-reports are checked against the library's digests too, and its ``export``
-and ``query`` output against digests of their own. Run it from anywhere:
+supported interpreter, pytest or not. The CLI's generated corpora, graph
+file and eval reports are checked against the library's digests too, and
+its ``export`` and ``query`` output against digests of their own. Run it
+from anywhere:
 
     python3 scripts/check_output_digests.py
     PYTHONHASHSEED=1 python3.13 scripts/check_output_digests.py
@@ -37,7 +38,7 @@ def main() -> int:
         for via, pinned, outputs in (
             ("", DIGESTS[name], build_outputs(corpus)),
             ("", EVAL_DIGESTS[name], eval_outputs(corpus)),
-            ("cli ", CLI_DIGESTS[name], cli_outputs(corpus)),
+            ("cli ", CLI_DIGESTS[name], cli_outputs(name)),
         ):
             computed = digests(outputs)
             for output in sorted(pinned.keys() | computed.keys()):

@@ -347,7 +347,7 @@ def parse_corpus(text: str) -> AnnotationCorpus:
     the first check that fails. No path is built unless a check fails; then
     each record list on the way up prefixes its item's path.
     """
-    doc = parse_json(text, unique_keys=True)
+    doc = parse_json(text)
     try:
         return _STORY.read(doc)
     except SchemaError as exc:

@@ -56,8 +56,7 @@ def _lone_surrogate(doc: Any) -> Optional[str]:
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-    """``json.loads``'s ``object_pairs_hook`` that refuses a key repeated
-    within one object, where ``json.loads`` would keep its last value."""
+    """:func:`parse_json`'s ``object_pairs_hook``: a key repeated within one object is refused."""
     obj = dict(pairs)
     if len(obj) != len(pairs):
         seen = set()
@@ -68,19 +67,18 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return obj
 
 
-def parse_json(text: str, unique_keys: bool = False) -> Any:
+def parse_json(text: str) -> Any:
     """``json.loads``, raising ``SchemaError("$", "not valid JSON: …")`` for
     any text it cannot decode: malformed JSON, an integer literal longer
     than ``sys.get_int_max_str_digits()``, nesting too deep to parse, or a
     ``\\ud800``-``\\udfff`` escape that is not half of a surrogate pair
     (no UTF-8 text can hold it, so no output could be written).
 
-    With ``unique_keys``, a key repeated within one object raises
-    ``SchemaError("$", "repeated key … in one object")``. The check costs a
-    Python call per object; corpus, synonym and graph files, where a lost
-    value would go unseen, are read with it."""
+    A key repeated within one object raises ``SchemaError("$", "repeated
+    key … in one object")``, where ``json.loads`` would keep its last value
+    unseen; the check costs a Python call per object."""
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys if unique_keys else None)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise SchemaError("$", f"not valid JSON: {exc}") from None
     if "\\" in text and _SURROGATE_ESCAPE.search(text):

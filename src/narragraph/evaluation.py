@@ -136,7 +136,7 @@ def load_synonym_map(text: str) -> dict[str, str]:
     unambiguous and final: two keys that normalize alike with different
     targets, or a target that is itself a key mapped elsewhere, raise
     ``SchemaError``, and so does a key repeated in the file."""
-    doc = parse_json(text, unique_keys=True)
+    doc = parse_json(text)
     if not isinstance(doc, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in doc.items()
     ):

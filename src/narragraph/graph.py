@@ -478,7 +478,7 @@ def deserialize_graph(text: str) -> NarrativeGraph:
     in ``_JOINS``. No path is built for a record that passes. Nodes and
     edges are stored uncopied and the index is left alone: the cycle check
     is the graph's first read, and builds it as any first read does."""
-    doc = parse_json(text, unique_keys=True)
+    doc = parse_json(text)
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected an object")
     if doc.get("format") != _FORMAT or type(doc["format"]) is not int:

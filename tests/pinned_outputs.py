@@ -4,12 +4,13 @@ and the code that recomputes them.
 Each digest was recorded from the code before a refactor, so a change
 that alters one output byte fails ``test_output_digests.py`` and
 ``scripts/check_output_digests.py``. A deliberate format change updates
-the digests in the same commit. The CLI's graph file and eval reports are
-checked against the same digests, so the command-line path must write the
-library's bytes; its ``export`` and ``query`` output has digests of its
-own. This module imports nothing outside the standard library, the
-package and the tests' ``util`` factories, so that the script runs it
-under every supported interpreter, with or without pytest.
+the digests in the same commit. The CLI's generated corpora, graph file
+and eval reports are checked against the same digests, so the
+command-line path must write the library's bytes; its ``export`` and
+``query`` output has digests of its own. This module imports nothing
+outside the standard library, the package and the tests' ``util``
+factories, so that the script runs it under every supported interpreter,
+with or without pytest.
 """
 
 import hashlib
@@ -42,6 +43,10 @@ CORPORA = {
     "interleaved": util.interleaved_story,
 }
 
+#: The ``gen-fixture`` arguments that write each story of ``CORPORA`` that
+#: the CLI can generate.
+GEN_FIXTURE = {"paper": ["--paper"], **{f"seed{seed}": ["--seed", str(seed)] for seed in range(3)}}
+
 
 def build_outputs(corpus):
     """Each pinned build output of ``corpus`` by name: the corpus document
@@ -69,20 +74,23 @@ def eval_outputs(corpus):
 EVENT_KINDS = "event,macro_event,event_segment"
 
 
-def cli_outputs(corpus):
-    """The CLI's bytes for ``corpus`` written to a temporary directory: the
-    graph file of ``build`` and the stdout of ``eval --per-unit`` and
-    ``eval --table``, under the names of the library outputs they equal;
+def cli_outputs(name):
+    """The CLI's bytes for story ``name`` of ``CORPORA``, written to a
+    temporary directory: the stdout of ``gen-fixture``, where it writes the
+    story, the graph file of ``build`` and the stdout of ``eval --per-unit``
+    and ``eval --table``, under the names of the library outputs they equal;
     then the stdout of the commands that read that graph file: ``export``
     whole and cut to the event hierarchy, and each ``query`` task on the
     corpus's first macro-event or event label."""
+    corpus = CORPORA[name]()
+    outputs = {"corpus": _run_cli(["gen-fixture", *GEN_FIXTURE[name]])} if name in GEN_FIXTURE else {}
     with tempfile.TemporaryDirectory() as tmp:
         corpus_path, graph_path = os.path.join(tmp, "corpus.json"), os.path.join(tmp, "graph.json")
         with open(corpus_path, "w", encoding="utf-8") as handle:
             handle.write(serialize_corpus(corpus))
         _run_cli(["build", corpus_path, graph_path])
         with open(graph_path, "rb") as handle:
-            outputs = {"integrate": handle.read().decode("utf-8")}
+            outputs["integrate"] = handle.read().decode("utf-8")
         outputs["per_unit"] = _run_cli(["eval", corpus_path, "--per-unit"])
         outputs["table"] = _run_cli(["eval", corpus_path, "--table"])
         export = ["export", graph_path, "--format"]
@@ -236,11 +244,12 @@ READ_DIGESTS = {
 }
 
 
-#: Digests of ``cli_outputs`` per corpus. ``build`` and ``eval`` write the
-#: library's bytes, so theirs are taken from the two tables above, not
-#: recorded again.
+#: Digests of ``cli_outputs`` per corpus. ``gen-fixture``, ``build`` and
+#: ``eval`` write the library's bytes, so theirs are taken from the two
+#: tables above, not recorded again.
 CLI_DIGESTS = {
     name: {
+        **({"corpus": DIGESTS[name]["corpus"]} if name in GEN_FIXTURE else {}),
         "integrate": DIGESTS[name]["integrate"],
         "per_unit": EVAL_DIGESTS[name]["per_unit"],
         "table": EVAL_DIGESTS[name]["table"],

@@ -8,8 +8,8 @@ They are kept only as the references the package is checked against
 every document the reference parser accepts, and the same ``SchemaError``
 path and reason for every document it rejects; the writer must give the
 same text for every corpus whose fields hold values of their forms. The
-reference parser reads JSON with ``parse_json``'s defaults, so a repeated
-key keeps its last value here.
+reference parser reads JSON with ``parse_json``, so it refuses a key
+repeated within one object, as the package does.
 """
 
 import json

@@ -30,7 +30,7 @@ def _record_list(doc, key):
 
 
 def deserialize_graph(text: str) -> NarrativeGraph:
-    doc = parse_json(text, unique_keys=True)
+    doc = parse_json(text)
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected an object")
     if not (type(doc.get("format")) is int and doc["format"] == 2):

@@ -207,12 +207,37 @@ GRAPH_KEY_FAULTS = {
 }
 
 
+#: The same, of an edit to the records of the edge list: the first edge's
+#: src made a number, and the last edge's dst dropped.
+GRAPH_EDGE_FAULTS = {
+    "non_string_src": (
+        '"edges": [\n    "panel:0_0_0"', '"edges": [\n    7', "edges[0].src", "missing or non-string node id"
+    ),
+    "part_of_a_record": (
+        '"refers_to", "char:b"\n  ]', '"refers_to"\n  ]', "edges", "272 items do not make whole records of 3"
+    ),
+}
+
+
 @pytest.mark.parametrize("original, replacement, path, reason", GRAPH_KEY_FAULTS.values(), ids=GRAPH_KEY_FAULTS)
 def test_graph_file_with_a_repeated_or_unknown_key_exits_2(
     graph_file, story_file, capsys, original, replacement, path, reason
 ):
     # json.loads keeps the last of two equal keys, and the loader used to
     # skip a key it does not read: each file lost a value silently.
+    _assert_edit_exits_2(graph_file, story_file, capsys, original, replacement, path, reason)
+
+
+@pytest.mark.parametrize("original, replacement, path, reason", GRAPH_EDGE_FAULTS.values(), ids=GRAPH_EDGE_FAULTS)
+def test_graph_file_with_a_broken_edge_record_exits_2(
+    graph_file, story_file, capsys, original, replacement, path, reason
+):
+    _assert_edit_exits_2(graph_file, story_file, capsys, original, replacement, path, reason)
+
+
+def _assert_edit_exits_2(graph_file, story_file, capsys, original, replacement, path, reason):
+    """Each command that loads ``graph_file``, with ``original`` replaced,
+    exits 2 with one line naming ``path`` and ``reason`` on stderr."""
     text = Path(graph_file).read_text(encoding="utf-8")
     assert text.count(original) == 1
     Path(graph_file).write_text(text.replace(original, replacement), encoding="utf-8")

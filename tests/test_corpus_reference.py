@@ -3,9 +3,9 @@ references they replaced.
 
 On the bundled story, seeded corpora and mutations of both, ``parse_corpus``
 must return the corpus the reference returns, or raise the ``SchemaError``
-the reference raises, at the same path with the same reason. The one new
-error is a key repeated within one object, which the reference, reading
-JSON as ``json.loads`` does, lets through with its last value. Every
+the reference raises, at the same path with the same reason. A key
+repeated within one object is refused by both at ``$``, before any field
+is read, so it is checked against the key itself, not the reference. Every
 corpus the parser accepts must also survive ``serialize_corpus`` and a
 second parse unchanged, and ``serialize_corpus`` must write the text the
 ``json.dumps`` reference writes: on those corpora and on two built by hand

@@ -31,4 +31,4 @@ def test_eval_outputs_match_pinned_digests(name):
 
 @pytest.mark.parametrize("name", CORPORA)
 def test_cli_outputs_match_pinned_digests(name):
-    assert digests(cli_outputs(CORPORA[name]())) == CLI_DIGESTS[name]
+    assert digests(cli_outputs(name)) == CLI_DIGESTS[name]
